@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.bsp.engine import Context
+from repro.core.data_movement import _sort_keys
 from repro.errors import ConfigError
 
 __all__ = ["BitonicConfig", "bitonic_sort_program"]
@@ -38,14 +39,8 @@ def _keep_half(
 ) -> np.ndarray:
     """Merge two sorted arrays, keep the lower or upper ``len(mine)`` keys."""
     n = len(mine)
-    if keep_low:
-        # The n smallest of the union: merge from the front.
-        merged = np.concatenate((mine, theirs))
-        merged.sort(kind="stable")
-        return merged[:n]
-    merged = np.concatenate((mine, theirs))
-    merged.sort(kind="stable")
-    return merged[len(theirs):]
+    merged = _sort_keys(np.concatenate((mine, theirs)), inplace=True)
+    return merged[:n] if keep_low else merged[len(theirs):]
 
 
 @register_algorithm(
@@ -81,7 +76,7 @@ def bitonic_sort_program(
         )
 
     with ctx.phase("local sort"):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=keys.dtype.itemsize)
 
     if p == 1:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.bsp.engine import Context
-from repro.core.data_movement import Shard, exchange_and_merge
+from repro.core.data_movement import Shard, _sort_keys, exchange_and_merge
 from repro.errors import VerificationError
 
 __all__ = ["ExactSplitConfig", "ExactSplitStats", "exact_split_sort_program"]
@@ -97,7 +97,7 @@ def exact_split_sort_program(
     dtype = keys.dtype
 
     with ctx.phase("local sort"):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=dtype.itemsize)
 
     with ctx.phase("exact selection"):

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.bsp.engine import Context
-from repro.core.data_movement import Shard, exchange_and_merge
+from repro.core.data_movement import Shard, _sort_keys, exchange_and_merge
 from repro.errors import ConfigError
 from repro.sampling.random_blocks import block_random_sample
 from repro.utils.rng import RngTree
@@ -135,7 +135,7 @@ def over_partition_program(
     rng = RngTree(seed).generator("over-partition", ctx.rank)
 
     with ctx.phase("local sort"):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=keys.dtype.itemsize)
 
     with ctx.phase("splitting"):

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.bsp.engine import Context
+from repro.core.data_movement import _sort_keys
 from repro.errors import ConfigError
 
 __all__ = ["RadixConfig", "RadixStats", "radix_sort_program"]
@@ -93,7 +94,7 @@ def radix_sort_program(
     work, was_signed = _to_unsigned(keys)
 
     if p == 1:
-        out = np.sort(work, kind="stable")
+        out = _sort_keys(work)
         ctx.charge_sort(len(out), key_bytes=dtype.itemsize)
         return _from_unsigned(out, was_signed, dtype), RadixStats(0, 0, 0)
 

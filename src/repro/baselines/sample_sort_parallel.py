@@ -34,7 +34,7 @@ import numpy as np
 from repro.algorithms.registry import register_algorithm
 from repro.baselines.sample_sort import SampleSortConfig
 from repro.bsp.engine import Context
-from repro.core.data_movement import Shard, exchange_and_merge
+from repro.core.data_movement import Shard, _sort_keys, exchange_and_merge
 from repro.errors import ConfigError
 from repro.sampling.regular import regular_sample
 
@@ -60,8 +60,7 @@ def _sentinel(dtype: np.dtype):
 
 def _keep_half(mine: np.ndarray, theirs: np.ndarray, keep_low: bool) -> np.ndarray:
     n = len(mine)
-    merged = np.concatenate((mine, theirs))
-    merged.sort(kind="stable")
+    merged = _sort_keys(np.concatenate((mine, theirs)), inplace=True)
     return merged[:n] if keep_low else merged[len(theirs):]
 
 
@@ -93,7 +92,7 @@ def sample_sort_regular_parallel_program(
     pad = _sentinel(dtype)
 
     with ctx.phase("local sort"):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=dtype.itemsize)
 
     with ctx.phase("splitting"):

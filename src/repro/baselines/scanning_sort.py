@@ -17,7 +17,7 @@ from repro.algorithms.registry import register_algorithm
 from repro.algorithms.spec import AlgorithmSpec
 from repro.bsp.engine import Context
 from repro.core.config import HSSConfig
-from repro.core.data_movement import Shard, exchange_and_merge
+from repro.core.data_movement import Shard, _sort_keys, exchange_and_merge
 from repro.core.hss import (
     HSS_PHASE_EXCHANGE,
     HSS_PHASE_HISTOGRAM,
@@ -41,7 +41,7 @@ def scanning_sort_program(
     keyspace = make_keyspace(keys.dtype, cfg.tag_duplicates)
 
     with ctx.phase(HSS_PHASE_LOCAL_SORT):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=keys.dtype.itemsize)
 
     with ctx.phase(HSS_PHASE_HISTOGRAM):

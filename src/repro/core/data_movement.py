@@ -9,6 +9,7 @@ receives.  Keys may carry a fixed-size payload (the Mira experiments use
 
 Cost charging follows §5.1: partitioning is ``(p−1)`` binary searches plus a
 linear pass of memory traffic; the merge is ``(N_recv)·log p`` comparisons.
+Every bare-key sort in the programs goes through :func:`_sort_keys`.
 """
 
 from __future__ import annotations
@@ -51,23 +52,42 @@ class Shard:
         )
 
 
+def _sort_keys(keys: np.ndarray, *, inplace: bool = False) -> np.ndarray:
+    """Sort a bare key array ascending, with the kernel its dtype allows.
+
+    Equal integer keys are bit-identical, so stability cannot be observed
+    and NumPy's default kernel (a SIMD quicksort where the CPU has one)
+    does the work.  Every other dtype keeps ``kind="stable"``: structured
+    keys need it, and for floats the default kernel is not a bitwise
+    permutation (its sorting networks can turn ``-0.0`` into ``0.0`` and
+    canonicalize NaN payloads).  ``inplace`` sorts a caller-owned buffer
+    (a fresh concatenation) without copying it first.
+    """
+    kind = None if keys.dtype.kind in "iu" else "stable"
+    if inplace:
+        keys.sort(kind=kind)
+        return keys
+    return np.sort(keys, kind=kind)
+
+
 def locally_sorted_shard(
     ctx: Context,
     keys: np.ndarray,
     payload: np.ndarray | None = None,
 ) -> Shard:
-    """Stable local sort with cost charging, for every program's phase 1.
+    """Local sort with cost charging, for every program's phase 1.
 
-    When a payload rides along it is permuted with its keys (argsort);
-    otherwise the cheaper in-place path is taken.  Charged as a plain key
-    sort either way, matching §5.1's accounting.
+    When a payload rides along it is permuted with its keys by a stable
+    argsort, so equal keys keep their payloads' input order; bare keys go
+    through :func:`_sort_keys`.  Charged as a plain key sort either way,
+    matching §5.1's accounting.
     """
     if payload is not None:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         payload = payload[order]
     else:
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
     ctx.charge_sort(len(keys), key_bytes=keys.dtype.itemsize)
     return Shard(keys, payload)
 
@@ -97,10 +117,11 @@ def partition_by_splitters(
 def _merge_runs(runs: list[Shard], key_dtype: np.dtype) -> Shard:
     """Merge ``p`` sorted runs.
 
-    Implemented as concatenate + mergesort: NumPy's mergesort (timsort) on
-    the concatenation of sorted runs detects and galloping-merges the runs,
-    which is the vectorized equivalent of a ``p``-way merge; the simulated
-    cost is charged separately as ``total·log₂(ways)`` by the caller.
+    Implemented as concatenate + sort, the vectorized stand-in for a
+    ``p``-way merge.  Bare keys go through :func:`_sort_keys`; with a
+    payload, a stable argsort keeps equal keys in run order (rank order,
+    then each run's own order).  The simulated cost is charged separately
+    as ``total·log₂(ways)`` by the caller, whatever kernel does the work.
     """
     nonempty = [r for r in runs if len(r)]
     if not nonempty:
@@ -111,8 +132,7 @@ def _merge_runs(runs: list[Shard], key_dtype: np.dtype) -> Shard:
         payload = np.concatenate([r.payload for r in nonempty])
         order = np.argsort(keys, kind="stable")
         return Shard(keys[order], payload[order])
-    keys.sort(kind="stable")
-    return Shard(keys)
+    return Shard(_sort_keys(keys, inplace=True))
 
 
 def exchange_and_merge(

@@ -31,7 +31,7 @@ from repro.algorithms.registry import register_algorithm
 from repro.algorithms.spec import AlgorithmSpec
 from repro.bsp.engine import Context
 from repro.core.config import HSSConfig
-from repro.core.data_movement import Shard
+from repro.core.data_movement import Shard, _sort_keys
 from repro.core.hss import (
     HSS_PHASE_EXCHANGE,
     HSS_PHASE_HISTOGRAM,
@@ -88,7 +88,7 @@ def node_sample_sort(node_ctx, keys: np.ndarray, eps: float) -> Generator:
         if any(len(r) for r in received)
         else keys[:0]
     )
-    merged.sort(kind="stable")
+    _sort_keys(merged, inplace=True)
     node_ctx.charge_merge(len(merged), c, key_bytes=keys.dtype.itemsize)
     return merged
 
@@ -114,7 +114,7 @@ def hss_node_sort_program(
     keyspace = make_keyspace(keys.dtype, cfg.tag_duplicates)
 
     with ctx.phase(HSS_PHASE_LOCAL_SORT):
-        keys = np.sort(keys, kind="stable")
+        keys = _sort_keys(keys)
         ctx.charge_sort(len(keys), key_bytes=keys.dtype.itemsize)
 
     # --- node-level splitter determination (n−1 splitters, all cores help)
@@ -162,7 +162,7 @@ def hss_node_sort_program(
             if any(len(r) for r in received)
             else keys[:0]
         )
-        mine.sort(kind="stable")
+        _sort_keys(mine, inplace=True)
         ctx.charge_merge(len(mine), ctx.nprocs, key_bytes=keys.dtype.itemsize)
 
     # --- within-node redistribution (shared memory only) -----------------

@@ -85,7 +85,8 @@ class Measured:
     #: Per-rank wall-clock spent blocked waiting on collective resolution.
     rank_comm_wait_s: tuple[float, ...] = ()
     #: Per-phase compute wall-clock, max over ranks (the BSP critical-path
-    #: convention, matching the modeled breakdown's aggregation).
+    #: convention, matching the modeled breakdown's aggregation; with
+    #: ``workers < p`` it understates the path, see :attr:`compute_s`).
     phase_wall_s: dict[str, float] = field(default_factory=dict)
     #: Fault-injection metrics when the run went through the chaos
     #: backend with a non-zero plan (``None`` otherwise): plan name and
@@ -95,12 +96,24 @@ class Measured:
 
     @property
     def compute_s(self) -> float:
-        """Critical-path compute wall-clock (max over ranks)."""
+        """Largest per-rank compute wall-clock (max over ranks).
+
+        This is the critical path only with one worker per rank.  With
+        ``workers < p`` a worker advances its ranks one after another,
+        so the critical path is closer to the largest per-worker *sum*
+        of its ranks' values, which this max understates.
+        """
         return max(self.rank_compute_s, default=0.0)
 
     @property
     def comm_wait_s(self) -> float:
-        """Critical-path collective-wait wall-clock (max over ranks)."""
+        """Largest per-rank collective-wait wall-clock (max over ranks).
+
+        Values are per rank.  A multiplexed worker's ranks all wait on the
+        same broker reply, so each of them carries the same wait; like
+        :attr:`compute_s`, the max is a critical path only when
+        ``workers == p``.
+        """
         return max(self.rank_comm_wait_s, default=0.0)
 
     def to_spans(self, sink):

@@ -297,8 +297,18 @@ def _worker_main(
     unregister_shm: bool = False,
     chan_base: str = "",
     record_segments: bool = False,
+    inherited_conns: Sequence[Any] = (),
 ) -> None:
-    """Run this worker's ranks, forwarding every collective to the broker."""
+    """Run this worker's ranks, forwarding every collective to the broker.
+
+    ``inherited_conns`` are the broker's pipe ends a forked worker got
+    copies of (its own and earlier workers').  They are closed first:
+    while any process holds a copy, closing the broker's end delivers no
+    EOF, and a worker blocked on ``recv`` after an error would wait out
+    the broker's join timeout.
+    """
+    for inherited in inherited_conns:
+        inherited.close()
     tx = _ShmChannel(f"{chan_base}t")  # worker -> broker
     rx = _ShmChannel(f"{chan_base}r")  # broker -> worker
     try:
@@ -489,6 +499,7 @@ class ProcessBackend(Backend):
         sent_results: dict[int, list[str]] = {
             i: [] for i in range(len(assignment))
         }
+        forked = mp.get_start_method() == "fork"
         try:
             for i, ranks in enumerate(assignment):
                 parent_conn, child_conn = mp.Pipe()
@@ -504,9 +515,10 @@ class ProcessBackend(Backend):
                         p,
                         machine,
                         layout,
-                        mp.get_start_method() != "fork",
+                        not forked,
                         f"{chan_base}{i}",
                         trace_sink is not None,
+                        [*conns, parent_conn] if forked else (),
                     ),
                     daemon=True,
                 )

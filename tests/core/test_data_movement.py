@@ -6,9 +6,107 @@ import pytest
 from repro.bsp import BSPEngine
 from repro.core.data_movement import (
     Shard,
+    _merge_runs,
+    _sort_keys,
     exchange_and_merge,
+    locally_sorted_shard,
     partition_by_splitters,
 )
+
+STRUCTURED = np.dtype([("hi", "<u4"), ("lo", "<i8")])
+
+
+def _keys(dtype: str, n: int = 500) -> np.ndarray:
+    """Duplicate-heavy keys; float64 mixes in ±0.0 and infinities.
+
+    Small enough to reach the sorting network of NumPy's AVX-512 float
+    kernel, which can rewrite ±0.0: on such CPUs the float cases fail if
+    floats are ever sent to the default kernel.
+    """
+    rng = np.random.default_rng(7)
+    if dtype == "float64":
+        keys = rng.integers(-20, 20, n).astype(np.float64) / 4
+        keys[::7] = 0.0
+        keys[3::7] = -0.0
+        keys[5::97] = np.inf
+        keys[6::97] = -np.inf
+        return keys
+    if dtype == "structured":
+        keys = np.empty(n, dtype=STRUCTURED)
+        keys["hi"] = rng.integers(0, 5, n)
+        keys["lo"] = rng.integers(-3, 3, n)
+        return keys
+    return rng.integers(0, 50, n).astype(dtype)
+
+
+KEY_DTYPES = ["int64", "uint64", "float64", "structured"]
+
+
+def _assert_sorted_like_oracle(out: np.ndarray, keys: np.ndarray) -> None:
+    assert out.dtype == keys.dtype
+    np.testing.assert_array_equal(out, np.sort(keys))
+    if keys.dtype.kind == "f":
+        # ±0.0 compare equal, but a sort must not rewrite either into the
+        # other: the output is a bitwise permutation of the input.
+        assert np.signbit(out).sum() == np.signbit(keys).sum()
+
+
+class TestSortKernel:
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_sort_keys_matches_oracle(self, dtype):
+        keys = _keys(dtype)
+        before = keys.copy()
+        _assert_sorted_like_oracle(_sort_keys(keys), keys)
+        np.testing.assert_array_equal(keys, before)  # input untouched
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_sort_keys_inplace(self, dtype):
+        keys = _keys(dtype)
+        buffer = keys.copy()
+        out = _sort_keys(buffer, inplace=True)
+        assert out is buffer
+        _assert_sorted_like_oracle(out, keys)
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_locally_sorted_shard_matches_oracle(self, dtype):
+        keys = _keys(dtype)
+
+        def program(ctx, keys):
+            yield from ctx.barrier()
+            return locally_sorted_shard(ctx, keys)
+
+        shard = BSPEngine(1).run(program, rank_args=[(keys,)]).returns[0]
+        assert shard.payload is None
+        _assert_sorted_like_oracle(shard.keys, keys)
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_merge_runs_matches_oracle(self, dtype):
+        keys = _keys(dtype)
+        cuts = [0, 0, 100, 101, 300, len(keys), len(keys)]
+        runs = [
+            Shard(np.sort(keys[a:b], kind="stable"))
+            for a, b in zip(cuts[:-1], cuts[1:])
+        ]
+        merged = _merge_runs(runs, keys.dtype)
+        assert merged.payload is None
+        _assert_sorted_like_oracle(merged.keys, keys)
+
+    def test_payloads_keep_equal_keys_in_input_order(self):
+        keys = _keys("int64")
+        index = np.arange(len(keys))
+
+        def program(ctx, keys, payload):
+            yield from ctx.barrier()
+            return locally_sorted_shard(ctx, keys, payload)
+
+        halves = BSPEngine(2).run(
+            program,
+            rank_args=[(keys[:200], index[:200]), (keys[200:], index[200:])],
+        ).returns
+        merged = _merge_runs(halves, keys.dtype)
+        np.testing.assert_array_equal(
+            merged.payload, np.argsort(keys, kind="stable")
+        )
 
 
 class TestShard:

@@ -58,6 +58,46 @@ class TestPermutation:
             [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
         )
 
+    # The outputs are sorted only when a linear scan finds them out of
+    # order; each verdict below is pinned on both paths.
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(3)
+        return [rng.integers(0, 100, 500).astype(np.uint64) for _ in range(4)]
+
+    def test_sorted_permutation_passes(self):
+        inputs = self._inputs()
+        everything = np.sort(np.concatenate(inputs))
+        check_permutation(inputs, np.array_split(everything, 4))
+
+    def test_unsorted_permutation_passes(self):
+        inputs = self._inputs()
+        check_permutation(inputs, list(reversed(inputs)))
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_one_changed_key_fails(self, in_order):
+        inputs = self._inputs()
+        everything = np.concatenate(inputs)
+        out = np.sort(everything) if in_order else everything.copy()
+        out[-1] += np.uint64(1)  # still in order when in_order
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation(inputs, [out])
+
+    @pytest.mark.parametrize(
+        "out", [[1.0, 2.0, np.nan], [np.nan, 2.0, 1.0]], ids=["last", "first"]
+    )
+    def test_nan_keys_fail(self, out):
+        # NaN never equals NaN, so a NaN-bearing multiset never matches.
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation([np.array([2.0, np.nan, 1.0])], [np.array(out)])
+
+    def test_structured_keys(self):
+        dtype = np.dtype([("a", "<u4"), ("b", "<i8")])
+        keys = np.array([(2, 1), (1, 5), (1, -3)], dtype=dtype)
+        check_permutation([keys], [keys[::-1]])
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation([keys], [keys[[0, 0, 1]]])
+
 
 class TestLoadBalance:
     def test_within_cap(self):

@@ -9,6 +9,7 @@ compare everything against the simulator.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ def _both_raise(program, exc_type):
     return raised
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [SimulatedBackend(), ProcessBackend(workers=2)],
+    ids=["simulated", "process"],
+)
+def test_hss_payloads_keep_equal_keys_in_input_order(backend):
+    # Few distinct keys: every key value spans ranks.  Each payload is
+    # its key's global input position, so a stable sort end to end
+    # yields exactly the stable argsort of the concatenated input.
+    rng = np.random.default_rng(4)
+    keys = [rng.integers(0, 40, N_PER) for _ in range(P)]
+    index = [np.arange(r * N_PER, (r + 1) * N_PER) for r in range(P)]
+    run = Sorter("hss", eps=0.2, seed=3, backend=backend).run(
+        Dataset.from_arrays(keys, payloads=index)
+    )
+    np.testing.assert_array_equal(
+        np.concatenate(run.payloads),
+        np.argsort(np.concatenate(keys), kind="stable"),
+    )
+
+
 def test_collective_mismatch_identical():
     sim, proc, thr = _both_raise(_mismatch_program, CollectiveMismatchError)
     assert str(sim) == str(proc) == str(thr)
@@ -227,6 +249,23 @@ def test_deadlock_identical():
     assert sim.superstep == proc.superstep == thr.superstep is not None
     assert sim.finished_ranks == proc.finished_ranks == thr.finished_ranks != ()
     assert sim.stuck_ranks == proc.stuck_ranks == thr.stuck_ranks != ()
+
+
+@pytest.mark.parametrize(
+    "program,exc_type",
+    [
+        (_mismatch_program, CollectiveMismatchError),
+        (_early_return_program, DeadlockError),
+    ],
+    ids=["mismatch", "deadlock"],
+)
+def test_process_error_path_is_prompt(program, exc_type):
+    # A worker blocked on the broker's reply must see EOF as soon as the
+    # broker closes its pipe ends, not sit out the join timeout.
+    start = time.perf_counter()
+    with pytest.raises(exc_type):
+        ProcessBackend(workers=2).run(program, _rank_args())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_yield_identical():
