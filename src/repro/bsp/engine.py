@@ -60,6 +60,19 @@ Program = Callable[..., Generator[Any, Any, Any]]
 
 _DEFAULT_PHASE = "unlabeled"
 
+_NOT_A_GENERATOR = (
+    "program must be a generator function (use 'yield from' "
+    "for collectives); got a plain function"
+)
+
+
+def _bad_yield(rank: int, request: Any) -> BSPError:
+    """The error for a rank that yielded something other than a collective."""
+    return BSPError(
+        f"rank {rank} yielded {type(request).__name__}; programs "
+        "must only 'yield from' Context collectives"
+    )
+
 
 @dataclass
 class _Call:
@@ -653,10 +666,7 @@ class BSPEngine:
         for r in range(p):
             gen = program(contexts[r], *rank_args[r], **shared_kwargs)
             if not hasattr(gen, "send"):
-                raise BSPError(
-                    "program must be a generator function (use 'yield from' "
-                    "for collectives); got a plain function"
-                )
+                raise BSPError(_NOT_A_GENERATOR)
             gens.append(gen)
 
         returns: list[Any] = [None] * p
@@ -684,10 +694,7 @@ class BSPEngine:
                     finished.append(r)
                     continue
                 if not isinstance(request, _Call):
-                    raise BSPError(
-                        f"rank {r} yielded {type(request).__name__}; programs "
-                        "must only 'yield from' Context collectives"
-                    )
+                    raise _bad_yield(r, request)
                 ctx = contexts[r]
                 pending, by_phase = ctx._drain_compute()
                 yields[r] = RankYield(request, ctx._phase, pending, by_phase)

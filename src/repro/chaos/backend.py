@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Sequence
 
-from repro.bsp.engine import BSPError, RunResult, _Call
+from repro.bsp.engine import _NOT_A_GENERATOR, BSPError, RunResult, _Call
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.chaos.plan import FaultPlan, resolve_fault_plan
@@ -51,12 +51,6 @@ __all__ = ["ChaosBackend"]
 #: Marker wrapping every rank's return value so the backend can tell its
 #: own instrumentation apart from whatever the program returns.
 _CHAOS_TAG = "__repro_chaos__"
-
-_NOT_A_GENERATOR = (
-    "program must be a generator function (use 'yield from' "
-    "for collectives); got a plain function"
-)
-
 
 class _ChaosProgram:
     """Picklable program wrapper that injects one plan's faults.

@@ -21,6 +21,12 @@ Determinism: collective resolution happens only in the broker, from a
 complete sweep, in rank order — worker scheduling can reorder nothing
 observable.  A run is the same pure function of its inputs as under the
 simulator.
+
+The worker-side rank loop (:func:`_rank_loop`) and the broker loop
+(:func:`_broker_loop`) are shared with :class:`~repro.runtime.ThreadBackend`;
+each backend supplies only the transport: pipes plus :class:`_ShmChannel`
+segments here, queues there.  Workers send one batch ``{rank: RankYield |
+RankDone | RankFailed}`` per sweep and receive ``{rank: resume value}``.
 """
 
 from __future__ import annotations
@@ -31,17 +37,20 @@ import os
 import pickle
 import time
 import traceback
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.bsp.cost_model import CostModel
 from repro.bsp.engine import (
+    _NOT_A_GENERATOR,
     Context,
     Program,
     RankYield,
     RunResult,
     SuperstepResolver,
     _Call,
+    _bad_yield,
     _PhaseScope,
     default_node_layout,
 )
@@ -62,11 +71,6 @@ from repro.runtime.shm import (
 )
 
 __all__ = ["ProcessBackend"]
-
-_NOT_A_GENERATOR = (
-    "program must be a generator function (use 'yield from' "
-    "for collectives); got a plain function"
-)
 
 #: Distinguishes concurrent runs' segment namespaces within one process.
 _RUN_COUNTER = itertools.count()
@@ -270,18 +274,262 @@ def _unlink_by_name(name: str) -> None:
     unlink_segment(seg)
 
 
-def _raise_message(rank: int, exc: BaseException) -> tuple:
-    """Package an exception for the broker, surviving unpicklable ones."""
-    payload: BaseException | None
+@dataclass
+class RankDone:
+    """A rank's program returned: its value plus what the worker measured."""
+
+    value: Any
+    phase: str
+    compute: float
+    by_phase: dict[str, float]
+    wall_by_phase: dict[str, float]
+    comm_wait_s: float
+    segments: list[tuple] | None
+    wait_segments: list[tuple] | None
+
+
+@dataclass
+class RankFailed:
+    """A rank's program raised, or broke the yield protocol.
+
+    Pickles with ``exc=None`` and the one-line ``Type: message`` text
+    when the exception itself cannot cross a process boundary.
+    """
+
+    exc: BaseException | None
+    text: str = ""
+
+    def __reduce__(self):
+        try:
+            pickle.dumps(self.exc)
+        except Exception:
+            text = "".join(
+                traceback.format_exception_only(type(self.exc), self.exc)
+            ).strip()
+            return RankFailed, (None, text)
+        return RankFailed, (self.exc,)
+
+    def error(self, rank: int) -> BaseException:
+        if self.exc is not None:
+            return self.exc
+        return BSPError(f"rank {rank} raised: {self.text}")
+
+
+def _rank_loop(
+    send: Callable[[dict[int, Any]], Any],
+    recv: Callable[[], dict[int, Any] | None],
+    stub: _WorkerEngineStub,
+    ranks: Sequence[int],
+    rank_args: Sequence[tuple],
+    program: Program,
+    shared_kwargs: dict[str, Any],
+    record_segments: bool,
+) -> None:
+    """Advance one worker's ranks to their next yield, sweep after sweep.
+
+    Each sweep ``send``s one batch ``{rank: RankYield | RankDone |
+    RankFailed}`` and, while any rank waits on a collective, ``recv``s
+    the broker's ``{rank: resume value}``.  A failure is sent at once and
+    ends the loop; so does a closed transport (``None`` or a pipe error:
+    the broker went away because of an error elsewhere).
+    """
+    ctxs: dict[int, _TimedContext] = {}
+    gens: dict[int, Any] = {}
     try:
-        pickle.dumps(exc)
-        payload = exc
-    except Exception:
-        payload = None
-    text = "".join(
-        traceback.format_exception_only(type(exc), exc)
-    ).strip()
-    return ("raise", rank, payload, text)
+        for rank, args in zip(ranks, rank_args):
+            ctx = _TimedContext(stub, rank)
+            if record_segments:
+                ctx.enable_segments()
+            try:
+                gen = program(ctx, *args, **shared_kwargs)
+                if not hasattr(gen, "send"):
+                    raise BSPError(_NOT_A_GENERATOR)
+            except BaseException as exc:
+                send({rank: RankFailed(exc)})
+                return
+            ctxs[rank] = ctx
+            gens[rank] = gen
+
+        resume: dict[int, Any] = dict.fromkeys(ranks)
+        active = list(ranks)
+        ops: dict[int, str] = {}
+        sweep_index = 0
+        while active:
+            batch: dict[int, Any] = {}
+            waiting: list[int] = []
+            for r in active:
+                ctx = ctxs[r]
+                ctx._seg_open()
+                try:
+                    request = gens[r].send(resume[r])
+                except StopIteration as stop:
+                    ctx._seg_close()
+                    pending, by_phase = ctx._drain_compute()
+                    batch[r] = RankDone(
+                        stop.value,
+                        ctx._phase,
+                        pending,
+                        by_phase,
+                        ctx.wall_by_phase,
+                        ctx.comm_wait_s,
+                        ctx.segments,
+                        ctx.wait_segments,
+                    )
+                    continue
+                except BaseException as exc:
+                    ctx._seg_close()
+                    batch[r] = RankFailed(exc)
+                    send(batch)
+                    return
+                ctx._seg_close()
+                if not isinstance(request, _Call):
+                    batch[r] = RankFailed(_bad_yield(r, request))
+                    send(batch)
+                    return
+                pending, by_phase = ctx._drain_compute()
+                batch[r] = RankYield(request, ctx._phase, pending, by_phase)
+                if record_segments:
+                    ops[r] = request.op
+                waiting.append(r)
+                resume[r] = None
+            send(batch)
+            if not waiting:
+                return
+            wait_start = time.perf_counter()
+            results = recv()
+            waited = time.perf_counter() - wait_start
+            if results is None:
+                return
+            for r in waiting:
+                ctxs[r].comm_wait_s += waited
+                if record_segments:
+                    # Every live worker joins every broker sweep, so this
+                    # local counter indexes the same global rendezvous on
+                    # all workers — the flow-connection key.
+                    ctxs[r].wait_segments.append(
+                        (ops[r], wait_start, wait_start + waited, sweep_index)
+                    )
+            sweep_index += 1
+            resume.update(results)
+            active = waiting
+    except (EOFError, ConnectionError, KeyboardInterrupt):
+        # The broker went away (an error elsewhere): exit quietly.
+        pass
+
+
+def _broker_loop(
+    assignment: list[list[int]],
+    recv: Callable[[int], dict[int, Any]],
+    send: Callable[[int, dict[int, Any]], Any],
+    *,
+    backend: str,
+    machine: MachineModel,
+    layout: NodeLayout | None,
+    start: float,
+    trace_sink: Any,
+) -> RunResult:
+    """Resolve complete sweeps of worker ``i``'s ``recv(i)`` batches.
+
+    Collects one batch from every worker with live ranks, resolves the
+    sweep in rank order through the shared :class:`SuperstepResolver`,
+    and ``send(i, ...)``s each worker its ranks' resume values.  A
+    :class:`RankFailed` re-raises at once; a worker whose transport hits
+    EOF died.
+    """
+    p = sum(map(len, assignment))
+    resolver = SuperstepResolver(
+        CostModel(machine, p, layout), layout, p, trace_sink=trace_sink
+    )
+    returns: list[Any] = [None] * p
+    final: dict[int, RankDone] = {}
+    finished: list[int] = []
+    live = {i: set(ranks) for i, ranks in enumerate(assignment)}
+    while True:
+        yields: dict[int, RankYield] = {}
+        for i, ranks in live.items():
+            if not ranks:
+                continue
+            try:
+                batch = recv(i)
+            except EOFError:
+                raise BSPError(
+                    f"worker {i} exited unexpectedly while ranks "
+                    f"{sorted(ranks)[:4]} were still running"
+                ) from None
+            for r, msg in batch.items():
+                if isinstance(msg, RankYield):
+                    yields[r] = msg
+                elif isinstance(msg, RankDone):
+                    returns[r] = msg.value
+                    final[r] = msg
+                    finished.append(r)
+                    ranks.discard(r)
+                else:
+                    raise msg.error(r)
+        if not yields:
+            break
+        results = resolver.resolve_sweep(yields, finished)
+        for i, ranks in live.items():
+            if ranks:
+                send(i, {r: results[r] for r in ranks})
+
+    resolver.record_final(
+        [(final[r].compute, final[r].by_phase) for r in range(p)],
+        fallback_phase=final[0].phase,
+    )
+    result = resolver.result(returns)
+    result.measured = _measured(
+        final, backend, len(assignment), start, trace_sink
+    )
+    return result
+
+
+def _measured(
+    final: dict[int, RankDone],
+    backend: str,
+    workers: int,
+    start: float,
+    trace_sink: Any,
+) -> Measured:
+    """Aggregate the ranks' measurements; emit their spans under a sink.
+
+    Worker timestamps come from ``perf_counter`` (CLOCK_MONOTONIC — one
+    machine-wide clock, comparable across processes), normalized here
+    against the run's own start so the measured timeline begins at zero.
+    """
+    ranks = range(len(final))
+    phase_wall: dict[str, float] = {}
+    for r in ranks:
+        for phase, seconds in final[r].wall_by_phase.items():
+            if seconds > phase_wall.get(phase, 0.0):
+                phase_wall[phase] = seconds
+    measured = Measured(
+        backend=backend,
+        workers=workers,
+        wall_s=time.perf_counter() - start,
+        rank_compute_s=tuple(
+            sum(final[r].wall_by_phase.values()) for r in ranks
+        ),
+        rank_comm_wait_s=tuple(final[r].comm_wait_s for r in ranks),
+        phase_wall_s=phase_wall,
+    )
+    if trace_sink is not None:
+        from repro.telemetry.adapters import emit_rank_segments
+
+        def shift(entries: list[tuple] | None) -> list[tuple]:
+            return [
+                (entry[0], max(0.0, entry[1] - start), entry[2] - start)
+                + entry[3:]
+                for entry in entries or ()
+            ]
+
+        emit_rank_segments(
+            trace_sink,
+            {r: shift(final[r].segments) for r in ranks},
+            {r: shift(final[r].wait_segments) for r in ranks},
+            backend,
+        )
+    return measured
 
 
 def _worker_main(
@@ -291,9 +539,7 @@ def _worker_main(
     packed_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
-    nprocs: int,
-    machine: MachineModel,
-    node_layout: NodeLayout | None,
+    stub: _WorkerEngineStub,
     unregister_shm: bool = False,
     chan_base: str = "",
     record_segments: bool = False,
@@ -332,102 +578,18 @@ def _worker_main(
         finally:
             if shm is not None:
                 shm.close()
-
-        stub = _WorkerEngineStub(nprocs, machine, node_layout)
-        ctxs: dict[int, _TimedContext] = {}
-        gens: dict[int, Any] = {}
-        for rank, rank_args in zip(ranks, args):
-            ctx = _TimedContext(stub, rank)
-            if record_segments:
-                ctx.enable_segments()
-            gen = program(ctx, *rank_args, **shared_kwargs)
-            if not hasattr(gen, "send"):
-                tx.send(
-                    conn, [_raise_message(rank, BSPError(_NOT_A_GENERATOR))]
-                )
-                return
-            ctxs[rank] = ctx
-            gens[rank] = gen
-
-        resume: dict[int, Any] = {r: None for r in ranks}
-        active = list(ranks)
-        ops: dict[int, str] = {}
-        sweep_index = 0
-        while active:
-            batch: list[tuple] = []
-            waiting: list[int] = []
-            for r in active:
-                ctx = ctxs[r]
-                ctx._seg_open()
-                try:
-                    request = gens[r].send(resume[r])
-                except StopIteration as stop:
-                    ctx._seg_close()
-                    pending, by_phase = ctx._drain_compute()
-                    batch.append(
-                        (
-                            "done",
-                            r,
-                            stop.value,
-                            ctx._phase,
-                            pending,
-                            by_phase,
-                            ctx.wall_by_phase,
-                            ctx.comm_wait_s,
-                            ctx.segments,
-                            ctx.wait_segments,
-                        )
-                    )
-                    continue
-                except BaseException as exc:
-                    ctx._seg_close()
-                    batch.append(_raise_message(r, exc))
-                    tx.send(conn, batch)
-                    return
-                ctx._seg_close()
-                if not isinstance(request, _Call):
-                    batch.append(
-                        _raise_message(
-                            r,
-                            BSPError(
-                                f"rank {r} yielded "
-                                f"{type(request).__name__}; programs must "
-                                "only 'yield from' Context collectives"
-                            ),
-                        )
-                    )
-                    tx.send(conn, batch)
-                    return
-                pending, by_phase = ctx._drain_compute()
-                batch.append(("call", r, request, ctx._phase, pending, by_phase))
-                if record_segments:
-                    ops[r] = request.op
-                waiting.append(r)
-                resume[r] = None
-            tx.send(conn, batch)
-            if not waiting:
-                return
-            wait_start = time.perf_counter()
-            # {rank: resume value}; EOF = shutdown.  The broker owns the
-            # segment and unlinks it after our next send proves it read.
-            results = rx.recv(conn, unlink=False)
-            waited = time.perf_counter() - wait_start
-            for r in waiting:
-                ctxs[r].comm_wait_s += waited
-                if record_segments:
-                    # Every live worker joins every broker sweep, so this
-                    # local counter indexes the same global rendezvous on
-                    # all workers — the flow-connection key.
-                    ctxs[r].wait_segments.append(
-                        (ops[r], wait_start, wait_start + waited, sweep_index)
-                    )
-            sweep_index += 1
-            for r, value in results.items():
-                resume[r] = value
-            active = waiting
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        # Broker went away (error elsewhere): exit quietly.
-        pass
+        _rank_loop(
+            lambda batch: tx.send(conn, batch),
+            # The broker owns each result segment and unlinks it after
+            # our next send proves we read it.
+            lambda: rx.recv(conn, unlink=False),
+            stub,
+            ranks,
+            args,
+            program,
+            shared_kwargs,
+            record_segments,
+        )
     finally:
         conn.close()
 
@@ -475,16 +637,9 @@ class ProcessBackend(Backend):
         start = time.perf_counter()
 
         assignment = _assign_ranks(p, nworkers)
+        stub = _WorkerEngineStub(p, machine, layout)
         shm, packed = pack_rank_args(rank_args)
         mp = _mp_context()
-        resolver = SuperstepResolver(
-            CostModel(machine, p, layout), layout, p, trace_sink=trace_sink
-        )
-        returns: list[Any] = [None] * p
-        #: rank -> (final phase, pending, by_phase, wall_by_phase,
-        #: comm_wait, segments, wait_segments)
-        final: dict[int, tuple] = {}
-        finished: list[int] = []
         procs: list[Any] = []
         conns: list[Any] = []
         chan_base = f"rpr{os.getpid():x}x{next(_RUN_COUNTER):x}w"
@@ -499,6 +654,21 @@ class ProcessBackend(Backend):
         sent_results: dict[int, list[str]] = {
             i: [] for i in range(len(assignment))
         }
+
+        def recv(i: int) -> dict[int, Any]:
+            batch = worker_rx[i].recv(conns[i], unlink=True)
+            # A new batch proves the worker copied the previous sweep's
+            # results out: reclaim those segments.
+            for name in sent_results[i]:
+                _unlink_by_name(name)
+            sent_results[i].clear()
+            return batch
+
+        def send(i: int, results: dict[int, Any]) -> None:
+            name = worker_tx[i].send(conns[i], results)
+            if name is not None:
+                sent_results[i].append(name)
+
         forked = mp.get_start_method() == "fork"
         try:
             for i, ranks in enumerate(assignment):
@@ -512,9 +682,7 @@ class ProcessBackend(Backend):
                         [packed[r] for r in ranks],
                         program,
                         shared_kwargs,
-                        p,
-                        machine,
-                        layout,
+                        stub,
                         not forked,
                         f"{chan_base}{i}",
                         trace_sink is not None,
@@ -526,81 +694,16 @@ class ProcessBackend(Backend):
                 child_conn.close()
                 procs.append(proc)
                 conns.append(parent_conn)
-
-            live: dict[int, set[int]] = {
-                i: set(ranks) for i, ranks in enumerate(assignment)
-            }
-            while any(live.values()):
-                yields: dict[int, RankYield] = {}
-                for i in sorted(live):
-                    if not live[i]:
-                        continue
-                    try:
-                        batch = worker_rx[i].recv(conns[i], unlink=True)
-                    except EOFError:
-                        raise BSPError(
-                            f"worker {i} exited unexpectedly while ranks "
-                            f"{sorted(live[i])[:4]} were still running"
-                        ) from None
-                    # A new batch proves the worker copied the previous
-                    # sweep's results out: reclaim those segments.
-                    for name in sent_results[i]:
-                        _unlink_by_name(name)
-                    sent_results[i].clear()
-                    for msg in batch:
-                        kind = msg[0]
-                        if kind == "call":
-                            _, r, call, phase, pending, by_phase = msg
-                            yields[r] = RankYield(call, phase, pending, by_phase)
-                        elif kind == "done":
-                            (
-                                _,
-                                r,
-                                value,
-                                phase,
-                                pending,
-                                by_phase,
-                                wall_by_phase,
-                                comm_wait,
-                                segments,
-                                wait_segments,
-                            ) = msg
-                            returns[r] = value
-                            finished.append(r)
-                            final[r] = (
-                                phase,
-                                pending,
-                                by_phase,
-                                wall_by_phase,
-                                comm_wait,
-                                segments,
-                                wait_segments,
-                            )
-                            live[i].discard(r)
-                        else:  # "raise": a rank program failed in a worker
-                            _, r, exc, text = msg
-                            if exc is None:
-                                exc = BSPError(f"rank {r} raised: {text}")
-                            raise exc
-                if not yields:
-                    break
-                results = resolver.resolve_sweep(yields, finished)
-                for i in sorted(live):
-                    mine = {r: results[r] for r in live[i]}
-                    if mine:
-                        name = worker_tx[i].send(conns[i], mine)
-                        if name is not None:
-                            sent_results[i].append(name)
-
-            resolver.record_final(
-                [(final[r][1], final[r][2]) for r in range(p)],
-                fallback_phase=final[0][0],
+            return _broker_loop(
+                assignment,
+                recv,
+                send,
+                backend=self.name,
+                machine=machine,
+                layout=layout,
+                start=start,
+                trace_sink=trace_sink,
             )
-            result = resolver.result(returns)
-            result.measured = self._measured(final, p, nworkers, start)
-            if trace_sink is not None:
-                self._emit_measured_spans(trace_sink, final, p, start)
-            return result
         finally:
             for conn in conns:
                 conn.close()
@@ -612,7 +715,7 @@ class ProcessBackend(Backend):
             # Reclaim collective-channel segments stranded by an error or
             # worker crash: results we sent but never saw consumed, and
             # batches a worker created that we never received.
-            for i, names in sent_results.items():
+            for names in sent_results.values():
                 for name in names:
                     _unlink_by_name(name)
             for rx in worker_rx:
@@ -623,58 +726,3 @@ class ProcessBackend(Backend):
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover - defensive
                     pass
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _emit_measured_spans(
-        trace_sink: Any,
-        final: dict[int, tuple],
-        p: int,
-        start: float,
-        backend_name: str = "process",
-    ) -> None:
-        """Emit per-rank compute/wait spans from the workers' segment logs.
-
-        Worker timestamps come from ``perf_counter`` (CLOCK_MONOTONIC —
-        one machine-wide clock, comparable across processes), normalized
-        here against the run's own start so the measured timeline begins
-        at zero.  Shared with :class:`~repro.runtime.ThreadBackend`,
-        whose ``final`` dict has the same shape.
-        """
-        from repro.telemetry.adapters import emit_rank_segments
-
-        def shift(entries: list[tuple] | None) -> list[tuple]:
-            if not entries:
-                return []
-            return [
-                (entry[0], max(0.0, entry[1] - start), entry[2] - start)
-                + entry[3:]
-                for entry in entries
-            ]
-
-        emit_rank_segments(
-            trace_sink,
-            {r: shift(final[r][5]) for r in range(p)},
-            {r: shift(final[r][6]) for r in range(p)},
-            backend_name,
-        )
-
-    @staticmethod
-    def _measured(
-        final: dict[int, tuple], p: int, workers: int, start: float
-    ) -> Measured:
-        phase_wall: dict[str, float] = {}
-        for r in range(p):
-            for phase, seconds in final[r][3].items():
-                if seconds > phase_wall.get(phase, 0.0):
-                    phase_wall[phase] = seconds
-        return Measured(
-            backend=ProcessBackend.name,
-            workers=workers,
-            wall_s=time.perf_counter() - start,
-            rank_compute_s=tuple(
-                sum(final[r][3].values()) for r in range(p)
-            ),
-            rank_comm_wait_s=tuple(final[r][4] for r in range(p)),
-            phase_wall_s=phase_wall,
-        )

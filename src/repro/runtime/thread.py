@@ -11,138 +11,40 @@ makes it the default measurement backend for ``repro calibrate`` on a CI
 container where forking one process per rank would drown the signal in
 IPC cost.
 
-The broker runs on the calling thread and drives the same
+Workers run the process backend's rank loop and the calling thread runs
+its broker loop (both in :mod:`repro.runtime.process`); this module only
+supplies the transport — a pair of ``queue.SimpleQueue`` per worker,
+carrying exception *objects* rather than pickled payloads — and the
+thread lifecycle.  Resolution goes through the same
 :class:`~repro.bsp.engine.SuperstepResolver` as every other backend, from
 complete sweeps, in rank order — sorted outputs, ``CommStats``, modeled
 makespans and SPMD-violation errors are bit-identical to the simulator
-(the parity grid in ``tests/runtime/test_backend_parity.py`` pins this).
-Workers reuse the process backend's :class:`_TimedContext`, so the
-``Measured`` block has the same per-phase wall / collective-wait shape.
+(the parity grid in ``tests/runtime/test_backend_parity.py`` pins this),
+and the ``Measured`` block has the same per-phase wall / collective-wait
+shape.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import queue
 import threading
 import time
 from typing import Any, Sequence
 
-from repro.bsp.cost_model import CostModel
-from repro.bsp.engine import (
-    Program,
-    RankYield,
-    RunResult,
-    SuperstepResolver,
-    _Call,
-    default_node_layout,
-)
+from repro.bsp.engine import Program, RunResult, default_node_layout
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.errors import BSPError
-from repro.runtime.base import Backend, Measured, register_backend
+from repro.runtime.base import Backend, register_backend
 from repro.runtime.process import (
-    _NOT_A_GENERATOR,
-    ProcessBackend,
-    _TimedContext,
-    _WorkerEngineStub,
     _assign_ranks,
+    _broker_loop,
+    _rank_loop,
+    _WorkerEngineStub,
 )
 
 __all__ = ["ThreadBackend"]
-
-
-def _worker_loop(
-    ranks: Sequence[int],
-    ctxs: dict[int, _TimedContext],
-    gens: dict[int, Any],
-    tx: "queue.SimpleQueue",
-    rx: "queue.SimpleQueue",
-) -> None:
-    """Advance this block's ranks to their next yield, sweep after sweep.
-
-    Mirrors the process backend's ``_worker_main`` message protocol, with
-    queues in place of pipes and exception *objects* in place of pickled
-    payloads (same address space, nothing to serialize).
-    """
-    resume: dict[int, Any] = {r: None for r in ranks}
-    active = list(ranks)
-    record_segments = bool(ranks) and ctxs[ranks[0]].segments is not None
-    ops: dict[int, str] = {}
-    sweep_index = 0
-    while active:
-        batch: list[tuple] = []
-        waiting: list[int] = []
-        for r in active:
-            ctx = ctxs[r]
-            ctx._seg_open()
-            try:
-                request = gens[r].send(resume[r])
-            except StopIteration as stop:
-                ctx._seg_close()
-                pending, by_phase = ctx._drain_compute()
-                batch.append(
-                    (
-                        "done",
-                        r,
-                        stop.value,
-                        ctx._phase,
-                        pending,
-                        by_phase,
-                        ctx.wall_by_phase,
-                        ctx.comm_wait_s,
-                        ctx.segments,
-                        ctx.wait_segments,
-                    )
-                )
-                continue
-            except BaseException as exc:
-                ctx._seg_close()
-                batch.append(("raise", r, exc))
-                tx.put(batch)
-                return
-            ctx._seg_close()
-            if not isinstance(request, _Call):
-                batch.append(
-                    (
-                        "raise",
-                        r,
-                        BSPError(
-                            f"rank {r} yielded "
-                            f"{type(request).__name__}; programs must "
-                            "only 'yield from' Context collectives"
-                        ),
-                    )
-                )
-                tx.put(batch)
-                return
-            pending, by_phase = ctx._drain_compute()
-            batch.append(("call", r, request, ctx._phase, pending, by_phase))
-            if record_segments:
-                ops[r] = request.op
-            waiting.append(r)
-            resume[r] = None
-        tx.put(batch)
-        if not waiting:
-            return
-        wait_start = time.perf_counter()
-        results = rx.get()
-        waited = time.perf_counter() - wait_start
-        if results is None:  # broker shutdown (error elsewhere)
-            return
-        for r in waiting:
-            ctxs[r].comm_wait_s += waited
-            if record_segments:
-                # Local recv count == global sweep index (every live
-                # worker joins every broker sweep) — the flow key.
-                ctxs[r].wait_segments.append(
-                    (ops[r], wait_start, wait_start + waited, sweep_index)
-                )
-        sweep_index += 1
-        for r, value in results.items():
-            resume[r] = value
-        active = waiting
 
 
 @register_backend
@@ -185,34 +87,23 @@ class ThreadBackend(Backend):
         nworkers = min(self.workers or os.cpu_count() or 1, p)
         start = time.perf_counter()
 
-        stub = _WorkerEngineStub(p, machine, layout)
-        ctxs: dict[int, _TimedContext] = {}
-        gens: dict[int, Any] = {}
-        for rank, args in enumerate(rank_args):
-            ctx = _TimedContext(stub, rank)
-            if trace_sink is not None:
-                ctx.enable_segments()
-            gen = program(ctx, *args, **shared_kwargs)
-            if not hasattr(gen, "send"):
-                raise BSPError(_NOT_A_GENERATOR)
-            ctxs[rank] = ctx
-            gens[rank] = gen
-
         assignment = _assign_ranks(p, nworkers)
-        resolver = SuperstepResolver(
-            CostModel(machine, p, layout), layout, p, trace_sink=trace_sink
-        )
-        returns: list[Any] = [None] * p
-        #: rank -> (final phase, pending, by_phase, wall_by_phase,
-        #: comm_wait, segments, wait_segments)
-        final: dict[int, tuple] = {}
-        finished: list[int] = []
-        tx_queues = [queue.SimpleQueue() for _ in assignment]
-        rx_queues = [queue.SimpleQueue() for _ in assignment]
+        stub = _WorkerEngineStub(p, machine, layout)
+        to_broker = [queue.SimpleQueue() for _ in assignment]
+        to_worker = [queue.SimpleQueue() for _ in assignment]
         threads = [
             threading.Thread(
-                target=_worker_loop,
-                args=(ranks, ctxs, gens, tx_queues[i], rx_queues[i]),
+                target=_rank_loop,
+                args=(
+                    to_broker[i].put,
+                    to_worker[i].get,
+                    stub,
+                    ranks,
+                    [rank_args[r] for r in ranks],
+                    program,
+                    shared_kwargs,
+                    trace_sink is not None,
+                ),
                 daemon=True,
             )
             for i, ranks in enumerate(assignment)
@@ -220,69 +111,18 @@ class ThreadBackend(Backend):
         try:
             for thread in threads:
                 thread.start()
-            live: dict[int, set[int]] = {
-                i: set(ranks) for i, ranks in enumerate(assignment)
-            }
-            while any(live.values()):
-                yields: dict[int, RankYield] = {}
-                for i in sorted(live):
-                    if not live[i]:
-                        continue
-                    batch = tx_queues[i].get()
-                    for msg in batch:
-                        kind = msg[0]
-                        if kind == "call":
-                            _, r, call, phase, pending, by_phase = msg
-                            yields[r] = RankYield(call, phase, pending, by_phase)
-                        elif kind == "done":
-                            (
-                                _,
-                                r,
-                                value,
-                                phase,
-                                pending,
-                                by_phase,
-                                wall_by_phase,
-                                comm_wait,
-                                segments,
-                                wait_segments,
-                            ) = msg
-                            returns[r] = value
-                            finished.append(r)
-                            final[r] = (
-                                phase,
-                                pending,
-                                by_phase,
-                                wall_by_phase,
-                                comm_wait,
-                                segments,
-                                wait_segments,
-                            )
-                            live[i].discard(r)
-                        else:  # "raise": a rank program failed
-                            raise msg[2]
-                if not yields:
-                    break
-                results = resolver.resolve_sweep(yields, finished)
-                for i in sorted(live):
-                    mine = {r: results[r] for r in live[i]}
-                    if mine:
-                        rx_queues[i].put(mine)
-
-            resolver.record_final(
-                [(final[r][1], final[r][2]) for r in range(p)],
-                fallback_phase=final[0][0],
+            return _broker_loop(
+                assignment,
+                lambda i: to_broker[i].get(),
+                lambda i, results: to_worker[i].put(results),
+                backend=self.name,
+                machine=machine,
+                layout=layout,
+                start=start,
+                trace_sink=trace_sink,
             )
-            result = resolver.result(returns)
-            measured = ProcessBackend._measured(final, p, nworkers, start)
-            result.measured = dataclasses.replace(measured, backend=self.name)
-            if trace_sink is not None:
-                ProcessBackend._emit_measured_spans(
-                    trace_sink, final, p, start, backend_name=self.name
-                )
-            return result
         finally:
-            for rx in rx_queues:
+            for rx in to_worker:
                 rx.put(None)  # wake any worker still blocked on results
             for thread in threads:
                 thread.join(timeout=5)

@@ -30,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro._version import __version__
 from repro.errors import ConfigError
 from repro.service.daemon import SortService
-from repro.service.jobs import JOB_SCHEMA_VERSION
+from repro.service.jobs import JOB_SCHEMA_VERSION, JobError, error_reply
 
 __all__ = ["make_server"]
 
@@ -108,7 +108,19 @@ def make_server(
             if self.path != "/sort":
                 self._send(404, {"error": f"unknown path {self.path!r}"})
                 return
-            length = int(self.headers.get("Content-Length") or 0)
+            raw = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send(
+                    400,
+                    error_reply(
+                        None, JobError(f"bad Content-Length {raw!r}")
+                    ),
+                )
+                return
             body = self.rfile.read(length).decode("utf-8", errors="replace")
             with lock:
                 reply = service.handle_line(body)

@@ -9,6 +9,7 @@ compare everything against the simulator.
 """
 
 import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -261,11 +262,13 @@ def test_deadlock_identical():
 )
 def test_process_error_path_is_prompt(program, exc_type):
     # A worker blocked on the broker's reply must see EOF as soon as the
-    # broker closes its pipe ends, not sit out the join timeout.
-    start = time.perf_counter()
-    with pytest.raises(exc_type):
-        ProcessBackend(workers=2).run(program, _rank_args())
-    assert time.perf_counter() - start < 1.0
+    # broker closes its pipe ends, not sit out the join timeout; thread
+    # workers wake on the shutdown sentinel just as promptly.
+    for backend in (ProcessBackend(workers=2), ThreadBackend(workers=2)):
+        start = time.perf_counter()
+        with pytest.raises(exc_type):
+            backend.run(program, _rank_args())
+        assert time.perf_counter() - start < 1.0
 
 
 def test_bad_yield_identical():
@@ -292,6 +295,61 @@ def test_program_exception_propagates():
     ):
         with pytest.raises(ValueError, match="rank blew up"):
             backend.run(_raises, _rank_args())
+
+
+def test_exception_calling_program_propagates():
+    def _raises_on_call(ctx, keys):
+        raise ValueError("no generator made")
+
+    for backend in (
+        SimulatedBackend(),
+        ProcessBackend(workers=2),
+        ThreadBackend(workers=2),
+    ):
+        with pytest.raises(ValueError, match="no generator made"):
+            backend.run(_raises_on_call, _rank_args())
+
+
+def _late_raise_program(ctx, keys):
+    if ctx.rank == 0:
+        time.sleep(0.2)
+        raise ValueError("rank 0 blew up late")
+    yield from ctx.barrier()
+    return keys
+
+
+def test_failing_process_run_prints_no_worker_traceback(capfd):
+    # The other worker is blocked on a reply when the broker closes its
+    # pipe; that reset must end the worker quietly.
+    with pytest.raises(ValueError, match="rank 0 blew up late"):
+        ProcessBackend(workers=2).run(_late_raise_program, _rank_args())
+    assert "Traceback" not in capfd.readouterr().err
+
+
+class _LockedError(Exception):
+    """Holds a lock, so it cannot be pickled across processes."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _unpicklable_raise_program(ctx, keys):
+    yield from ctx.barrier()
+    if ctx.rank == 1:
+        raise _LockedError("cannot cross")
+    yield from ctx.barrier()
+    return keys
+
+
+def test_unpicklable_exception_reaches_the_caller():
+    for backend in (SimulatedBackend(), ThreadBackend(workers=2)):
+        with pytest.raises(_LockedError, match="cannot cross"):
+            backend.run(_unpicklable_raise_program, _rank_args())
+    with pytest.raises(
+        BSPError, match=r"^rank 1 raised: \S*_LockedError: cannot cross$"
+    ):
+        ProcessBackend(workers=2).run(_unpicklable_raise_program, _rank_args())
 
 
 @pytest.mark.parametrize(

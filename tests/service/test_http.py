@@ -1,6 +1,7 @@
 """The localhost HTTP front end: endpoints, status codes, loopback-only."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -115,6 +116,25 @@ class TestEndpoints:
         assert code == 400
         assert reply["status"] == "error"
         assert reply["error"]["type"] == "JobError"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_with_structured_error(
+        self, server, length
+    ):
+        with socket.create_connection(
+            server.server_address[:2], timeout=5
+        ) as sock:
+            sock.sendall(
+                f"POST /sort HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        reply = json.loads(body)
+        assert reply["status"] == "error"
+        assert reply["error"]["type"] == "JobError"
+        assert length in reply["error"]["message"]
 
     def test_unknown_paths_404(self, server):
         assert _get(server, "/nope")[0] == 404
