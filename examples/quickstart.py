@@ -23,7 +23,7 @@ EPS = 0.05           # load-imbalance budget: max load <= (1+eps) * N/p
 
 def main() -> None:
     # A Dataset owns the distributed input: one shard per simulated rank,
-    # validated once (any workload from repro.workloads.WORKLOADS by name,
+    # validated once (any workload 'repro workloads' lists, by name,
     # or Dataset.from_arrays for your own arrays).
     dataset = Dataset.from_workload(
         "uniform", p=P, n_per=KEYS_PER_PROC, seed=2019

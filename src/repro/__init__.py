@@ -26,14 +26,13 @@ Public API highlights
   named topologies, JSON-serializable specs.
 - :mod:`repro.experiments` — ``Scenario`` grids and the
   ``ExperimentRunner.sweep`` engine behind ``repro sweep``.
-- :func:`repro.hss_sort` / :func:`repro.parallel_sort` — the historical
-  entry points, kept as thin shims.
 - :class:`repro.bsp.BSPEngine` — the BSP simulation substrate (simulated
   ranks, collectives, α–β cost model, multicore nodes).
 - :class:`repro.core.rankspace.RankSpaceSimulator` — exact splitter-phase
   simulation at hundreds of thousands of processors.
 - :mod:`repro.workloads` — input generators (uniform/skewed/ChaNGa-like/
-  duplicate-heavy) behind one catalog, :data:`repro.workloads.WORKLOADS`.
+  duplicate-heavy) behind one registry,
+  :data:`repro.workloads.WORKLOAD_SPECS`.
 - :mod:`repro.theory` — closed-form sample sizes, round bounds, Table 5.1.
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
@@ -42,7 +41,7 @@ paper-vs-measured record of every table and figure.
 
 from repro._version import __version__
 
-# Populate the algorithm registry before the shim layer loads (the program
+# Importing repro.algorithms populates the algorithm registry (the program
 # modules self-register on import).
 from repro.algorithms import (
     AlgorithmSpec,
@@ -53,16 +52,12 @@ from repro.algorithms import (
     register_algorithm,
     sort,
 )
-from repro.core.api import ALGORITHMS, hss_sort, parallel_sort
 from repro.core.config import HSSConfig, SamplingSchedule
 from repro.machines import MachineSpec, get_machine, register_machine
 
 __all__ = [
     "__version__",
     "sort",
-    "hss_sort",
-    "parallel_sort",
-    "ALGORITHMS",
     "AlgorithmSpec",
     "REGISTRY",
     "register_algorithm",

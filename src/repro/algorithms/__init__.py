@@ -29,8 +29,7 @@ True
 """
 
 # Import order matters: the public names must all be bound *before* the
-# program modules load, because those modules (and repro.core.api, which
-# they can pull in via the repro.core package) import back into this
+# program modules load, because those modules import back into this
 # namespace while it is still initializing.
 from repro.algorithms.spec import AlgorithmSpec
 from repro.algorithms.registry import (

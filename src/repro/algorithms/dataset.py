@@ -293,22 +293,6 @@ class Dataset:
             schema=schema,
         )
 
-    def with_payloads(self, payloads: Sequence[np.ndarray]) -> "Dataset":
-        """Removed — the list-of-arrays payload API is gone.
-
-        Attach typed record columns instead:
-        ``Dataset.from_workload(..., payloads={"mass": "f8"})``,
-        :meth:`from_records`, or ``Sorter.run(ds, payloads=...)`` for raw
-        aligned arrays.  Always raises :class:`~repro.errors.ConfigError`.
-        """
-        del payloads
-        raise ConfigError(
-            "Dataset.with_payloads(list-of-arrays) was removed; attach "
-            "typed record columns with Dataset.from_workload(..., "
-            "payloads={'col': 'f8'}) or Dataset.from_records(batches), "
-            "or pass raw aligned arrays via Sorter.run(ds, payloads=...)"
-        )
-
     def _with_payload_arrays(
         self, payloads: Sequence[np.ndarray]
     ) -> "Dataset":

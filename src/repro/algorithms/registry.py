@@ -21,7 +21,7 @@ calling :func:`register_algorithm` with complete specs.  Importing
 
 Third-party code extends the system the same way — build an
 ``AlgorithmSpec`` for your program and call ``register_algorithm(spec)``;
-``Sorter``, ``parallel_sort``, the benchmarks and the CLI all resolve
+``Sorter``, ``Scenario``, the benchmarks and the CLI all resolve
 algorithms through this one mapping.
 """
 

@@ -27,24 +27,7 @@ from repro.errors import CapabilityError, ConfigError
 from repro.machines import MachineSpec, machine_summary, resolve_machine
 from repro.runtime import Backend, resolve_backend
 
-__all__ = ["Sorter", "payload_capability_message"]
-
-
-def payload_capability_message(name: str) -> str:
-    """The canonical error text for a payload run on a key-only algorithm.
-
-    Shared by :class:`Sorter` and the CLI pre-check so both fail with the
-    same message, naming the algorithms that *do* carry payloads.
-    """
-    from repro.algorithms.registry import REGISTRY
-
-    capable = sorted(n for n, s in REGISTRY.items() if s.supports_payloads)
-    return (
-        f"algorithm {name!r} does not support payloads "
-        f"(AlgorithmSpec.supports_payloads is False); use a "
-        f"payload-capable algorithm ({', '.join(capable)}) or drop "
-        f"the payloads"
-    )
+__all__ = ["Sorter"]
 
 
 class Sorter:
@@ -111,7 +94,17 @@ class Sorter:
     def _check_capabilities(self, dataset: Dataset) -> None:
         spec = self.spec
         if dataset.has_payloads and not spec.supports_payloads:
-            raise CapabilityError(payload_capability_message(spec.name))
+            from repro.algorithms.registry import REGISTRY
+
+            capable = sorted(
+                n for n, s in REGISTRY.items() if s.supports_payloads
+            )
+            raise CapabilityError(
+                f"algorithm {spec.name!r} does not support payloads "
+                f"(AlgorithmSpec.supports_payloads is False); use a "
+                f"payload-capable algorithm ({', '.join(capable)}) or drop "
+                f"the payloads"
+            )
         if spec.needs_multicore and self.machine.cores_per_node < 2:
             raise CapabilityError(
                 f"{spec.name} needs a multicore machine "

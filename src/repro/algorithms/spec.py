@@ -37,7 +37,7 @@ class AlgorithmSpec:
     ['key_bits']
     """
 
-    #: Registry key (the name used by ``Sorter``/``parallel_sort``/the CLI).
+    #: Registry key (the name used by ``Sorter``/``Scenario``/the CLI).
     name: str
     #: SPMD generator program ``program(ctx, keys[, payload], **kwargs)``.
     program: Callable[..., Any]
@@ -110,7 +110,7 @@ class AlgorithmSpec:
         return factory(**kwargs)
 
     def legacy_config(self, *, eps: float = 0.05, seed: int = 0, **kwargs: Any):
-        """Config for the ``parallel_sort`` shim and the generic CLI.
+        """Config for ``Scenario`` cells (sweeps, ``repro sort``, serve jobs).
 
         ``eps``/``seed`` are accepted for *every* algorithm (the historical
         uniform signature) and silently dropped when the algorithm's config

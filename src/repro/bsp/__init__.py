@@ -60,14 +60,3 @@ __all__ = [
     "Trace",
     "PhaseBreakdown",
 ]
-
-
-def __getattr__(name: str):
-    # Backwards compatibility for the package-level preset imports
-    # (``from repro.bsp import MIRA_LIKE``); the constants now live in the
-    # repro.machines catalog — same lazy shim as repro.bsp.machine.
-    from repro.bsp import machine as _machine_module
-
-    if name in _machine_module._LEGACY_PRESETS:
-        return getattr(_machine_module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -139,22 +139,3 @@ class MachineModel:
     def transfer_seconds(self, nbytes: float, contention: float = 1.0) -> float:
         """Time to push ``nbytes`` through one link at the given contention."""
         return nbytes * self.beta * contention
-
-
-# Backwards compatibility: the historical preset constants now live in the
-# repro.machines catalog (resolved lazily so this module keeps zero
-# knowledge of the registry layer).  In-tree code uses
-# ``repro.machines.get_machine``; this keeps third-party imports working.
-_LEGACY_PRESETS = {
-    "MIRA_LIKE": "mira-like-bgq",
-    "GENERIC_CLUSTER": "generic-cluster",
-    "LAPTOP": "laptop",
-}
-
-
-def __getattr__(name: str) -> MachineModel:
-    if name in _LEGACY_PRESETS:
-        from repro.machines import get_machine
-
-        return get_machine(_LEGACY_PRESETS[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -138,8 +138,7 @@ _EXECUTION_OPTIONS: dict[str, dict] = {
     "machine": {
         "flags": ("--machine",),
         "metavar": "NAME",
-        "help": "registered machine name (see 'repro machines'; the "
-                "legacy 'mira'/'cluster' aliases still resolve)",
+        "help": "registered machine name (see 'repro machines')",
     },
     "backend": {
         "flags": ("--backend",),
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--distribution",
         "--workload",
         default="uniform",
-        help="workload name (see repro.workloads.WORKLOADS)",
+        help="workload name (see 'repro workloads')",
     )
     sort.add_argument("--eps", type=float, default=0.05)
     sort.add_argument("--seed", type=int, default=0)
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workloads",
         required=True,
-        help="comma-separated workload names (see repro.workloads.WORKLOADS)",
+        help="comma-separated workload names (see 'repro workloads')",
     )
     sweep.add_argument(
         "--machines",
@@ -578,93 +577,36 @@ def _write_trace(sink, path: str) -> bool:
 def _cmd_sort(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.algorithms import REGISTRY, Dataset, Sorter
     from repro.errors import BSPError, ConfigError
-    from repro.workloads import WORKLOADS
+    from repro.experiments import Scenario
 
-    if args.algorithm not in REGISTRY:
-        print(
-            f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {', '.join(sorted(REGISTRY))}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.distribution not in WORKLOADS:
-        print(
-            f"unknown distribution {args.distribution!r}; "
-            f"choose from {', '.join(sorted(WORKLOADS))}",
-            file=sys.stderr,
-        )
-        return 2
-
-    spec = REGISTRY[args.algorithm]
-    wants_payloads = args.payloads not in (None, "none")
-    if wants_payloads and not spec.supports_payloads:
-        # Same pre-check (and message) the Sorter applies — fail before
-        # generating a workload whose payloads could never be carried.
-        from repro.algorithms.sorter import payload_capability_message
-
-        print(payload_capability_message(spec.name), file=sys.stderr)
-        return 2
-
-    # The shared --payloads vocabulary (see _EXECUTION_OPTIONS): 'none',
-    # 'workload', a compact schema, or the sort-only 'index' tracer mode.
-    payload_arg = None
-    if args.payloads == "workload":
-        from repro.workloads import get_workload
-
-        if get_workload(args.distribution).record_schema is None:
-            print(
-                f"--payloads workload: workload {args.distribution!r} "
-                f"declares no record schema; pass a compact schema like "
-                f"'mass:f8,id:u4'",
-                file=sys.stderr,
-            )
-            return 2
-        payload_arg = True
-    elif wants_payloads and args.payloads != "index":
-        from repro.records import parse_schema
-
-        try:
-            payload_arg = parse_schema(args.payloads)
-            payload_arg.payload_dtype()
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    dataset = Dataset.from_workload(
-        args.distribution, p=args.procs, n_per=args.keys, seed=args.seed,
-        payloads=payload_arg,
-    )
-    if args.payloads == "index":
-        dataset = dataset.with_index_payloads()
-    kwargs = {}
-    if args.tag_duplicates:
-        kwargs["tag_duplicates"] = True
-    # ConfigError covers both bad config keys (legacy_config) and
+    # ConfigError covers unknown names, bad sizes, bad config keys and
     # capability violations (CapabilityError subclasses it): usage
     # errors, exit 2 with the message — never a traceback.
+    trace_sink = _make_trace_sink(args)
     try:
-        from repro.runtime import get_backend
-
-        backend = get_backend(args.backend, workers=args.workers)
-        if args.chaos:
-            from repro.runtime import ChaosBackend
-
-            if isinstance(backend, ChaosBackend):
-                backend = ChaosBackend(inner=backend.inner, plan=args.chaos)
-            else:
-                backend = ChaosBackend(inner=backend, plan=args.chaos)
-        config = spec.legacy_config(eps=args.eps, seed=args.seed, **kwargs)
-        sorter = Sorter(
-            args.algorithm,
+        scenario = Scenario(
+            algorithm=args.algorithm,
+            workload=args.distribution,
             machine=args.machine,
-            config=config,
-            backend=backend,
-            verify=False,
+            procs=args.procs,
+            keys_per_rank=args.keys,
+            eps=args.eps,
+            seed=args.seed,
+            layout="node",
+            backend=args.backend,
+            payloads="" if args.payloads in ("none", "index") else args.payloads,
+            chaos=args.chaos,
         )
-        trace_sink = _make_trace_sink(args)
-        run = sorter.run(dataset, trace_sink=trace_sink)
+        dataset = scenario.build_dataset()
+        if args.payloads == "index":
+            dataset = dataset.with_index_payloads()
+        run, _ = scenario.execute(
+            dataset=dataset,
+            trace_sink=trace_sink,
+            workers=args.workers,
+            knobs={"tag_duplicates": True} if args.tag_duplicates else None,
+        )
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -698,8 +640,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
                 print("payload round-trip FAILED", file=sys.stderr)
                 return 1
     total = args.procs * args.keys
-    # run.machine is the *resolved* spec — canonical name even when the
-    # user passed a legacy alias.
     print(
         f"{args.algorithm}: sorted {total:,} {args.distribution} keys on "
         f"{args.procs} ranks ({run.machine['name']} machine, "
@@ -1167,22 +1107,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     logger.propagate = False
 
     trace_sink = _make_trace_sink(args)
-    # Validate the service-wide defaults eagerly — a typo'd machine name
-    # is a usage error (exit 2), not one structured error reply per job.
+    # SortService validates the service-wide defaults eagerly — a typo'd
+    # machine name is a usage error (exit 2), not one error reply per job.
     try:
-        if args.machine is not None:
-            from repro.machines import get_machine_spec
-
-            get_machine_spec(args.machine)
-        if args.backend is not None:
-            from repro.runtime import BACKENDS
-
-            # 'chaos:process'-style spellings validate on the base name.
-            if args.backend.partition(":")[0] not in BACKENDS:
-                raise ConfigError(
-                    f"unknown backend {args.backend!r}; "
-                    f"choose from {sorted(BACKENDS)}"
-                )
         service = SortService(
             machine=args.machine,
             backend=args.backend,

@@ -12,20 +12,15 @@ Layout
   key spaces (§4.3) behind one adapter interface.
 - :mod:`repro.core.approx_histogram` — §3.4 approximate rank oracle wiring.
 - :mod:`repro.core.node_sort` — §6.1 two-level node partitioning.
-- :mod:`repro.core.api` — user-facing ``hss_sort`` / ``parallel_sort``.
 """
 
 from repro.core.config import HSSConfig, SamplingSchedule
 from repro.core.splitters import SplitterState
 from repro.core.scanning import scanning_splitters
-from repro.core.api import hss_sort, parallel_sort, ALGORITHMS
 
 __all__ = [
     "HSSConfig",
     "SamplingSchedule",
     "SplitterState",
     "scanning_splitters",
-    "hss_sort",
-    "parallel_sort",
-    "ALGORITHMS",
 ]

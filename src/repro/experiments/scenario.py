@@ -69,31 +69,25 @@ class Scenario:
     def __post_init__(self) -> None:
         from repro.algorithms import REGISTRY
         from repro.machines import get_machine_spec
-        from repro.runtime import BACKENDS
-        from repro.workloads import WORKLOADS
+        from repro.runtime import backend_class
+        from repro.workloads import WORKLOAD_SPECS
 
         if self.algorithm not in REGISTRY:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {sorted(REGISTRY)}"
             )
-        if self.workload not in WORKLOADS:
+        if self.workload not in WORKLOAD_SPECS:
             raise ConfigError(
                 f"unknown workload {self.workload!r}; "
-                f"choose from {sorted(WORKLOADS)}"
+                f"choose from {sorted(WORKLOAD_SPECS)}"
             )
         get_machine_spec(self.machine)  # raises ConfigError when unknown
         if self.layout not in LAYOUTS:
             raise ConfigError(
                 f"unknown layout {self.layout!r}; choose from {list(LAYOUTS)}"
             )
-        # 'chaos:process'-style variant spellings validate on the base
-        # name; the variant itself is checked when the backend is built.
-        if self.backend.partition(":")[0] not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {sorted(BACKENDS)}"
-            )
+        backend_class(self.backend)  # raises ConfigError when unknown
         if self.chaos:
             from repro.chaos import get_fault_plan
 
@@ -189,6 +183,8 @@ class Scenario:
         initial_intervals: Any = None,
         dataset: Any = None,
         trace_sink: Any = None,
+        workers: int | None = None,
+        knobs: Mapping[str, Any] | None = None,
     ) -> tuple[Any, dict[str, Any]]:
         """Like :meth:`run`, but also return the underlying ``SortRun``.
 
@@ -196,26 +192,30 @@ class Scenario:
         shard boundaries) and measured latency from the run;
         ``initial_intervals`` forwards splitter-interval hints to
         :meth:`Sorter.run <repro.algorithms.Sorter.run>`; ``dataset``
-        supplies a pre-built input (must come from
-        :meth:`build_dataset`); ``trace_sink`` forwards a
+        supplies a pre-built input (from :meth:`build_dataset`, possibly
+        with index payloads attached); ``trace_sink`` forwards a
         :class:`~repro.telemetry.TraceSink` collecting span telemetry.
+        ``workers`` sizes the backend (the inner one under chaos), and
+        ``knobs`` adds algorithm config keys beyond ``eps``/``seed``
+        (``repro sort --tag-duplicates``).  Neither is part of the cell.
         """
         from repro.algorithms import Sorter, get_spec
         from repro.machines import machine_summary
+        from repro.runtime import ChaosBackend, get_backend
 
         machine = self.resolved_machine()
         if dataset is None:
             dataset = self.build_dataset()
         config = get_spec(self.algorithm).legacy_config(
-            eps=self.eps, seed=self.seed
+            eps=self.eps, seed=self.seed, **(knobs or {})
         )
-        backend: Any = self.backend
+        options = {} if workers is None else {"workers": workers}
         if self.chaos:
-            from repro.runtime import ChaosBackend
-
             base, _, variant = self.backend.partition(":")
             inner = (variant or "simulated") if base == "chaos" else self.backend
-            backend = ChaosBackend(inner=inner, plan=self.chaos)
+            backend = ChaosBackend(inner=inner, plan=self.chaos, **options)
+        else:
+            backend = get_backend(self.backend, **options)
         run = Sorter(
             self.algorithm,
             machine=machine,

@@ -41,7 +41,6 @@ from repro.machines.topologies import (
 )
 from repro.machines.registry import (
     MACHINES,
-    MACHINE_ALIASES,
     available_machines,
     get_machine,
     get_machine_spec,
@@ -62,7 +61,6 @@ import repro.chaos.jitter  # noqa: E402,F401
 __all__ = [
     "MachineSpec",
     "MACHINES",
-    "MACHINE_ALIASES",
     "TOPOLOGIES",
     "register_machine",
     "register_topology",

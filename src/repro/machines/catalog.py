@@ -8,11 +8,10 @@ sets the message-size crossover, beta/gamma the communication-vs-compute
 crossover, and the topology's contention factor is what separates torus
 from fat-tree behaviour at scale (Fig 6.1/6.2, Table 6.1).
 
-``mira-like-bgq``, ``generic-cluster`` and ``laptop`` keep the exact
-constants of the historical ``MIRA_LIKE``/``GENERIC_CLUSTER``/``LAPTOP``
-module constants (modeled metrics are bit-identical); the fat-tree HPC,
-dragonfly and cloud-ethernet profiles open the machine axis the ROADMAP's
-scenario-diversity goal asks for.
+``mira-like-bgq``, ``generic-cluster`` and ``laptop`` are the original
+three presets (the committed modeled baselines are priced on their
+constants); the fat-tree HPC, dragonfly and cloud-ethernet profiles open
+the machine axis the ROADMAP's scenario-diversity goal asks for.
 """
 
 from __future__ import annotations

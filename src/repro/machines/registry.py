@@ -35,7 +35,6 @@ from repro.machines.spec import MachineSpec
 
 __all__ = [
     "MACHINES",
-    "MACHINE_ALIASES",
     "register_machine",
     "get_machine_spec",
     "get_machine",
@@ -47,12 +46,6 @@ __all__ = [
 #: name -> :class:`MachineSpec`, populated at import time by the preset
 #: catalog (plus any third-party plugins).
 MACHINES: dict[str, MachineSpec] = {}
-
-#: Historical short names (the pre-registry CLI choices) -> registry keys.
-MACHINE_ALIASES: dict[str, str] = {
-    "mira": "mira-like-bgq",
-    "cluster": "generic-cluster",
-}
 
 
 def register_machine(
@@ -84,11 +77,6 @@ def register_machine(
     existing = MACHINES.get(built.name)
     if existing is not None and existing != built and not replace:
         raise ConfigError(f"machine {built.name!r} is already registered")
-    if built.name in MACHINE_ALIASES:
-        raise ConfigError(
-            f"machine name {built.name!r} collides with the alias for "
-            f"{MACHINE_ALIASES[built.name]!r}"
-        )
     MACHINES[built.name] = built
     return spec
 
@@ -96,12 +84,11 @@ def register_machine(
 def get_machine_spec(
     name: str, overrides: Mapping[str, Any] | None = None
 ) -> MachineSpec:
-    """Look up a registered machine (aliases allowed), applying overrides."""
-    key = MACHINE_ALIASES.get(name, name)
-    if key not in MACHINES:
+    """Look up a registered machine, applying overrides."""
+    if name not in MACHINES:
         _load_machine_path()
     try:
-        spec = MACHINES[key]
+        spec = MACHINES[name]
     except KeyError:
         raise ConfigError(
             f"unknown machine {name!r}; choose from {available_machines()}"
@@ -154,7 +141,7 @@ def resolve_machine(
     """Coerce any machine reference to an executable :class:`MachineModel`.
 
     The uniform front door used by ``Sorter``, the CLI, ``perf.model`` and
-    the benchmark suites: a registered name (or alias), a
+    the benchmark suites: a registered name, a
     :class:`MachineSpec`, an already-built model, or ``None`` for the
     default machine.  ``overrides`` apply to names and specs; passing them
     with a pre-built model is an error (a model has no validated override

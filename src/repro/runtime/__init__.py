@@ -41,6 +41,7 @@ from repro.runtime.base import (
     Backend,
     Measured,
     available_backends,
+    backend_class,
     get_backend,
     register_backend,
     resolve_backend,
@@ -75,6 +76,7 @@ __all__ = [
     "ProcessBackend",
     "ThreadBackend",
     "available_backends",
+    "backend_class",
     "get_backend",
     "register_backend",
     "resolve_backend",

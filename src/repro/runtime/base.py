@@ -50,6 +50,7 @@ __all__ = [
     "Backend",
     "BACKENDS",
     "register_backend",
+    "backend_class",
     "get_backend",
     "resolve_backend",
     "available_backends",
@@ -226,6 +227,21 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
     return cls
 
 
+def backend_class(name: str) -> type[Backend]:
+    """The registered class behind a backend name.
+
+    A ``base:variant`` spelling (``chaos:process``) resolves on ``base``;
+    the variant itself is checked when the backend is built.  Unknown
+    names raise :class:`~repro.errors.ConfigError`.
+    """
+    try:
+        return BACKENDS[name.partition(":")[0]]
+    except KeyError:
+        raise ConfigError(
+            f"unknown backend {name!r}; choose from {available_backends()}"
+        ) from None
+
+
 def get_backend(name: str, **options: Any) -> Backend:
     """Instantiate a registered backend by name (e.g. ``workers=4``).
 
@@ -233,13 +249,8 @@ def get_backend(name: str, **options: Any) -> Backend:
     hands ``variant`` to the class's :meth:`Backend.with_variant` hook —
     ``chaos:process`` is the chaos backend wrapping the process backend.
     """
-    base, sep, variant = name.partition(":")
-    try:
-        cls = BACKENDS[base]
-    except KeyError:
-        raise ConfigError(
-            f"unknown backend {name!r}; choose from {available_backends()}"
-        ) from None
+    cls = backend_class(name)
+    _, sep, variant = name.partition(":")
     if sep:
         options = cls.with_variant(variant, dict(options))
     return cls(**options)

@@ -84,12 +84,12 @@ class SortService:
         reply) as spans on the service timeline.  ``None`` (default)
         records nothing.
 
+    Unknown default machine or backend names raise
+    :class:`~repro.errors.ConfigError` at construction.
+
     Counters live on :attr:`metrics` — a
     :class:`~repro.telemetry.MetricsRegistry` rendered by ``GET
-    /metrics`` and snapshotted into :meth:`stats`.  The legacy
-    ``jobs_total`` / ``errors_total`` attributes are read-only views over
-    the ``repro_jobs_total{status=...}`` counter, kept so pre-telemetry
-    consumers of :meth:`stats` see unchanged keys.
+    /metrics`` and snapshotted into :meth:`stats`.
     """
 
     def __init__(
@@ -102,9 +102,15 @@ class SortService:
         trace_sink: Any = None,
     ) -> None:
         from repro.errors import ConfigError
+        from repro.machines import get_machine_spec
+        from repro.runtime import backend_class
 
         if batch_max < 1:
             raise ConfigError(f"batch_max must be >= 1, got {batch_max}")
+        if machine is not None:
+            get_machine_spec(machine)
+        if backend is not None:
+            backend_class(backend)
         self.default_machine = machine
         self.default_backend = backend
         self.cache = SplitterCache(cache_capacity)
@@ -135,19 +141,6 @@ class SortService:
         self.cache.to_metrics(self.metrics)
 
     # --------------------------------------------------------- telemetry #
-    @property
-    def jobs_total(self) -> int:
-        """Total jobs processed (view over ``repro_jobs_total``)."""
-        return int(
-            self._jobs_counter.value(status="ok")
-            + self._jobs_counter.value(status="error")
-        )
-
-    @property
-    def errors_total(self) -> int:
-        """Jobs that produced error replies (view over the counter)."""
-        return int(self._jobs_counter.value(status="error"))
-
     def _clock(self) -> float:
         """Seconds since service start (the service-timeline clock)."""
         return time.perf_counter() - self._epoch
@@ -448,9 +441,10 @@ class SortService:
         ``metrics`` embeds the registry snapshot (histogram count / sum /
         p50 / p99 per latency metric).
         """
+        errors = self._jobs_counter.value(status="error")
         return {
-            "jobs_total": self.jobs_total,
-            "errors_total": self.errors_total,
+            "jobs_total": int(self._jobs_counter.value(status="ok") + errors),
+            "errors_total": int(errors),
             "cache": self.cache.stats(),
             "metrics": self.metrics.snapshot(),
         }

@@ -17,13 +17,12 @@ Every generator self-registers through
 a description, a paper-section tag and (for record-carrying workloads like
 the particle sets) its natural record schema — the same plugin-registry
 treatment algorithms, machines and backends already get.  ``repro
-workloads`` lists the catalog; :data:`WORKLOADS` remains the
-``name -> generator`` mapping all existing call sites resolve against.
+workloads`` lists the catalog; :data:`WORKLOAD_SPECS` /
+:func:`get_workload` resolve names.
 """
 
 from repro.workloads.registry import (
     WORKLOAD_SPECS,
-    WORKLOADS,
     WorkloadSpec,
     available_workloads,
     get_workload,
@@ -87,7 +86,6 @@ def make_workload(name, p, n_per, rng=0, **kwargs):
 __all__ = [
     "DISTRIBUTIONS",
     "PARTICLE_SCHEMA",
-    "WORKLOADS",
     "WORKLOAD_SPECS",
     "WorkloadSpec",
     "available_workloads",

@@ -15,16 +15,14 @@ Generator modules self-register::
     )
     def uniform_shards(p, n_per, rng=0): ...
 
-``WORKLOADS`` — the catalog every existing call site resolves names
-against — remains a mapping of ``name -> generator``, now live-backed by
-the registry, so ``name in WORKLOADS`` / ``sorted(WORKLOADS)`` /
-``WORKLOADS[name](p, n_per, rng)`` all keep working unchanged.
+Call sites resolve names through :data:`WORKLOAD_SPECS` /
+:func:`get_workload`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from repro.errors import WorkloadError
 from repro.records import RecordSchema
@@ -32,7 +30,6 @@ from repro.records import RecordSchema
 __all__ = [
     "WorkloadSpec",
     "WORKLOAD_SPECS",
-    "WORKLOADS",
     "register_workload",
     "get_workload",
     "available_workloads",
@@ -106,27 +103,3 @@ def get_workload(name: str) -> WorkloadSpec:
 def available_workloads() -> list[str]:
     """Sorted names of every registered workload."""
     return sorted(WORKLOAD_SPECS)
-
-
-class _CatalogView(Mapping):
-    """Live ``name -> generator`` view over :data:`WORKLOAD_SPECS`.
-
-    The pre-registry catalog was a plain dict of generator functions;
-    every call site that used it (CLI lookups, scenario validation,
-    ``make_workload``) works against this view unchanged.
-    """
-
-    def __getitem__(self, name: str) -> Callable:
-        return WORKLOAD_SPECS[name].fn
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(WORKLOAD_SPECS)
-
-    def __len__(self) -> int:
-        return len(WORKLOAD_SPECS)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WORKLOADS({sorted(WORKLOAD_SPECS)})"
-
-
-WORKLOADS = _CatalogView()

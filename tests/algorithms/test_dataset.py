@@ -70,10 +70,12 @@ class TestFromWorkload:
             Dataset.from_workload("cauchy", p=4, n_per=10)
 
     def test_catalog_covers_changa_and_duplicates(self):
-        from repro.workloads import DISTRIBUTIONS, WORKLOADS
+        from repro.workloads import DISTRIBUTIONS, WORKLOAD_SPECS
 
-        assert set(DISTRIBUTIONS) <= set(WORKLOADS)
-        assert {"changa-dwarf", "hotspot", "zipf-duplicates"} <= set(WORKLOADS)
+        assert set(DISTRIBUTIONS) <= set(WORKLOAD_SPECS)
+        assert {"changa-dwarf", "hotspot", "zipf-duplicates"} <= set(
+            WORKLOAD_SPECS
+        )
 
     def test_generator_kwargs_forwarded(self):
         ds = Dataset.from_workload(
@@ -165,12 +167,6 @@ class TestRecordPayloads:
                 small_shards,
                 schema=RecordSchema.from_mapping({"mass": "f8"}),
             )
-
-    def test_with_payloads_removed(self, small_shards):
-        base = Dataset.from_arrays(small_shards)
-        payloads = [np.arange(len(s)) for s in small_shards]
-        with pytest.raises(ConfigError, match=r"payloads=\{'col': 'f8'\}"):
-            base.with_payloads(payloads)
 
     def test_object_dtype_payloads_rejected(self, small_shards):
         payloads = [

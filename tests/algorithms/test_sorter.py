@@ -1,10 +1,9 @@
-"""Tests for the Sorter front end: capabilities, payloads, shim parity."""
+"""Tests for the Sorter front end: capabilities, payloads, config handling."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import Dataset, Sorter
-from repro.core.api import parallel_sort
 from repro.core.config import HSSConfig
 from repro.errors import CapabilityError, ConfigError
 from repro.metrics import verify_sorted_output
@@ -94,33 +93,6 @@ class TestConfigHandling:
         inputs = [rng.integers(0, 10**7, 200) for _ in range(4)]
         run = Sorter("histogram", eps=0.2, probes_per_splitter=7).run(inputs)
         assert run.stats.probes_per_round[1] > 0
-
-    def test_parallel_sort_unknown_kwarg_raises(self, small_shards):
-        with pytest.raises(ConfigError, match=r"valid keys.*key_bits"):
-            parallel_sort(small_shards, "radix", radix_width=8)
-
-
-class TestShimParity:
-    @pytest.mark.parametrize("name", ["hss", "scanning", "sample-regular",
-                                      "histogram", "radix"])
-    def test_sorter_matches_parallel_sort(self, name, rng):
-        inputs = [rng.integers(0, 10**7, 400) for _ in range(8)]
-        legacy = parallel_sort(inputs, name, eps=0.1, seed=2, verify=False)
-        spec_config = Sorter(name).spec.legacy_config(eps=0.1, seed=2)
-        modern = Sorter(name, config=spec_config, verify=False).run(inputs)
-        for a, b in zip(legacy.shards, modern.shards):
-            assert np.array_equal(a, b)
-        assert legacy.makespan == modern.makespan
-        assert (
-            legacy.engine_result.stats.bytes == modern.engine_result.stats.bytes
-        )
-
-    def test_hss_sort_shim_payloads(self, small_shards):
-        from repro.core.api import hss_sort
-
-        payloads = [np.arange(len(s)) for s in small_shards]
-        run = hss_sort(small_shards, eps=0.1, payloads=payloads)
-        assert run.algorithm == "hss" and run.payloads is not None
 
 
 class TestUniformStatsExtraction:

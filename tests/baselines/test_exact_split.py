@@ -71,12 +71,12 @@ class TestRounds:
 
     def test_more_rounds_than_hss(self, rng):
         """The trade-off the paper maps: exactness costs log N rounds."""
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
         from repro.core.config import HSSConfig
 
         inputs = unique_shards(rng, 8, 2000)
         _, _, exact_stats = run_exact(inputs)
-        hss = hss_sort(inputs, config=HSSConfig(eps=0.05, seed=1))
+        hss = Sorter("hss", config=HSSConfig(eps=0.05, seed=1)).run(inputs)
         assert exact_stats.rounds > hss.splitter_stats.num_rounds
 
 
@@ -92,8 +92,8 @@ class TestFailureModes:
         assert loads[-1] == 2000  # all keys collapse onto one bucket
 
     def test_registry_entry(self, rng):
-        from repro.core.api import parallel_sort
+        from repro.algorithms import Sorter
 
         inputs = unique_shards(rng, 4, 500)
-        run = parallel_sort(inputs, "exact-split", eps=0.05)
+        run = Sorter("exact-split", eps=0.05).run(inputs)
         assert run.imbalance <= 1.01

@@ -77,15 +77,15 @@ class TestSkewSensitivity:
 
     def test_hss_rounds_insensitive_to_same_skew(self, rng):
         """Control: HSS round counts barely move between the same inputs."""
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
         from repro.core.config import HSSConfig
 
         p, n = 8, 2000
         uniform = [rng.integers(0, 2**40, n) for _ in range(p)]
         skewed = self._skewed(rng, p, n)
         cfg = HSSConfig.constant_oversampling(5.0, eps=0.05, seed=3)
-        r_u = hss_sort(uniform, config=cfg).splitter_stats.num_rounds
-        r_s = hss_sort(skewed, config=cfg).splitter_stats.num_rounds
+        r_u = Sorter("hss", config=cfg).run(uniform).splitter_stats.num_rounds
+        r_s = Sorter("hss", config=cfg).run(skewed).splitter_stats.num_rounds
         assert abs(r_u - r_s) <= 1
 
 

@@ -94,8 +94,8 @@ class TestScalabilityProperties:
             run_parallel(inputs, eps=0.9)
 
     def test_registry(self, rng):
-        from repro.core.api import parallel_sort
+        from repro.algorithms import Sorter
 
         inputs = [rng.integers(0, 10**9, 500) for _ in range(4)]
-        run = parallel_sort(inputs, "sample-regular-parallel", eps=0.1)
+        run = Sorter("sample-regular-parallel", eps=0.1).run(inputs)
         assert run.imbalance <= 1.1 + 1e-9

@@ -40,11 +40,11 @@ class TestScanningSort:
 
     def test_smaller_sample_than_one_round_hss(self, rng):
         """§3.2: the scan needs 2p/eps vs HSS's 2p·ln p/eps."""
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
 
         inputs = [rng.integers(0, 10**9, 4000) for _ in range(8)]
         _, _, scan_stats = run_scanning(inputs, eps=0.05, seed=1)
-        hss = hss_sort(inputs, config=HSSConfig.one_round(0.05, seed=1))
+        hss = Sorter("hss", config=HSSConfig.one_round(0.05, seed=1)).run(inputs)
         assert scan_stats.total_sample < hss.splitter_stats.total_sample
 
     def test_duplicates_with_tagging(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.api import hss_sort
+from repro.algorithms import Sorter
 from repro.core.config import HSSConfig
 from repro.errors import ConfigError
 from repro.metrics import verify_sorted_output
@@ -11,31 +11,31 @@ from repro.metrics import verify_sorted_output
 
 class TestBasicCorrectness:
     def test_sorts_uniform(self, small_shards):
-        run = hss_sort(small_shards, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(small_shards)
         verify_sorted_output(small_shards, run.shards, 0.05)
 
     def test_imbalance_within_eps(self, small_shards):
-        run = hss_sort(small_shards, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(small_shards)
         assert run.imbalance <= 1.05 + 1e-9
 
     def test_two_ranks(self, rng):
         inputs = [rng.integers(0, 10**6, 1000) for _ in range(2)]
-        run = hss_sort(inputs, eps=0.1)
+        run = Sorter("hss", eps=0.1).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.1)
 
     def test_single_rank(self, rng):
         inputs = [rng.integers(0, 10**6, 500)]
-        run = hss_sort(inputs, eps=0.1)
+        run = Sorter("hss", eps=0.1).run(inputs)
         assert np.array_equal(run.shards[0], np.sort(inputs[0]))
 
     def test_uneven_inputs(self, rng):
         inputs = [rng.integers(0, 10**6, n) for n in (100, 900, 500, 500)]
-        run = hss_sort(inputs, eps=0.1)
+        run = Sorter("hss", eps=0.1).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.1)
 
     def test_deterministic_given_seed(self, small_shards):
-        a = hss_sort(small_shards, config=HSSConfig(seed=9))
-        b = hss_sort(small_shards, config=HSSConfig(seed=9))
+        a = Sorter("hss", config=HSSConfig(seed=9)).run(small_shards)
+        b = Sorter("hss", config=HSSConfig(seed=9)).run(small_shards)
         for x, y in zip(a.shards, b.shards):
             assert np.array_equal(x, y)
         assert a.splitter_stats.num_rounds == b.splitter_stats.num_rounds
@@ -48,7 +48,7 @@ class TestBasicCorrectness:
             inputs = [
                 rng.integers(0, 2**30, 800).astype(dtype) for _ in range(4)
             ]
-        run = hss_sort(inputs, eps=0.1)
+        run = Sorter("hss", eps=0.1).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.1)
 
     def test_payloads_travel(self, rng):
@@ -57,28 +57,27 @@ class TestBasicCorrectness:
             rng.permutation(np.arange(r * 1000, (r + 1) * 1000)) for r in range(p)
         ]
         payloads = [(k * 3).astype(np.int64) for k in inputs]
-        run = hss_sort(inputs, payloads=payloads, eps=0.1)
+        run = Sorter("hss", eps=0.1).run(inputs, payloads=payloads)
         for keys, pay in zip(run.shards, run.payloads):
             assert np.array_equal(pay, keys * 3)
 
 
 class TestSchedules:
     def test_one_round_uses_one_round(self, small_shards):
-        run = hss_sort(small_shards, config=HSSConfig.one_round(0.05))
+        run = Sorter("hss", config=HSSConfig.one_round(0.05)).run(small_shards)
         assert run.splitter_stats.num_rounds == 1
         assert run.imbalance <= 1.05 + 1e-9
 
     def test_k_rounds_respected(self, small_shards):
-        run = hss_sort(small_shards, config=HSSConfig.k_rounds(3, eps=0.05))
+        run = Sorter("hss", config=HSSConfig.k_rounds(3, eps=0.05)).run(small_shards)
         assert run.splitter_stats.num_rounds <= 3
 
     def test_constant_oversampling_sample_per_round(self, rng):
         p = 16
         inputs = [rng.integers(0, 10**9, 2000) for _ in range(p)]
         f = 5.0
-        run = hss_sort(
-            inputs, config=HSSConfig.constant_oversampling(f, eps=0.02)
-        )
+        cfg = HSSConfig.constant_oversampling(f, eps=0.02)
+        run = Sorter("hss", config=cfg).run(inputs)
         stats = run.splitter_stats
         # Expected f*p keys per round; allow generous concentration slack.
         for r in stats.rounds[:-1]:
@@ -87,19 +86,20 @@ class TestSchedules:
     def test_more_rounds_smaller_sample(self, rng):
         p = 16
         inputs = [rng.integers(0, 10**9, 4000) for _ in range(p)]
-        one = hss_sort(inputs, config=HSSConfig.one_round(0.02, seed=1))
-        two = hss_sort(inputs, config=HSSConfig.k_rounds(2, eps=0.02, seed=1))
+        one = Sorter("hss", config=HSSConfig.one_round(0.02, seed=1)).run(inputs)
+        two = Sorter("hss", config=HSSConfig.k_rounds(2, eps=0.02, seed=1)).run(inputs)
         assert two.splitter_stats.total_sample < one.splitter_stats.total_sample
 
     def test_interval_mass_shrinks_monotonically(self, rng):
         """The Fig 3.1 property: candidate mass G_j decreases every round."""
         inputs = [rng.integers(0, 10**9, 3000) for _ in range(8)]
-        run = hss_sort(inputs, config=HSSConfig.constant_oversampling(5.0, eps=0.01))
+        cfg = HSSConfig.constant_oversampling(5.0, eps=0.01)
+        run = Sorter("hss", config=cfg).run(inputs)
         masses = [r.candidate_mass_before for r in run.splitter_stats.rounds]
         assert all(b < a for a, b in zip(masses, masses[1:]))
 
     def test_splitter_stats_content(self, small_shards):
-        run = hss_sort(small_shards, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(small_shards)
         stats = run.splitter_stats
         assert stats.all_finalized
         assert stats.satisfies_tolerance()
@@ -111,25 +111,25 @@ class TestAdversarialInputs:
     def test_presorted_input(self, rng):
         keys = np.sort(rng.integers(0, 10**9, 4000))
         inputs = list(np.array_split(keys, 8))
-        run = hss_sort(inputs, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.05)
 
     def test_reversed_input(self, rng):
         keys = np.sort(rng.integers(0, 10**9, 4000))[::-1]
         inputs = [x.copy() for x in np.array_split(keys, 8)]
-        run = hss_sort(inputs, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.05)
 
     def test_skewed_distribution(self, rng):
         inputs = [
             (rng.lognormal(0, 4, 2000) * 1e6).astype(np.int64) for _ in range(8)
         ]
-        run = hss_sort(inputs, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.05)
 
     def test_tiny_per_rank(self, rng):
         inputs = [rng.permutation(np.arange(r * 20, (r + 1) * 20)) for r in range(4)]
-        run = hss_sort(inputs, eps=1.0)
+        run = Sorter("hss", eps=1.0).run(inputs)
         verify_sorted_output(inputs, run.shards)
 
     def test_too_few_keys_raises(self):
@@ -139,7 +139,7 @@ class TestAdversarialInputs:
             np.array([], dtype=np.int64),
         ]
         with pytest.raises(ConfigError):
-            hss_sort(inputs, eps=0.5)
+            Sorter("hss", eps=0.5).run(inputs)
 
 
 class TestDuplicateTagging:
@@ -152,7 +152,7 @@ class TestDuplicateTagging:
 
         shards = getattr(dup, maker)(8, 500, 3)
         cfg = HSSConfig(eps=0.05, tag_duplicates=True, seed=1)
-        run = hss_sort(shards, config=cfg)
+        run = Sorter("hss", config=cfg).run(shards)
         verify_sorted_output(shards, run.shards, 0.05)
 
     def test_untagged_fails_on_constant(self):
@@ -162,11 +162,11 @@ class TestDuplicateTagging:
         from repro.errors import VerificationError
 
         with pytest.raises(VerificationError):
-            hss_sort(shards, config=HSSConfig(eps=0.05, seed=1))
+            Sorter("hss", config=HSSConfig(eps=0.05, seed=1)).run(shards)
 
     def test_tagged_no_duplicates_still_works(self, small_shards):
         cfg = HSSConfig(eps=0.05, tag_duplicates=True)
-        run = hss_sort(small_shards, config=cfg)
+        run = Sorter("hss", config=cfg).run(small_shards)
         verify_sorted_output(small_shards, run.shards, 0.05)
 
 
@@ -174,7 +174,7 @@ class TestApproximateHistograms:
     def test_sorts_within_eps(self, rng):
         inputs = [rng.integers(0, 10**9, 4000) for _ in range(8)]
         cfg = HSSConfig(eps=0.05, approximate_histograms=True, seed=4)
-        run = hss_sort(inputs, config=cfg)
+        run = Sorter("hss", config=cfg).run(inputs)
         verify_sorted_output(inputs, run.shards, 0.05)
 
     def test_incompatible_with_tagging(self, small_shards):
@@ -182,19 +182,19 @@ class TestApproximateHistograms:
             eps=0.05, approximate_histograms=True, tag_duplicates=True
         )
         with pytest.raises(ConfigError, match="cannot be combined"):
-            hss_sort(small_shards, config=cfg)
+            Sorter("hss", config=cfg).run(small_shards)
 
 
 class TestPhaseTrace:
     def test_three_phases_present(self, small_shards):
-        run = hss_sort(small_shards, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(small_shards)
         breakdown = run.breakdown()
         for phase in ("local sort", "histogramming", "data exchange"):
             assert phase in breakdown.phases()
             assert breakdown.total(phase) > 0
 
     def test_collective_counts(self, small_shards):
-        run = hss_sort(small_shards, eps=0.05)
+        run = Sorter("hss", eps=0.05).run(small_shards)
         trace = run.engine_result.trace
         rounds = run.splitter_stats.num_rounds
         # Per round: bcast(cmd) + gather + bcast(probes) + reduce; plus the

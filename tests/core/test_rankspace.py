@@ -55,12 +55,12 @@ class TestRankSpaceHSS:
     def test_statistics_match_spmd_implementation(self, rng):
         """Rank-space and full-SPMD runs agree in distribution: compare
         round counts and per-round sample magnitudes on a common config."""
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
 
         p, n_per = 16, 2000
         cfg = HSSConfig.constant_oversampling(5.0, eps=0.02, seed=7)
         inputs = [rng.integers(0, 10**9, n_per) for _ in range(p)]
-        spmd = hss_sort(inputs, config=cfg).splitter_stats
+        spmd = Sorter("hss", config=cfg).run(inputs).splitter_stats
         sim = RankSpaceSimulator(p * n_per, p, cfg).run()
         assert abs(sim.num_rounds - spmd.num_rounds) <= 1
         # First-round samples are Binomial(N, 5p/N) in both: compare loosely.

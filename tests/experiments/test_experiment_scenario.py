@@ -50,10 +50,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="keys_per_rank"):
             Scenario(algorithm="hss", workload="uniform", keys_per_rank=0)
 
-    def test_alias_machines_accepted(self):
-        cell = Scenario(algorithm="hss", workload="uniform", machine="mira")
-        assert cell.resolved_machine().name == "mira-like-bgq"
-
 
 class TestNaming:
     def test_name_encodes_all_axes(self):
@@ -129,3 +125,26 @@ class TestRun:
             procs=4, keys_per_rank=200, eps=0.2, seed=7,
         )
         assert cell.run() == cell.run()
+
+
+class TestExecuteOptions:
+    @pytest.mark.parametrize(
+        "backend, chaos",
+        [("thread", ""), ("chaos:thread", "stragglers")],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_reach_the_thread_backend(self, backend, chaos, workers):
+        cell = Scenario(
+            algorithm="hss", workload="uniform", procs=4, keys_per_rank=200,
+            backend=backend, chaos=chaos,
+        )
+        run, _ = cell.execute(workers=workers)
+        assert run.measured.backend == backend
+        assert run.measured.workers == workers
+
+    def test_knobs_reach_the_algorithm_config(self):
+        cell = Scenario(
+            algorithm="radix", workload="uniform", procs=4, keys_per_rank=100,
+        )
+        with pytest.raises(ConfigError, match="unknown config key"):
+            cell.execute(knobs={"tag_duplicates": True})

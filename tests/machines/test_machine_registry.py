@@ -60,30 +60,8 @@ class TestCatalog:
         assert cluster.topology.bisection == 0.5
         assert cluster.cores_per_node == 64
 
-    def test_legacy_module_attributes_still_resolve(self):
-        from repro.bsp import machine as machine_module
-
-        assert machine_module.MIRA_LIKE == get_machine("mira-like-bgq")
-        assert machine_module.LAPTOP == get_machine("laptop")
-        assert machine_module.GENERIC_CLUSTER == get_machine("generic-cluster")
-        with pytest.raises(AttributeError):
-            machine_module.NO_SUCH_PRESET
-
-    def test_legacy_package_level_imports_still_resolve(self):
-        # Third-party code also used the package path (repro.bsp.LAPTOP).
-        import repro.bsp
-
-        assert repro.bsp.MIRA_LIKE == get_machine("mira-like-bgq")
-        assert repro.bsp.LAPTOP == get_machine("laptop")
-        with pytest.raises(AttributeError):
-            repro.bsp.NO_SUCH_PRESET
-
 
 class TestLookup:
-    def test_aliases(self):
-        assert get_machine("mira") == get_machine("mira-like-bgq")
-        assert get_machine("cluster") == get_machine("generic-cluster")
-
     def test_unknown_machine_lists_choices(self):
         with pytest.raises(ConfigError, match="mira-like-bgq"):
             get_machine("cray-xt5")
@@ -131,10 +109,6 @@ class TestRegisterMachine:
         with pytest.raises(ConfigError, match="MachineSpec"):
             register_machine(lambda: {"name": "nope"})
 
-    def test_alias_collision_rejected(self):
-        with pytest.raises(ConfigError, match="alias"):
-            register_machine(MachineSpec(name="mira"))
-
 
 class TestResolveMachine:
     def test_none_is_laptop(self):
@@ -161,7 +135,7 @@ class TestResolveMachine:
             resolve_machine(42)
 
     def test_summary(self):
-        assert machine_summary("mira", {"cores_per_node": 1}) == {
+        assert machine_summary("mira-like-bgq", {"cores_per_node": 1}) == {
             "name": "mira-like-bgq",
             "topology": "torus",
             "cores_per_node": 1,

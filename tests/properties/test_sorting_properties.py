@@ -11,9 +11,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import parallel_sort
+from repro.algorithms import Sorter
 from repro.core.config import HSSConfig
-from repro.core.api import hss_sort
 from repro.metrics import verify_sorted_output
 
 COMMON = dict(
@@ -59,14 +58,14 @@ class TestHSSContract:
     @settings(**COMMON)
     def test_sorted_permutation_balanced(self, shards):
         cfg = HSSConfig(eps=0.25, seed=7, tag_duplicates=True)
-        run = hss_sort(shards, config=cfg, verify=False)
+        run = Sorter("hss", config=cfg, verify=False).run(shards)
         verify_sorted_output(shards, run.shards, 0.25)
 
     @given(shard_layouts(), st.integers(0, 3))
     @settings(**COMMON)
     def test_seed_only_changes_internals_not_contract(self, shards, seed):
         cfg = HSSConfig(eps=0.25, seed=seed, tag_duplicates=True)
-        run = hss_sort(shards, config=cfg, verify=False)
+        run = Sorter("hss", config=cfg, verify=False).run(shards)
         verify_sorted_output(shards, run.shards, 0.25)
 
 
@@ -74,19 +73,19 @@ class TestBaselineContracts:
     @given(shard_layouts())
     @settings(**COMMON)
     def test_sample_regular(self, shards):
-        run = parallel_sort(shards, "sample-regular", eps=0.3, verify=False)
+        run = Sorter("sample-regular", eps=0.3, verify=False).run(shards)
         verify_sorted_output(shards, run.shards)
 
     @given(shard_layouts())
     @settings(**COMMON)
     def test_over_partition(self, shards):
-        run = parallel_sort(shards, "over-partition", eps=0.3, verify=False)
+        run = Sorter("over-partition", verify=False).run(shards)
         verify_sorted_output(shards, run.shards)
 
     @given(shard_layouts(allow_empty=False))
     @settings(**COMMON)
     def test_radix(self, shards):
-        run = parallel_sort(shards, "radix", eps=0.3, verify=False)
+        run = Sorter("radix", verify=False).run(shards)
         verify_sorted_output(shards, run.shards)
 
     @given(st.integers(0, 2**31), st.integers(0, 2), st.integers(16, 64))
@@ -95,7 +94,7 @@ class TestBaselineContracts:
         p = 2 ** (logp_minus_1 + 1)
         rng = np.random.default_rng(seed)
         shards = [rng.integers(-(2**50), 2**50, n_per) for _ in range(p)]
-        run = parallel_sort(shards, "bitonic", eps=0.3, verify=False)
+        run = Sorter("bitonic", verify=False).run(shards)
         verify_sorted_output(shards, run.shards)
 
 
@@ -104,11 +103,11 @@ class TestCrossAlgorithmEquivalence:
     @settings(**COMMON)
     def test_hss_and_sample_sort_agree(self, shards):
         reference = np.sort(np.concatenate(shards))
-        a = hss_sort(
-            shards,
+        a = Sorter(
+            "hss",
             config=HSSConfig(eps=0.3, seed=1, tag_duplicates=True),
             verify=False,
-        )
-        b = parallel_sort(shards, "sample-regular", eps=0.3, verify=False)
+        ).run(shards)
+        b = Sorter("sample-regular", eps=0.3, verify=False).run(shards)
         assert np.array_equal(np.concatenate(a.shards), reference)
         assert np.array_equal(np.concatenate(b.shards), reference)

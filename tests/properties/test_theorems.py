@@ -193,7 +193,7 @@ class TestDistributionFreeness:
     key distributions with the same N, p and seed."""
 
     def test_rounds_invariant_across_distributions(self):
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
         from repro.workloads.distributions import make_distributed
 
         p, n_per = 8, 2_000
@@ -201,6 +201,6 @@ class TestDistributionFreeness:
         rounds = set()
         for name in ("uniform", "lognormal", "staircase"):
             shards = make_distributed(name, p, n_per, 3)
-            run = hss_sort(shards, config=cfg, verify=False)
+            run = Sorter("hss", config=cfg, verify=False).run(shards)
             rounds.add(run.splitter_stats.num_rounds)
         assert len(rounds) <= 2  # sampling noise only, no distribution term

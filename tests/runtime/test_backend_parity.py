@@ -22,12 +22,12 @@ from repro.runtime import ProcessBackend, SimulatedBackend, ThreadBackend
 
 P = 4
 N_PER = 300
-WORKLOADS = ("uniform", "staircase")
+WORKLOAD_NAMES = ("uniform", "staircase")
 
 GRID = [
     (algorithm, workload)
     for algorithm in sorted(REGISTRY)
-    for workload in WORKLOADS
+    for workload in WORKLOAD_NAMES
 ]
 
 

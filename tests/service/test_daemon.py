@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.service import SortService, validate_reply
 from repro.service.daemon import shard_boundary_intervals
 
@@ -123,6 +124,20 @@ class TestBatching:
         # Later batch heads warm-start from the cache entry the first
         # batch wrote.
         assert replies[2]["cache"]["source"] == "cache"
+
+
+class TestServiceDefaults:
+    def test_unknown_default_machine_rejected(self):
+        with pytest.raises(ConfigError, match="unknown machine 'pdp-11'"):
+            SortService(machine="pdp-11")
+
+    def test_unknown_default_backend_rejected(self):
+        with pytest.raises(ConfigError, match="unknown backend 'quantum'"):
+            SortService(backend="quantum")
+
+    def test_variant_backend_spelling_accepted(self):
+        service = SortService(machine="cloud-ethernet", backend="chaos:thread")
+        assert service.default_backend == "chaos:thread"
 
 
 class TestStreamDiscipline:

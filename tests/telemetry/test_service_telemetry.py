@@ -1,9 +1,9 @@
 """Daemon observability: lifecycle spans, JSONL logs, metric pointers.
 
-Satellite coverage: S1 (structured logging, including a real
-``repro serve --log-level info`` subprocess), S6 (the legacy
-``jobs_total``/``errors_total`` counters are now *views* over the
-metrics registry, not independently-maintained tallies).
+Covers structured logging, including a real ``repro serve --log-level
+info`` subprocess, and the ``jobs_total``/``errors_total`` keys of
+:meth:`SortService.stats`, which are read off the metrics registry
+rather than kept as independent tallies.
 """
 
 import io
@@ -90,19 +90,14 @@ class TestLifecycleSpans:
 
 
 class TestCounterPointers:
-    def test_legacy_counters_are_registry_views(self):
-        # S6: the ad-hoc tallies were deprecated in favour of the
-        # registry; the public attributes survive as derived properties.
-        assert isinstance(SortService.jobs_total, property)
-        assert isinstance(SortService.errors_total, property)
-
     def test_views_agree_with_the_counter(self):
         service = SortService()
         bad = {**SCENARIO, "algorithm": "no-such-algorithm"}
         _stream(service, [_job("ok"), _job("bad", bad)])
         counter = service.metrics.get("repro_jobs_total")
-        assert service.jobs_total == 2
-        assert service.errors_total == 1
+        stats = service.stats()
+        assert stats["jobs_total"] == 2
+        assert stats["errors_total"] == 1
         assert counter.value(status="ok") == 1.0
         assert counter.value(status="error") == 1.0
 

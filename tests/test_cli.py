@@ -79,7 +79,21 @@ class TestSortCommand:
 
     def test_unknown_distribution_exits_2(self, capsys):
         assert main(["sort", "--distribution", "cauchy"]) == 2
-        assert "unknown distribution" in capsys.readouterr().err
+        assert "unknown workload 'cauchy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-p", "0"], "procs must be >= 1, got 0"),
+            (["-p", "-3"], "procs must be >= 1, got -3"),
+            (["-n", "0"], "keys_per_rank must be >= 1, got 0"),
+        ],
+    )
+    def test_nonpositive_sizes_exit_2(self, argv, message, capsys):
+        assert main(["sort", *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_acceptance_invocation_prints_sortrun_summary(self, capsys):
         code = main(
@@ -135,6 +149,63 @@ class TestSortCommand:
         )
         assert code == 0
         assert "hotspot" in capsys.readouterr().out
+
+
+class TestSortScenarioParity:
+    """``repro sort`` prints the metrics of the Scenario it runs."""
+
+    CASES = [
+        ([], {}),
+        (["--algorithm", "hss-node", "--machine", "mira-like-bgq"],
+         {"algorithm": "hss-node", "machine": "mira-like-bgq"}),
+        (["--workload", "changa-dwarf", "--payloads", "workload"],
+         {"workload": "changa-dwarf", "payloads": "workload"}),
+        (["--algorithm", "histogram", "--payloads", "index"],
+         {"algorithm": "histogram"}),
+        (["--workload", "staircase", "--tag-duplicates"],
+         {"workload": "staircase"}),
+        (["--workload", "drifting-mixture", "--chaos", "stragglers"],
+         {"workload": "drifting-mixture", "chaos": "stragglers"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        CASES,
+        ids=["default", "hss-node", "workload-payloads", "index-payloads",
+             "tag-duplicates", "chaos"],
+    )
+    def test_printed_metrics_match_scenario(self, argv, fields, capsys):
+        from repro.experiments import Scenario
+
+        assert main(["sort", "-p", "8", "-n", "2000", *argv]) == 0
+        out = capsys.readouterr().out
+        cell = Scenario(
+            **{"algorithm": "hss", "workload": "uniform", "procs": 8,
+               "keys_per_rank": 2000, "layout": "node", **fields}
+        )
+        if "index" in argv:
+            dataset = cell.build_dataset().with_index_payloads()
+            metrics = cell.execute(dataset=dataset)[1]["metrics"]
+        elif "--tag-duplicates" in argv:
+            knobs = {"tag_duplicates": True}
+            metrics = cell.execute(knobs=knobs)[1]["metrics"]
+        else:
+            metrics = cell.run()["metrics"]
+        expected = [
+            f"imbalance         : {metrics['imbalance']:.4f} ",
+            f"modeled makespan  : {metrics['makespan_s']:.3e} s",
+            f"network           : {metrics['net_messages']:,} messages, "
+            f"{metrics['net_bytes']:,} bytes",
+        ]
+        if "rounds" in metrics:
+            expected.append(f"rounds            : {metrics['rounds']}\n")
+            expected.append(
+                f"total sample      : {metrics['total_sample']} keys "
+            )
+        if "chaos_slowdown" in metrics:
+            expected.append(f"slowdown {metrics['chaos_slowdown']:.2f}x")
+        for line in expected:
+            assert line in out
 
 
 class TestAlgorithmsCommand:
@@ -459,12 +530,6 @@ class TestMachineFlag:
         assert code == 0
         assert "dragonfly-hpc machine" in out
         assert "dragonfly topology" in out
-
-    def test_legacy_alias_resolves_to_canonical_name(self, capsys):
-        code = main(["sort", "-p", "4", "-n", "300", "--machine", "mira"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mira-like-bgq machine" in out
 
     def test_unknown_machine_exits_2(self, capsys):
         assert main(["sort", "--machine", "pdp-11"]) == 2
@@ -916,6 +981,13 @@ class TestServeCommand:
         )
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_unknown_backend_exits_2(self, capsys, monkeypatch):
+        code = self._serve(
+            [], argv=["--backend", "quantum"], monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert "unknown backend 'quantum'" in capsys.readouterr().err
 
     def test_bad_cache_capacity_exits_2(self, capsys, monkeypatch):
         code = self._serve(

@@ -10,7 +10,6 @@ import repro.algorithms.dataset
 import repro.algorithms.sorter
 import repro.algorithms.spec
 import repro.bsp.node
-import repro.core.api
 import repro.experiments
 import repro.experiments.scenario
 import repro.machines
@@ -30,7 +29,6 @@ MODULES = [
     repro.algorithms.sorter,
     repro.algorithms.spec,
     repro.bsp.node,
-    repro.core.api,
     repro.experiments,
     repro.experiments.scenario,
     repro.machines,

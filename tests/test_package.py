@@ -37,19 +37,11 @@ class TestImports:
         assert repro.__version__.count(".") == 2
 
     def test_top_level_api(self):
-        assert callable(repro.hss_sort)
-        assert callable(repro.parallel_sort)
-        assert "hss" in repro.ALGORITHMS
+        assert callable(repro.sort)
+        assert callable(repro.Sorter)
+        assert "hss" in repro.REGISTRY
 
 
 class TestRegistryCoherence:
-    def test_registry_matches_docstring_table(self):
-        """Every algorithm listed in the parallel_sort docstring exists."""
-        import repro.core.api as api
-
-        doc = api.__doc__
-        for name in api.ALGORITHMS:
-            assert f"``{name}``" in doc, f"{name} undocumented in repro.core.api"
-
     def test_thirteen_algorithms(self):
-        assert len(repro.ALGORITHMS) == 13
+        assert len(repro.REGISTRY) == 13

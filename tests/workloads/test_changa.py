@@ -93,15 +93,14 @@ class TestDatasets:
             lambb_like_shards(2, 100, nhalos=1)
 
     def test_hss_sorts_both(self):
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
         from repro.core.config import HSSConfig
         from repro.metrics import verify_sorted_output
 
         for maker in (dwarf_like_shards, lambb_like_shards):
             shards = maker(8, 800, 5)
-            run = hss_sort(
-                shards, config=HSSConfig(eps=0.1, seed=1, tag_duplicates=True)
-            )
+            cfg = HSSConfig(eps=0.1, seed=1, tag_duplicates=True)
+            run = Sorter("hss", config=cfg).run(shards)
             verify_sorted_output(shards, run.shards, 0.1)
 
 

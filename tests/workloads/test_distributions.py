@@ -84,10 +84,10 @@ class TestShapes:
 class TestSortability:
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_hss_handles_every_distribution(self, name):
-        from repro.core.api import hss_sort
+        from repro.algorithms import Sorter
         from repro.core.config import HSSConfig
 
         shards = make_distributed(name, 8, 600, 11)
         cfg = HSSConfig(eps=0.1, seed=2, tag_duplicates=True)
-        run = hss_sort(shards, config=cfg)
+        run = Sorter("hss", config=cfg).run(shards)
         assert run.imbalance <= 1.1 + 1e-9

@@ -1,4 +1,4 @@
-"""Workload registry: specs, registration contract, catalog view, README."""
+"""Workload registry: specs, registration contract, make_workload, README."""
 
 import pathlib
 import re
@@ -10,7 +10,6 @@ from repro.errors import WorkloadError
 from repro.records import RecordSchema
 from repro.workloads import (
     WORKLOAD_SPECS,
-    WORKLOADS,
     WorkloadSpec,
     available_workloads,
     get_workload,
@@ -60,8 +59,7 @@ class TestRegistry:
             assert spec.record_schema == RecordSchema.from_mapping({"w": "f8"})
             shards = spec.generate(3, 5)
             assert len(shards) == 3 and len(shards[0]) == 5
-            # The legacy catalog entry points at the same generator.
-            assert WORKLOADS[name] is probe
+            assert spec.fn is probe
         finally:
             WORKLOAD_SPECS.pop(name, None)
 
@@ -73,12 +71,6 @@ class TestRegistry:
 
 
 class TestCatalogView:
-    def test_mapping_protocol(self):
-        assert len(WORKLOADS) == len(WORKLOAD_SPECS)
-        assert set(WORKLOADS) == set(WORKLOAD_SPECS)
-        assert "uniform" in WORKLOADS
-        assert callable(WORKLOADS["uniform"])
-
     def test_make_workload_matches_direct_call(self):
         via_catalog = make_workload("uniform", 2, 10, rng=7)
         via_spec = get_workload("uniform").generate(2, 10, rng=7)
