@@ -72,10 +72,9 @@ class SortRun:
         """Real wall-clock measurements from the execution backend.
 
         The measured counterpart of the *modeled* :attr:`makespan` /
-        :meth:`breakdown`: end-to-end wall time for every backend, plus
-        per-rank/per-phase compute and collective-wait times when the
-        backend instruments ranks (the process backend does; the
-        simulator reports only the total).
+        :meth:`breakdown`: end-to-end wall time plus per-rank/per-phase
+        compute and collective-wait times, which every built-in backend
+        measures in the shared rank loop.
         """
         return self.engine_result.measured
 

@@ -133,10 +133,9 @@ class Sorter:
         (``AlgorithmSpec.supports_warm_start``).
 
         ``trace_sink`` (a :class:`~repro.telemetry.TraceSink`) collects
-        span telemetry from the run: modeled superstep/phase spans on
-        every backend, plus measured per-rank compute/wait spans on the
-        instrumenting backends.  ``None`` — the default — records
-        nothing and adds no overhead.
+        span telemetry from the run: modeled superstep/phase spans and
+        measured per-rank compute/wait spans, on every built-in backend.
+        ``None`` — the default — records nothing and adds no overhead.
         """
         if isinstance(data, Dataset):
             if payloads is not None:

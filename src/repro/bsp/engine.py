@@ -14,18 +14,26 @@ communication point::
         ...
         return my_final_bucket
 
-:class:`BSPEngine` instantiates one generator per simulated rank and advances
-them in lockstep.  When every live rank has yielded its next collective
-request, the engine checks SPMD consistency (same op, same root — the
-simulated analogue of MPI's matching rules), resolves the data movement with
-:mod:`repro.bsp.collectives`, prices the superstep with
-:mod:`repro.bsp.cost_model`, and resumes each rank with its result.
+One rank loop and one broker loop execute every program, on every
+backend.  :func:`_rank_steps` advances a block of rank generators to their
+next collective and yields the sweep's requests as one batch;
+:func:`_broker_loop` collects a batch from every worker, checks SPMD
+consistency (same op, same root — the simulated analogue of MPI's
+matching rules), resolves the data movement with
+:mod:`repro.bsp.collectives` and prices the superstep with
+:mod:`repro.bsp.cost_model` through :class:`SuperstepResolver`, then sends
+each rank its result.  Backends differ only in the transport between the
+two: :meth:`BSPEngine.run` (the simulator) advances one block of all
+ranks inline, while the thread and process backends in
+:mod:`repro.runtime` pump blocks over queues or pipes.
 
 Computation between collectives is *charged* explicitly (``ctx.charge_sort``,
 ``ctx.charge_compare`` ...) against the machine model, following the paper's
 convention of counting key comparisons (``T_I``) and bytes moved.  Charged
 time accumulates per rank; at each rendezvous the superstep's compute cost is
-the *maximum* over ranks, exactly as in Valiant's BSP accounting.
+the *maximum* over ranks, exactly as in Valiant's BSP accounting.  The rank
+loop also times the real wall-clock of every compute segment and
+collective wait; those land in :class:`Measured` on the result.
 
 Determinism: rank programs run in rank order within each scheduling sweep and
 all randomness comes from caller-provided seeded generators, so a run is a
@@ -34,8 +42,11 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import pickle
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterator, Mapping, Sequence
+from time import perf_counter
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 from repro.bsp import collectives as coll
 from repro.bsp.cost_model import CommStats, CostModel
@@ -48,11 +59,11 @@ __all__ = [
     "Context",
     "NodeContext",
     "BSPEngine",
+    "Measured",
     "RunResult",
     "Program",
     "RankYield",
     "SuperstepResolver",
-    "default_node_layout",
 ]
 
 #: Type of an SPMD program: a generator function taking (ctx, *args).
@@ -89,7 +100,11 @@ class _Call:
 
 
 class _PhaseScope:
-    """Context manager produced by :meth:`Context.phase`."""
+    """Context manager produced by :meth:`Context.phase`.
+
+    Each transition also closes the rank's running wall-clock segment, so
+    measured time lands on the same phase labels as the modeled charges.
+    """
 
     __slots__ = ("_ctx", "_name", "_prev")
 
@@ -99,16 +114,26 @@ class _PhaseScope:
         self._prev = ""
 
     def __enter__(self) -> "_PhaseScope":
-        self._prev = self._ctx._phase
-        self._ctx._phase = self._name
+        ctx = self._ctx
+        ctx._seg_mark()
+        self._prev = ctx._phase
+        ctx._phase = self._name
         return self
 
     def __exit__(self, *exc: object) -> None:
+        self._ctx._seg_mark()
         self._ctx._phase = self._prev
 
 
 class Context:
-    """Per-rank handle a program uses for communication and cost charging."""
+    """Per-rank handle a program uses for communication and cost charging.
+
+    Besides the modeled clock (``charge_*``), a context measures real
+    wall-clock: the rank loop opens a segment before resuming the rank's
+    generator and closes it at the next yield, phase scopes split it, and
+    the time spent waiting for the broker's reply adds to
+    ``comm_wait_s``.
+    """
 
     _group: tuple = ("global",)
 
@@ -119,6 +144,15 @@ class Context:
         self._phase = _DEFAULT_PHASE
         self._pending_compute = 0.0  # seconds since last rendezvous
         self._pending_by_phase: dict[str, float] = {}
+        self.wall_by_phase: dict[str, float] = {}
+        self.comm_wait_s = 0.0
+        self._seg_start: float | None = None
+        #: Raw ``(phase, start, end)`` compute segments and ``(op, start,
+        #: end, sweep)`` collective waits on the ``perf_counter`` clock —
+        #: kept only under a trace sink (None otherwise, so the
+        #: telemetry-off path allocates nothing per segment).
+        self.segments: list[tuple] | None = None
+        self.wait_segments: list[tuple] | None = None
 
     def node_comm(self) -> "NodeContext":
         """A sub-communicator over this rank's *node* (§6.1 nodegroups).
@@ -247,6 +281,24 @@ class Context:
         return result
 
     # ------------------------------------------------------------ internal
+    def _seg_mark(self) -> None:
+        """Close the running wall-clock segment and open the next one.
+
+        The rank loop sets ``_seg_start`` when it resumes the rank and
+        marks again at the next yield; the segment it then leaves open is
+        overwritten at the next resume, so waits never count as compute.
+        """
+        now = perf_counter()
+        start = self._seg_start
+        if start is not None:
+            phase = self._phase
+            self.wall_by_phase[phase] = (
+                self.wall_by_phase.get(phase, 0.0) + (now - start)
+            )
+            if self.segments is not None and now > start:
+                self.segments.append((phase, start, now))
+        self._seg_start = now
+
     def _drain_compute(self) -> tuple[float, dict[str, float]]:
         pending = self._pending_compute
         by_phase = self._pending_by_phase
@@ -296,6 +348,85 @@ class NodeContext(Context):
         return self
 
 
+@dataclass(frozen=True)
+class Measured:
+    """Real wall-clock measurements of one backend run.
+
+    The *modeled* timing (:class:`~repro.bsp.trace.Trace`,
+    ``RunResult.makespan``) is a deterministic function of the simulated
+    machine and is bit-identical across backends; this block records what
+    the host actually did — the measured side of the measured-vs-modeled
+    calibration story (see ``examples/measured_vs_modeled.py``).  The
+    shared rank loop fills it on every built-in backend, the simulator
+    included.
+
+    Phase attribution follows the programs' own ``ctx.phase(...)`` labels,
+    so measured entries line up with the modeled phase breakdown.  Times
+    spent blocked at collectives are kept separate (``rank_comm_wait_s``)
+    rather than smeared into compute phases.
+    """
+
+    #: Which backend produced the run (registry name).
+    backend: str
+    #: Workers (threads or processes) that advanced ranks; 1 for the
+    #: simulator, which advances every rank inline.
+    workers: int
+    #: End-to-end wall-clock of the run, including worker startup.
+    wall_s: float
+    #: Per-rank wall-clock spent advancing the rank program (sum of its
+    #: compute segments, excluding collective waits).  Empty only for a
+    #: plugin backend that does not run the shared rank loop.
+    rank_compute_s: tuple[float, ...] = ()
+    #: Per-rank wall-clock spent blocked waiting on collective resolution.
+    rank_comm_wait_s: tuple[float, ...] = ()
+    #: Per-phase compute wall-clock, max over ranks (the BSP critical-path
+    #: convention, matching the modeled breakdown's aggregation; with
+    #: ``workers < p`` it understates the path, see :attr:`compute_s`).
+    #: One key per phase label a rank ran code under — a superset of the
+    #: modeled breakdown's labels, which list only phases that cost
+    #: modeled time (code outside every ``ctx.phase`` is ``unlabeled``).
+    phase_wall_s: dict[str, float] = field(default_factory=dict)
+    #: Fault-injection metrics when the run went through the chaos
+    #: backend with a non-zero plan (``None`` otherwise): plan name and
+    #: seed, straggler/retry/kill counts, injected delay, and modeled
+    #: slowdown vs the fault-free twin.  JSON-safe by construction.
+    chaos: dict[str, Any] | None = None
+
+    @property
+    def compute_s(self) -> float:
+        """Largest per-rank compute wall-clock (max over ranks).
+
+        This is the critical path only with one worker per rank.  With
+        ``workers < p`` a worker advances its ranks one after another,
+        so the critical path is closer to the largest per-worker *sum*
+        of its ranks' values, which this max understates.
+        """
+        return max(self.rank_compute_s, default=0.0)
+
+    @property
+    def comm_wait_s(self) -> float:
+        """Largest per-rank collective-wait wall-clock (max over ranks).
+
+        Values are per rank.  A multiplexed worker's ranks all wait on the
+        same broker reply, so each of them carries the same wait; like
+        :attr:`compute_s`, the max is a critical path only when
+        ``workers == p``.
+        """
+        return max(self.rank_comm_wait_s, default=0.0)
+
+    def to_spans(self, sink):
+        """Project this block onto the measured timeline; returns the sink.
+
+        One compute + one wait span per rank (the block stores totals,
+        not segments); backends passed a live ``trace_sink`` emit full
+        per-segment spans instead — see
+        :func:`repro.telemetry.adapters.emit_rank_segments`.
+        """
+        from repro.telemetry.adapters import measured_to_spans
+
+        return measured_to_spans(self, sink)
+
+
 @dataclass
 class RunResult:
     """Outcome of one :meth:`BSPEngine.run` (or any runtime backend)."""
@@ -304,28 +435,15 @@ class RunResult:
     trace: Trace
     stats: CommStats
     makespan: float
-    #: Real wall-clock measurements attached by the runtime layer
-    #: (:class:`repro.runtime.Measured`), or None for a bare engine run.
-    #: Modeled fields above are bit-identical across backends; this block
-    #: is the only backend-dependent part of a result.
-    measured: Any = None
+    #: Real wall-clock measurements of the run (:class:`Measured`), filled
+    #: by the shared broker loop on every built-in backend.  Modeled
+    #: fields above are bit-identical across backends; this block is the
+    #: only backend-dependent part of a result.
+    measured: Measured | None = None
 
     def breakdown(self):
         """Phase breakdown of the modeled execution time."""
         return self.trace.breakdown()
-
-
-def default_node_layout(
-    machine: MachineModel, nprocs: int, node_layout: NodeLayout | None = None
-) -> NodeLayout | None:
-    """The engine's node-layout rule, shared by every execution backend.
-
-    An explicit layout wins; otherwise a multicore machine gets the
-    block-wise :class:`NodeLayout` and a single-core machine gets none.
-    """
-    if node_layout is None and machine.cores_per_node > 1:
-        return NodeLayout(nprocs, machine.cores_per_node)
-    return node_layout
 
 
 @dataclass
@@ -335,15 +453,54 @@ class RankYield:
     Captured at the moment the rank's generator yields: the collective
     request itself, the phase label active at the yield, and the compute
     charged since the previous rendezvous.  :class:`SuperstepResolver`
-    consumes these — the in-process engine builds them from its
-    :class:`Context` objects, the process backend's broker from worker
-    messages, and the resolution is bit-identical either way.
+    consumes these, whichever transport carried them to the broker.
     """
 
     call: _Call
     phase: str = _DEFAULT_PHASE
     compute: float = 0.0
     by_phase: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class RankDone:
+    """A rank's program returned: its value plus what the loop measured."""
+
+    value: Any
+    phase: str
+    compute: float
+    by_phase: dict[str, float]
+    wall_by_phase: dict[str, float]
+    comm_wait_s: float
+    segments: list[tuple] | None
+    wait_segments: list[tuple] | None
+
+
+@dataclass
+class RankFailed:
+    """A rank's program raised, or broke the yield protocol.
+
+    Pickles with ``exc=None`` and the one-line ``Type: message`` text
+    when the exception itself cannot cross a process boundary.
+    """
+
+    exc: BaseException | None
+    text: str = ""
+
+    def __reduce__(self):
+        try:
+            pickle.dumps(self.exc)
+        except Exception:
+            text = "".join(
+                traceback.format_exception_only(type(self.exc), self.exc)
+            ).strip()
+            return RankFailed, (None, text)
+        return RankFailed, (self.exc,)
+
+    def error(self, rank: int) -> BaseException:
+        if self.exc is not None:
+            return self.exc
+        return BSPError(f"rank {rank} raised: {self.text}")
 
 
 class SuperstepResolver:
@@ -354,9 +511,8 @@ class SuperstepResolver:
     :class:`CollectiveMismatchError` / :class:`DeadlockError` with the
     same messages regardless of backend), resolves the data movement,
     prices the superstep, and accumulates the trace and comm stats.
-    :class:`BSPEngine` drives it in-process; the process backend's broker
-    drives it from worker messages — modeled accounting cannot drift
-    between the two because there is only one implementation.
+    :func:`_broker_loop` drives it for every backend, so modeled
+    accounting cannot drift between transports.
     """
 
     def __init__(
@@ -609,8 +765,224 @@ class SuperstepResolver:
         )
 
 
+def _rank_steps(
+    engine: "BSPEngine",
+    ranks: Sequence[int],
+    rank_args: Sequence[tuple],
+    program: Program,
+    shared_kwargs: dict[str, Any],
+    record_segments: bool,
+) -> Generator[dict[int, Any], dict[int, Any], dict[int, Any]]:
+    """Advance a block of ranks to their next yield, sweep after sweep.
+
+    The one place rank generators run.  Each sweep that leaves some rank
+    waiting on a collective yields one batch ``{rank: RankYield |
+    RankDone}`` and is ``send()``-ed the broker's ``{rank: resume
+    value}`` for the waiting ranks.  The *returned* batch is the last and
+    awaits no reply: every rank is done, or one carries a
+    :class:`RankFailed` (a failure ends the block at once).
+    """
+    ctxs: dict[int, Context] = {}
+    gens: dict[int, Any] = {}
+    for rank, args in zip(ranks, rank_args):
+        ctx = Context(engine, rank)
+        if record_segments:
+            ctx.segments = []
+            ctx.wait_segments = []
+        try:
+            gen = program(ctx, *args, **shared_kwargs)
+            if not hasattr(gen, "send"):
+                raise BSPError(_NOT_A_GENERATOR)
+        except BaseException as exc:
+            return {rank: RankFailed(exc)}
+        ctxs[rank] = ctx
+        gens[rank] = gen
+
+    resume: dict[int, Any] = dict.fromkeys(ranks)
+    active = list(ranks)
+    ops: dict[int, str] = {}
+    sweep_index = 0
+    while True:
+        batch: dict[int, Any] = {}
+        waiting: list[int] = []
+        for r in active:
+            ctx = ctxs[r]
+            ctx._seg_start = perf_counter()
+            try:
+                request = gens[r].send(resume[r])
+            except StopIteration as stop:
+                ctx._seg_mark()
+                pending, by_phase = ctx._drain_compute()
+                batch[r] = RankDone(
+                    stop.value,
+                    ctx._phase,
+                    pending,
+                    by_phase,
+                    ctx.wall_by_phase,
+                    ctx.comm_wait_s,
+                    ctx.segments,
+                    ctx.wait_segments,
+                )
+                continue
+            except BaseException as exc:
+                batch[r] = RankFailed(exc)
+                return batch
+            ctx._seg_mark()
+            if not isinstance(request, _Call):
+                batch[r] = RankFailed(_bad_yield(r, request))
+                return batch
+            pending, by_phase = ctx._drain_compute()
+            batch[r] = RankYield(request, ctx._phase, pending, by_phase)
+            if record_segments:
+                ops[r] = request.op
+            waiting.append(r)
+            resume[r] = None
+        if not waiting:
+            return batch
+        wait_start = perf_counter()
+        results = yield batch
+        waited = perf_counter() - wait_start
+        for r in waiting:
+            ctxs[r].comm_wait_s += waited
+            if record_segments:
+                # Every live worker joins every broker sweep, so this
+                # local counter indexes the same global rendezvous on all
+                # workers — the flow-connection key.
+                ctxs[r].wait_segments.append(
+                    (ops[r], wait_start, wait_start + waited, sweep_index)
+                )
+        sweep_index += 1
+        resume.update(results)
+        # Drop the transport's references: the ranks hold what they need.
+        results.clear()
+        active = waiting
+
+
+def _broker_loop(
+    engine: "BSPEngine",
+    assignment: list[list[int]],
+    recv: Callable[[int], dict[int, Any]],
+    send: Callable[[int, dict[int, Any]], Any],
+    *,
+    backend: str,
+    start: float,
+    trace_sink: Any,
+) -> RunResult:
+    """Resolve complete sweeps of worker ``i``'s ``recv(i)`` batches.
+
+    The one place sweeps are resolved.  Collects one batch from every
+    worker with live ranks (``assignment[i]`` lists worker ``i``'s
+    ranks), resolves the sweep in rank order through
+    :class:`SuperstepResolver`, and ``send(i, ...)``s each worker its
+    ranks' resume values.  A :class:`RankFailed` re-raises at once; a
+    worker whose transport hits EOF died.
+    """
+    p = engine.nprocs
+    resolver = SuperstepResolver(
+        engine.cost_model, engine.node_layout, p, trace_sink=trace_sink
+    )
+    returns: list[Any] = [None] * p
+    final: dict[int, RankDone] = {}
+    finished: list[int] = []
+    live = {i: set(ranks) for i, ranks in enumerate(assignment)}
+    while True:
+        yields: dict[int, RankYield] = {}
+        for i, ranks in live.items():
+            if not ranks:
+                continue
+            try:
+                batch = recv(i)
+            except EOFError:
+                raise BSPError(
+                    f"worker {i} exited unexpectedly while ranks "
+                    f"{sorted(ranks)[:4]} were still running"
+                ) from None
+            for r, msg in batch.items():
+                if isinstance(msg, RankYield):
+                    yields[r] = msg
+                elif isinstance(msg, RankDone):
+                    returns[r] = msg.value
+                    final[r] = msg
+                    finished.append(r)
+                    ranks.discard(r)
+                else:
+                    raise msg.error(r)
+            # Drop the payloads now: an inline recv runs the ranks' next
+            # compute before this name would be rebound.
+            batch = None
+        if not yields:
+            break
+        results = resolver.resolve_sweep(yields, finished)
+        for i, ranks in live.items():
+            if ranks:
+                send(i, {r: results[r] for r in ranks})
+        results = None  # likewise, before the next sweep's recv
+
+    resolver.record_final(
+        [(final[r].compute, final[r].by_phase) for r in range(p)],
+        fallback_phase=final[0].phase,
+    )
+    result = resolver.result(returns)
+    result.measured = _measured(
+        final, backend, len(assignment), start, trace_sink
+    )
+    return result
+
+
+def _measured(
+    final: dict[int, RankDone],
+    backend: str,
+    workers: int,
+    start: float,
+    trace_sink: Any,
+) -> Measured:
+    """Aggregate the ranks' measurements; emit their spans under a sink.
+
+    Rank timestamps come from ``perf_counter`` (CLOCK_MONOTONIC — one
+    machine-wide clock, comparable across processes), normalized here
+    against the run's own start so the measured timeline begins at zero.
+    """
+    ranks = range(len(final))
+    phase_wall: dict[str, float] = {}
+    for r in ranks:
+        for phase, seconds in final[r].wall_by_phase.items():
+            if seconds > phase_wall.get(phase, 0.0):
+                phase_wall[phase] = seconds
+    measured = Measured(
+        backend=backend,
+        workers=workers,
+        wall_s=perf_counter() - start,
+        rank_compute_s=tuple(
+            sum(final[r].wall_by_phase.values()) for r in ranks
+        ),
+        rank_comm_wait_s=tuple(final[r].comm_wait_s for r in ranks),
+        phase_wall_s=phase_wall,
+    )
+    if trace_sink is not None:
+        from repro.telemetry.adapters import emit_rank_segments
+
+        def shift(entries: list[tuple] | None) -> list[tuple]:
+            return [
+                (entry[0], max(0.0, entry[1] - start), entry[2] - start)
+                + entry[3:]
+                for entry in entries or ()
+            ]
+
+        emit_rank_segments(
+            trace_sink,
+            {r: shift(final[r].segments) for r in ranks},
+            {r: shift(final[r].wait_segments) for r in ranks},
+            backend,
+        )
+    return measured
+
+
 class BSPEngine:
-    """Runs SPMD programs over ``nprocs`` simulated ranks."""
+    """Runs SPMD programs over ``nprocs`` simulated ranks.
+
+    Also the run description every backend builds (rank count, machine,
+    node layout, cost model) and the one its rank contexts read.
+    """
 
     def __init__(
         self,
@@ -627,7 +999,11 @@ class BSPEngine:
 
             machine = get_machine("laptop")
         self.machine = machine
-        self.node_layout = default_node_layout(self.machine, nprocs, node_layout)
+        # An explicit layout wins; a multicore machine defaults to the
+        # block-wise layout, a single-core machine to none.
+        if node_layout is None and machine.cores_per_node > 1:
+            node_layout = NodeLayout(nprocs, machine.cores_per_node)
+        self.node_layout = node_layout
         self.cost_model = CostModel(self.machine, nprocs, self.node_layout)
 
     # ------------------------------------------------------------------ #
@@ -640,6 +1016,9 @@ class BSPEngine:
     ) -> RunResult:
         """Execute ``program`` on every rank and return the joint result.
 
+        The shared broker loop drives one block of all ranks inline: no
+        thread, no queue — ``recv`` advances the rank steps directly.
+
         Parameters
         ----------
         program:
@@ -648,8 +1027,9 @@ class BSPEngine:
             Optional per-rank positional arguments (length ``nprocs``).
         trace_sink:
             Optional :class:`~repro.telemetry.TraceSink` receiving
-            modeled superstep/phase spans as they resolve.  ``None``
-            (the default) records nothing and allocates nothing.
+            modeled superstep/phase spans as they resolve, plus measured
+            per-rank compute/wait spans.  ``None`` (the default) records
+            nothing and allocates nothing.
         shared_kwargs:
             Keyword arguments passed identically to every rank.
         """
@@ -660,57 +1040,25 @@ class BSPEngine:
             raise BSPError(
                 f"rank_args has length {len(rank_args)}, expected {p}"
             )
-
-        contexts = [Context(self, r) for r in range(p)]
-        gens: list[Iterator[Any] | None] = []
-        for r in range(p):
-            gen = program(contexts[r], *rank_args[r], **shared_kwargs)
-            if not hasattr(gen, "send"):
-                raise BSPError(_NOT_A_GENERATOR)
-            gens.append(gen)
-
-        returns: list[Any] = [None] * p
-        resume: list[Any] = [None] * p
-        resolver = SuperstepResolver(
-            self.cost_model, self.node_layout, p, trace_sink=trace_sink
+        start = perf_counter()
+        ranks = list(range(p))
+        steps = _rank_steps(
+            self, ranks, rank_args, program, shared_kwargs,
+            trace_sink is not None,
         )
+        reply: dict[int, Any] | None = None
 
-        # Ranks whose generators are still running.  The scheduling sweep
-        # walks only this list, so ranks that returned early are never
-        # re-scanned superstep after superstep (at large p the sweeps
-        # dominate engine overhead).
-        active: list[int] = list(range(p))
-        finished: list[int] = []
+        def recv(_: int) -> dict[int, Any]:
+            try:
+                return steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
 
-        while active:
-            yields: dict[int, RankYield] = {}
-            waiting: list[int] = []
-            for r in active:
-                try:
-                    request = gens[r].send(resume[r])
-                except StopIteration as stop:
-                    returns[r] = stop.value
-                    gens[r] = None
-                    finished.append(r)
-                    continue
-                if not isinstance(request, _Call):
-                    raise _bad_yield(r, request)
-                ctx = contexts[r]
-                pending, by_phase = ctx._drain_compute()
-                yields[r] = RankYield(request, ctx._phase, pending, by_phase)
-                waiting.append(r)
-                resume[r] = None
-            active = waiting
+        def send(_: int, results: dict[int, Any]) -> None:
+            nonlocal reply
+            reply = results
 
-            if not active:
-                break
-
-            for r, value in resolver.resolve_sweep(yields, finished).items():
-                resume[r] = value
-
-        # Trailing computation after the last collective.
-        resolver.record_final(
-            [ctx._drain_compute() for ctx in contexts],
-            fallback_phase=contexts[0]._phase if contexts else _DEFAULT_PHASE,
+        return _broker_loop(
+            self, [ranks], recv, send,
+            backend="simulated", start=start, trace_sink=trace_sink,
         )
-        return resolver.result(returns)

@@ -13,8 +13,8 @@ drift from the engine's actual charging.
 
 **Measurements** (:func:`measure_cells`) are what the host really did:
 per-phase compute wall (max over ranks, the BSP critical path) and mean
-collective wait from ``RunResult.measured``, on a real backend (thread by
-default), with warmup/repeat/outlier-trim controls.
+collective wait from ``RunResult.measured``, on any built-in backend
+(thread by default), with warmup/repeat/outlier-trim controls.
 
 :func:`synthetic_measurements` fabricates measurements *exactly* from the
 linear form under a known :class:`~repro.machines.MachineSpec` — the
@@ -164,7 +164,7 @@ def measure_cells(
     repeats: int = 3,
     trim: int = 0,
 ) -> list[CellMeasurement]:
-    """Time every cell on a real backend.
+    """Time every cell on a measuring backend.
 
     Each cell runs ``warmup + repeats`` times; warmup runs are discarded
     (cold caches, lazy imports), and each phase's wall is the
@@ -194,8 +194,8 @@ def measure_cells(
             if measured is None or not measured.phase_wall_s:
                 raise ConfigError(
                     f"backend {backend!r} reports no per-phase Measured "
-                    f"block; calibration needs a measuring backend "
-                    f"(thread or process)"
+                    f"block; calibration needs a measuring backend, one "
+                    f"that runs the shared rank loop (e.g. thread)"
                 )
             if attempt < warmup:
                 continue

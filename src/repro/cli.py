@@ -175,8 +175,8 @@ _EXECUTION_OPTIONS: dict[str, dict] = {
         "flags": ("--trace",),
         "metavar": "OUT.json",
         "help": "write a Chrome trace-event JSON file of the run "
-                "(modeled supersteps, per-rank measured spans on "
-                "instrumenting backends, service job lifecycle); open "
+                "(modeled supersteps, per-rank measured spans, "
+                "service job lifecycle); open "
                 "in Perfetto / chrome://tracing, or render with "
                 "'repro trace OUT.json'",
     },
@@ -677,7 +677,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             f"slowdown {chaos_info['slowdown']:.2f}x vs fault-free"
         )
     measured = run.measured
-    if measured is not None and run.backend != "simulated":
+    if measured is not None:
         print(
             f"measured wall     : {measured.wall_s:.3f} s on backend "
             f"{run.backend!r} ({measured.workers} workers; compute "

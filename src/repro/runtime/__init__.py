@@ -1,20 +1,27 @@
 """repro.runtime — pluggable execution backends for SPMD rank programs.
 
-*How* a rank program executes is a strategy, not a fact of the system:
-the lockstep single-process simulator (:class:`SimulatedBackend`, the
-default — and byte-for-byte the historical execution path) and the
-real-core :class:`ProcessBackend` both implement the :class:`Backend`
-contract, resolve every collective through the one shared
-:class:`~repro.bsp.engine.SuperstepResolver`, and therefore agree
-bit-for-bit on sorted outputs, ``CommStats`` and modeled times.  What
-differs is the wall-clock: the process backend runs the compute between
-collectives concurrently on real cores and reports it in the
-:class:`Measured` block (``result.measured``).
+*How* a rank program executes is a strategy, not a fact of the system.
+There is one rank loop and one broker loop
+(:func:`~repro.bsp.engine._rank_steps` and
+:func:`~repro.bsp.engine._broker_loop`, resolving every collective
+through the one :class:`~repro.bsp.engine.SuperstepResolver`); each
+built-in :class:`Backend` supplies only the transport between them:
 
-:class:`ThreadBackend` is the in-process middle ground: worker threads
-advance rank blocks concurrently (numpy releases the GIL in the sort/
-partition/merge kernels) with zero IPC — the measurement backend of
-choice on small machines, and what ``repro calibrate`` uses by default.
+* :class:`SimulatedBackend` (the default) — inline: the broker advances
+  one block of all ranks directly in the calling thread;
+* :class:`ThreadBackend` — ``queue.SimpleQueue`` pairs to worker threads
+  that advance rank blocks concurrently (numpy releases the GIL in the
+  sort/partition/merge kernels) with zero IPC — the measurement backend
+  of choice on small machines, and what ``repro calibrate`` uses by
+  default;
+* :class:`ProcessBackend` — a pipe plus shared-memory segments to worker
+  processes on real cores.
+
+All three therefore agree bit-for-bit on sorted outputs, ``CommStats``
+and modeled times, and all three report the wall-clock the loop
+measured — per-phase walls, per-rank compute and collective wait — in
+the same :class:`Measured` block (``result.measured``).  What differs
+is the wall-clock itself.
 The fourth registered backend is adversarial: ``chaos`` (from
 :mod:`repro.chaos`) wraps any of the above — spelled
 ``chaos:<inner>`` — and injects a seeded, deterministic fault plan.

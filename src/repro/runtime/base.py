@@ -3,13 +3,11 @@
 A :class:`Backend` answers one question the rest of the system never has
 to ask again: *how* does an SPMD rank program execute?  The lockstep
 single-process simulator (:class:`~repro.runtime.SimulatedBackend`, the
-default) and the real-core process backend
-(:class:`~repro.runtime.ProcessBackend`) both implement the same
-``run(program, rank_args, ...) -> RunResult`` contract, and both resolve
-every collective through the one shared
-:class:`~repro.bsp.engine.SuperstepResolver` — so sorted outputs, comm
-stats and modeled times are bit-identical across backends while wall-clock
-behaviour differs.
+default) and the thread and process backends all implement the same
+``run(program, rank_args, ...) -> RunResult`` contract and run the one
+shared rank loop and broker loop of :mod:`repro.bsp.engine` — so sorted
+outputs, comm stats and modeled times are bit-identical across backends
+while wall-clock behaviour differs.
 
 The registry mirrors :mod:`repro.algorithms.registry` and
 :mod:`repro.machines.registry`: backends self-register at import via
@@ -37,10 +35,11 @@ to name the inner backend it wraps:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.bsp.engine import Program, RunResult
+# Measured lives beside the shared rank loop that fills it; this package
+# re-exports it as repro.runtime.Measured.
+from repro.bsp.engine import Measured, Program, RunResult
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.errors import ConfigError
@@ -55,79 +54,6 @@ __all__ = [
     "resolve_backend",
     "available_backends",
 ]
-
-
-@dataclass(frozen=True)
-class Measured:
-    """Real wall-clock measurements of one backend run.
-
-    The *modeled* timing (:class:`~repro.bsp.trace.Trace`,
-    ``RunResult.makespan``) is a deterministic function of the simulated
-    machine and is bit-identical across backends; this block records what
-    the host actually did — the measured side of the measured-vs-modeled
-    calibration story (see ``examples/measured_vs_modeled.py``).
-
-    Phase attribution follows the programs' own ``ctx.phase(...)`` labels,
-    so measured entries line up with the modeled phase breakdown.  Times
-    spent blocked at collectives are kept separate (``rank_comm_wait_s``)
-    rather than smeared into compute phases.
-    """
-
-    #: Which backend produced the run (registry name).
-    backend: str
-    #: Worker processes that actually executed ranks (1 for the simulator).
-    workers: int
-    #: End-to-end wall-clock of the run, including worker startup.
-    wall_s: float
-    #: Per-rank wall-clock spent advancing the rank program (sum of its
-    #: compute segments, excluding collective waits).  Empty when the
-    #: backend does not instrument ranks (the simulator).
-    rank_compute_s: tuple[float, ...] = ()
-    #: Per-rank wall-clock spent blocked waiting on collective resolution.
-    rank_comm_wait_s: tuple[float, ...] = ()
-    #: Per-phase compute wall-clock, max over ranks (the BSP critical-path
-    #: convention, matching the modeled breakdown's aggregation; with
-    #: ``workers < p`` it understates the path, see :attr:`compute_s`).
-    phase_wall_s: dict[str, float] = field(default_factory=dict)
-    #: Fault-injection metrics when the run went through the chaos
-    #: backend with a non-zero plan (``None`` otherwise): plan name and
-    #: seed, straggler/retry/kill counts, injected delay, and modeled
-    #: slowdown vs the fault-free twin.  JSON-safe by construction.
-    chaos: dict[str, Any] | None = None
-
-    @property
-    def compute_s(self) -> float:
-        """Largest per-rank compute wall-clock (max over ranks).
-
-        This is the critical path only with one worker per rank.  With
-        ``workers < p`` a worker advances its ranks one after another,
-        so the critical path is closer to the largest per-worker *sum*
-        of its ranks' values, which this max understates.
-        """
-        return max(self.rank_compute_s, default=0.0)
-
-    @property
-    def comm_wait_s(self) -> float:
-        """Largest per-rank collective-wait wall-clock (max over ranks).
-
-        Values are per rank.  A multiplexed worker's ranks all wait on the
-        same broker reply, so each of them carries the same wait; like
-        :attr:`compute_s`, the max is a critical path only when
-        ``workers == p``.
-        """
-        return max(self.rank_comm_wait_s, default=0.0)
-
-    def to_spans(self, sink):
-        """Project this block onto the measured timeline; returns the sink.
-
-        One compute + one wait span per rank (the block stores totals,
-        not segments); backends passed a live ``trace_sink`` emit full
-        per-segment spans instead — see
-        :func:`repro.telemetry.adapters.emit_rank_segments`.
-        """
-        from repro.telemetry.adapters import measured_to_spans
-
-        return measured_to_spans(self, sink)
 
 
 class Backend(ABC):
@@ -171,8 +97,8 @@ class Backend(ABC):
         block carries this backend's wall-clock observations.
 
         ``trace_sink`` (a :class:`~repro.telemetry.TraceSink`) receives
-        the run's modeled superstep spans on every backend; backends
-        that instrument ranks additionally emit measured per-rank
+        the run's modeled superstep spans and, from every backend that
+        runs the shared rank loop (all built-ins), measured per-rank
         compute/wait spans.  ``None`` — the default — records nothing
         and costs nothing.
         """

@@ -6,27 +6,26 @@ the per-rank input arrays through one shared-memory segment
 (:mod:`repro.runtime.shm`), and services the programs' yielded collective
 requests through a broker loop in the parent process.
 
-The broker is deliberately thin: it collects one
-:class:`~repro.bsp.engine.RankYield` per active rank each sweep and hands
-them to the same :class:`~repro.bsp.engine.SuperstepResolver` the lockstep
-simulator drives.  Sorted outputs, ``CommStats`` byte/message counts,
-modeled makespans and SPMD-violation errors are therefore bit-identical to
-:class:`~repro.runtime.SimulatedBackend` — only *wall-clock* changes,
-because the compute between collectives now runs concurrently on real
-cores.  Workers time their compute segments per program phase and their
-collective waits; the aggregated :class:`~repro.runtime.Measured` block
-lands on the returned result.
+The process runs the shared rank loop and broker loop of
+:mod:`repro.bsp.engine`: each worker pumps
+:func:`~repro.bsp.engine._rank_steps` for its ranks (:func:`_rank_loop`)
+and the parent runs :func:`~repro.bsp.engine._broker_loop`, which
+resolves every complete sweep through the one
+:class:`~repro.bsp.engine.SuperstepResolver`.  This module supplies only
+the transport — a pipe per worker plus :class:`_ShmChannel` segments for
+array payloads — and the worker lifecycle.  Sorted outputs, ``CommStats``
+byte/message counts, modeled makespans and SPMD-violation errors are
+therefore bit-identical to :class:`~repro.runtime.SimulatedBackend`; only
+*wall-clock* changes, because the compute between collectives runs
+concurrently on real cores.  Workers send one batch ``{rank: RankYield |
+RankDone | RankFailed}`` per sweep and receive ``{rank: resume value}``;
+the per-phase compute and collective waits they time land in the
+:class:`~repro.runtime.Measured` block on the returned result.
 
 Determinism: collective resolution happens only in the broker, from a
 complete sweep, in rank order — worker scheduling can reorder nothing
 observable.  A run is the same pure function of its inputs as under the
 simulator.
-
-The worker-side rank loop (:func:`_rank_loop`) and the broker loop
-(:func:`_broker_loop`) are shared with :class:`~repro.runtime.ThreadBackend`;
-each backend supplies only the transport: pipes plus :class:`_ShmChannel`
-segments here, queues there.  Workers send one batch ``{rank: RankYield |
-RankDone | RankFailed}`` per sweep and receive ``{rank: resume value}``.
 """
 
 from __future__ import annotations
@@ -34,30 +33,20 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import pickle
 import time
-import traceback
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
-from repro.bsp.cost_model import CostModel
 from repro.bsp.engine import (
-    _NOT_A_GENERATOR,
-    Context,
+    BSPEngine,
     Program,
-    RankYield,
     RunResult,
-    SuperstepResolver,
-    _Call,
-    _bad_yield,
-    _PhaseScope,
-    default_node_layout,
+    _broker_loop,
+    _rank_steps,
 )
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
-from repro.errors import BSPError
-from repro.runtime.base import Backend, Measured, register_backend
+from repro.runtime.base import Backend, register_backend
 from repro.runtime.shm import (
     attach_segment,
     create_segment,
@@ -180,91 +169,6 @@ def _assign_ranks(nprocs: int, workers: int) -> list[list[int]]:
     return blocks
 
 
-class _WorkerEngineStub:
-    """Quacks like ``BSPEngine`` for :class:`Context` (no run loop)."""
-
-    __slots__ = ("nprocs", "machine", "node_layout")
-
-    def __init__(
-        self,
-        nprocs: int,
-        machine: MachineModel,
-        node_layout: NodeLayout | None,
-    ) -> None:
-        self.nprocs = nprocs
-        self.machine = machine
-        self.node_layout = node_layout
-
-
-class _TimedPhaseScope(_PhaseScope):
-    """Phase scope that also splits the running wall-clock segment.
-
-    Phase bookkeeping is inherited from the engine's scope — the modeled
-    and measured attribution can never disagree about *which* phase is
-    active; this subclass only closes the timing segment at each
-    transition.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_PhaseScope":
-        self._ctx._seg_mark()
-        return super().__enter__()
-
-    def __exit__(self, *exc: object) -> None:
-        self._ctx._seg_mark()
-        super().__exit__(*exc)
-
-
-class _TimedContext(Context):
-    """A :class:`Context` that also measures real per-phase compute time.
-
-    Cost *charging* (the modeled clock) is inherited unchanged — modeled
-    results stay bit-identical to the simulator.  On top of it, the worker
-    loop opens a wall-clock segment before resuming the rank's generator
-    and closes it at the next yield; phase scopes split the segment, so
-    measured time lands on the same phase labels as the modeled breakdown.
-    """
-
-    def __init__(self, stub: _WorkerEngineStub, rank: int) -> None:
-        super().__init__(stub, rank)  # type: ignore[arg-type]
-        self.wall_by_phase: dict[str, float] = {}
-        self.comm_wait_s = 0.0
-        self._seg_start: float | None = None
-        #: Raw ``(phase, start, end)`` compute segments and ``(op, start,
-        #: end, sweep)`` collective waits on the worker's perf_counter
-        #: clock — populated only under a trace sink (None otherwise, so
-        #: the telemetry-off path allocates nothing per segment).
-        self.segments: list[tuple] | None = None
-        self.wait_segments: list[tuple] | None = None
-
-    def enable_segments(self) -> None:
-        """Keep raw timestamped segments for span emission."""
-        self.segments = []
-        self.wait_segments = []
-
-    def _seg_open(self) -> None:
-        self._seg_start = time.perf_counter()
-
-    def _seg_mark(self) -> None:
-        now = time.perf_counter()
-        if self._seg_start is not None:
-            self.wall_by_phase[self._phase] = (
-                self.wall_by_phase.get(self._phase, 0.0)
-                + (now - self._seg_start)
-            )
-            if self.segments is not None and now > self._seg_start:
-                self.segments.append((self._phase, self._seg_start, now))
-        self._seg_start = now
-
-    def _seg_close(self) -> None:
-        self._seg_mark()
-        self._seg_start = None
-
-    def phase(self, name: str) -> _TimedPhaseScope:
-        return _TimedPhaseScope(self, name)
-
-
 def _unlink_by_name(name: str) -> None:
     """Unlink a segment by name, tolerating it being gone already."""
     try:
@@ -274,262 +178,40 @@ def _unlink_by_name(name: str) -> None:
     unlink_segment(seg)
 
 
-@dataclass
-class RankDone:
-    """A rank's program returned: its value plus what the worker measured."""
-
-    value: Any
-    phase: str
-    compute: float
-    by_phase: dict[str, float]
-    wall_by_phase: dict[str, float]
-    comm_wait_s: float
-    segments: list[tuple] | None
-    wait_segments: list[tuple] | None
-
-
-@dataclass
-class RankFailed:
-    """A rank's program raised, or broke the yield protocol.
-
-    Pickles with ``exc=None`` and the one-line ``Type: message`` text
-    when the exception itself cannot cross a process boundary.
-    """
-
-    exc: BaseException | None
-    text: str = ""
-
-    def __reduce__(self):
-        try:
-            pickle.dumps(self.exc)
-        except Exception:
-            text = "".join(
-                traceback.format_exception_only(type(self.exc), self.exc)
-            ).strip()
-            return RankFailed, (None, text)
-        return RankFailed, (self.exc,)
-
-    def error(self, rank: int) -> BaseException:
-        if self.exc is not None:
-            return self.exc
-        return BSPError(f"rank {rank} raised: {self.text}")
-
-
 def _rank_loop(
     send: Callable[[dict[int, Any]], Any],
     recv: Callable[[], dict[int, Any] | None],
-    stub: _WorkerEngineStub,
+    engine: BSPEngine,
     ranks: Sequence[int],
     rank_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
     record_segments: bool,
 ) -> None:
-    """Advance one worker's ranks to their next yield, sweep after sweep.
+    """Pump one worker's rank steps over a blocking transport.
 
-    Each sweep ``send``s one batch ``{rank: RankYield | RankDone |
-    RankFailed}`` and, while any rank waits on a collective, ``recv``s
-    the broker's ``{rank: resume value}``.  A failure is sent at once and
-    ends the loop; so does a closed transport (``None`` or a pipe error:
-    the broker went away because of an error elsewhere).
+    ``send``s each batch :func:`~repro.bsp.engine._rank_steps` yields and
+    feeds it the broker's reply from ``recv``; the returned last batch is
+    sent without awaiting a reply.  A closed transport (``None`` or a
+    pipe error: the broker went away because of an error elsewhere) ends
+    the pump quietly.
     """
-    ctxs: dict[int, _TimedContext] = {}
-    gens: dict[int, Any] = {}
+    steps = _rank_steps(
+        engine, ranks, rank_args, program, shared_kwargs, record_segments
+    )
     try:
-        for rank, args in zip(ranks, rank_args):
-            ctx = _TimedContext(stub, rank)
-            if record_segments:
-                ctx.enable_segments()
-            try:
-                gen = program(ctx, *args, **shared_kwargs)
-                if not hasattr(gen, "send"):
-                    raise BSPError(_NOT_A_GENERATOR)
-            except BaseException as exc:
-                send({rank: RankFailed(exc)})
-                return
-            ctxs[rank] = ctx
-            gens[rank] = gen
-
-        resume: dict[int, Any] = dict.fromkeys(ranks)
-        active = list(ranks)
-        ops: dict[int, str] = {}
-        sweep_index = 0
-        while active:
-            batch: dict[int, Any] = {}
-            waiting: list[int] = []
-            for r in active:
-                ctx = ctxs[r]
-                ctx._seg_open()
-                try:
-                    request = gens[r].send(resume[r])
-                except StopIteration as stop:
-                    ctx._seg_close()
-                    pending, by_phase = ctx._drain_compute()
-                    batch[r] = RankDone(
-                        stop.value,
-                        ctx._phase,
-                        pending,
-                        by_phase,
-                        ctx.wall_by_phase,
-                        ctx.comm_wait_s,
-                        ctx.segments,
-                        ctx.wait_segments,
-                    )
-                    continue
-                except BaseException as exc:
-                    ctx._seg_close()
-                    batch[r] = RankFailed(exc)
-                    send(batch)
+        try:
+            batch = next(steps)
+            while True:
+                send(batch)
+                results = recv()
+                if results is None:
                     return
-                ctx._seg_close()
-                if not isinstance(request, _Call):
-                    batch[r] = RankFailed(_bad_yield(r, request))
-                    send(batch)
-                    return
-                pending, by_phase = ctx._drain_compute()
-                batch[r] = RankYield(request, ctx._phase, pending, by_phase)
-                if record_segments:
-                    ops[r] = request.op
-                waiting.append(r)
-                resume[r] = None
-            send(batch)
-            if not waiting:
-                return
-            wait_start = time.perf_counter()
-            results = recv()
-            waited = time.perf_counter() - wait_start
-            if results is None:
-                return
-            for r in waiting:
-                ctxs[r].comm_wait_s += waited
-                if record_segments:
-                    # Every live worker joins every broker sweep, so this
-                    # local counter indexes the same global rendezvous on
-                    # all workers — the flow-connection key.
-                    ctxs[r].wait_segments.append(
-                        (ops[r], wait_start, wait_start + waited, sweep_index)
-                    )
-            sweep_index += 1
-            resume.update(results)
-            active = waiting
+                batch = steps.send(results)
+        except StopIteration as stop:
+            send(stop.value)
     except (EOFError, ConnectionError, KeyboardInterrupt):
-        # The broker went away (an error elsewhere): exit quietly.
         pass
-
-
-def _broker_loop(
-    assignment: list[list[int]],
-    recv: Callable[[int], dict[int, Any]],
-    send: Callable[[int, dict[int, Any]], Any],
-    *,
-    backend: str,
-    machine: MachineModel,
-    layout: NodeLayout | None,
-    start: float,
-    trace_sink: Any,
-) -> RunResult:
-    """Resolve complete sweeps of worker ``i``'s ``recv(i)`` batches.
-
-    Collects one batch from every worker with live ranks, resolves the
-    sweep in rank order through the shared :class:`SuperstepResolver`,
-    and ``send(i, ...)``s each worker its ranks' resume values.  A
-    :class:`RankFailed` re-raises at once; a worker whose transport hits
-    EOF died.
-    """
-    p = sum(map(len, assignment))
-    resolver = SuperstepResolver(
-        CostModel(machine, p, layout), layout, p, trace_sink=trace_sink
-    )
-    returns: list[Any] = [None] * p
-    final: dict[int, RankDone] = {}
-    finished: list[int] = []
-    live = {i: set(ranks) for i, ranks in enumerate(assignment)}
-    while True:
-        yields: dict[int, RankYield] = {}
-        for i, ranks in live.items():
-            if not ranks:
-                continue
-            try:
-                batch = recv(i)
-            except EOFError:
-                raise BSPError(
-                    f"worker {i} exited unexpectedly while ranks "
-                    f"{sorted(ranks)[:4]} were still running"
-                ) from None
-            for r, msg in batch.items():
-                if isinstance(msg, RankYield):
-                    yields[r] = msg
-                elif isinstance(msg, RankDone):
-                    returns[r] = msg.value
-                    final[r] = msg
-                    finished.append(r)
-                    ranks.discard(r)
-                else:
-                    raise msg.error(r)
-        if not yields:
-            break
-        results = resolver.resolve_sweep(yields, finished)
-        for i, ranks in live.items():
-            if ranks:
-                send(i, {r: results[r] for r in ranks})
-
-    resolver.record_final(
-        [(final[r].compute, final[r].by_phase) for r in range(p)],
-        fallback_phase=final[0].phase,
-    )
-    result = resolver.result(returns)
-    result.measured = _measured(
-        final, backend, len(assignment), start, trace_sink
-    )
-    return result
-
-
-def _measured(
-    final: dict[int, RankDone],
-    backend: str,
-    workers: int,
-    start: float,
-    trace_sink: Any,
-) -> Measured:
-    """Aggregate the ranks' measurements; emit their spans under a sink.
-
-    Worker timestamps come from ``perf_counter`` (CLOCK_MONOTONIC — one
-    machine-wide clock, comparable across processes), normalized here
-    against the run's own start so the measured timeline begins at zero.
-    """
-    ranks = range(len(final))
-    phase_wall: dict[str, float] = {}
-    for r in ranks:
-        for phase, seconds in final[r].wall_by_phase.items():
-            if seconds > phase_wall.get(phase, 0.0):
-                phase_wall[phase] = seconds
-    measured = Measured(
-        backend=backend,
-        workers=workers,
-        wall_s=time.perf_counter() - start,
-        rank_compute_s=tuple(
-            sum(final[r].wall_by_phase.values()) for r in ranks
-        ),
-        rank_comm_wait_s=tuple(final[r].comm_wait_s for r in ranks),
-        phase_wall_s=phase_wall,
-    )
-    if trace_sink is not None:
-        from repro.telemetry.adapters import emit_rank_segments
-
-        def shift(entries: list[tuple] | None) -> list[tuple]:
-            return [
-                (entry[0], max(0.0, entry[1] - start), entry[2] - start)
-                + entry[3:]
-                for entry in entries or ()
-            ]
-
-        emit_rank_segments(
-            trace_sink,
-            {r: shift(final[r].segments) for r in ranks},
-            {r: shift(final[r].wait_segments) for r in ranks},
-            backend,
-        )
-    return measured
 
 
 def _worker_main(
@@ -539,7 +221,7 @@ def _worker_main(
     packed_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
-    stub: _WorkerEngineStub,
+    engine: BSPEngine,
     unregister_shm: bool = False,
     chan_base: str = "",
     record_segments: bool = False,
@@ -583,7 +265,7 @@ def _worker_main(
             # The broker owns each result segment and unlinks it after
             # our next send proves we read it.
             lambda: rx.recv(conn, unlink=False),
-            stub,
+            engine,
             ranks,
             args,
             program,
@@ -625,19 +307,14 @@ class ProcessBackend(Backend):
         trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
-        p = len(rank_args)
-        if p < 1:
-            raise BSPError(f"need at least one rank, got {p}")
-        if machine is None:
-            from repro.machines import get_machine
-
-            machine = get_machine("laptop")
-        layout = default_node_layout(machine, p, node_layout)
+        engine = BSPEngine(
+            len(rank_args), machine=machine, node_layout=node_layout
+        )
+        p = engine.nprocs
         nworkers = min(self.workers or os.cpu_count() or 1, p)
         start = time.perf_counter()
 
         assignment = _assign_ranks(p, nworkers)
-        stub = _WorkerEngineStub(p, machine, layout)
         shm, packed = pack_rank_args(rank_args)
         mp = _mp_context()
         procs: list[Any] = []
@@ -682,7 +359,7 @@ class ProcessBackend(Backend):
                         [packed[r] for r in ranks],
                         program,
                         shared_kwargs,
-                        stub,
+                        engine,
                         not forked,
                         f"{chan_base}{i}",
                         trace_sink is not None,
@@ -695,12 +372,11 @@ class ProcessBackend(Backend):
                 procs.append(proc)
                 conns.append(parent_conn)
             return _broker_loop(
+                engine,
                 assignment,
                 recv,
                 send,
                 backend=self.name,
-                machine=machine,
-                layout=layout,
                 start=start,
                 trace_sink=trace_sink,
             )

@@ -1,22 +1,23 @@
 """The lockstep simulator as a registered backend (the default).
 
-A thin adapter over :class:`repro.bsp.engine.BSPEngine`: every rank runs
-as a generator in the calling process, collectives rendezvous in lockstep,
-and time is *modeled* against the simulated machine.  This is byte-for-byte
-the execution path the codebase has always used — ``Sorter`` without a
-``backend=`` argument, every bench suite, and every committed baseline go
-through it unchanged.
+A thin adapter over :meth:`repro.bsp.engine.BSPEngine.run`: the shared
+rank loop and broker loop with the inline transport — every rank runs as
+a generator in the calling process, advanced by the broker directly with
+no thread or queue in between.  Time is *modeled* against the simulated
+machine, and the same loop that measures the thread and process backends
+fills ``result.measured`` with per-phase, per-rank wall-clock here too.
+``Sorter`` without a ``backend=`` argument, every bench suite and every
+committed baseline go through it.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Sequence
 
 from repro.bsp.engine import BSPEngine, Program, RunResult
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
-from repro.runtime.base import Backend, Measured, register_backend
+from repro.runtime.base import Backend, register_backend
 
 __all__ = ["SimulatedBackend"]
 
@@ -43,16 +44,9 @@ class SimulatedBackend(Backend):
         engine = BSPEngine(
             len(rank_args), machine=machine, node_layout=node_layout
         )
-        start = time.perf_counter()
-        result = engine.run(
+        return engine.run(
             program,
             rank_args=rank_args,
             trace_sink=trace_sink,
             **shared_kwargs,
         )
-        result.measured = Measured(
-            backend=self.name,
-            workers=1,
-            wall_s=time.perf_counter() - start,
-        )
-        return result

@@ -11,17 +11,15 @@ makes it the default measurement backend for ``repro calibrate`` on a CI
 container where forking one process per rank would drown the signal in
 IPC cost.
 
-Workers run the process backend's rank loop and the calling thread runs
-its broker loop (both in :mod:`repro.runtime.process`); this module only
-supplies the transport — a pair of ``queue.SimpleQueue`` per worker,
-carrying exception *objects* rather than pickled payloads — and the
-thread lifecycle.  Resolution goes through the same
-:class:`~repro.bsp.engine.SuperstepResolver` as every other backend, from
-complete sweeps, in rank order — sorted outputs, ``CommStats``, modeled
-makespans and SPMD-violation errors are bit-identical to the simulator
-(the parity grid in ``tests/runtime/test_backend_parity.py`` pins this),
-and the ``Measured`` block has the same per-phase wall / collective-wait
-shape.
+Worker threads pump the shared rank loop (via the process backend's
+:func:`~repro.runtime.process._rank_loop`) and the calling thread runs
+the shared broker loop (:func:`~repro.bsp.engine._broker_loop`); this
+module only supplies the transport — a pair of ``queue.SimpleQueue`` per
+worker, carrying exception *objects* rather than pickled payloads — and
+the thread lifecycle.  Sorted outputs, ``CommStats``, modeled makespans
+and SPMD-violation errors are bit-identical to the simulator (the parity
+grid in ``tests/runtime/test_backend_parity.py`` pins this), and the
+``Measured`` block has the same per-phase wall / collective-wait shape.
 """
 
 from __future__ import annotations
@@ -32,17 +30,11 @@ import threading
 import time
 from typing import Any, Sequence
 
-from repro.bsp.engine import Program, RunResult, default_node_layout
+from repro.bsp.engine import BSPEngine, Program, RunResult, _broker_loop
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
-from repro.errors import BSPError
 from repro.runtime.base import Backend, register_backend
-from repro.runtime.process import (
-    _assign_ranks,
-    _broker_loop,
-    _rank_loop,
-    _WorkerEngineStub,
-)
+from repro.runtime.process import _assign_ranks, _rank_loop
 
 __all__ = ["ThreadBackend"]
 
@@ -76,19 +68,14 @@ class ThreadBackend(Backend):
         trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
-        p = len(rank_args)
-        if p < 1:
-            raise BSPError(f"need at least one rank, got {p}")
-        if machine is None:
-            from repro.machines import get_machine
-
-            machine = get_machine("laptop")
-        layout = default_node_layout(machine, p, node_layout)
+        engine = BSPEngine(
+            len(rank_args), machine=machine, node_layout=node_layout
+        )
+        p = engine.nprocs
         nworkers = min(self.workers or os.cpu_count() or 1, p)
         start = time.perf_counter()
 
         assignment = _assign_ranks(p, nworkers)
-        stub = _WorkerEngineStub(p, machine, layout)
         to_broker = [queue.SimpleQueue() for _ in assignment]
         to_worker = [queue.SimpleQueue() for _ in assignment]
         threads = [
@@ -97,7 +84,7 @@ class ThreadBackend(Backend):
                 args=(
                     to_broker[i].put,
                     to_worker[i].get,
-                    stub,
+                    engine,
                     ranks,
                     [rank_args[r] for r in ranks],
                     program,
@@ -112,12 +99,11 @@ class ThreadBackend(Backend):
             for thread in threads:
                 thread.start()
             return _broker_loop(
+                engine,
                 assignment,
                 lambda i: to_broker[i].get(),
                 lambda i, results: to_worker[i].put(results),
                 backend=self.name,
-                machine=machine,
-                layout=layout,
                 start=start,
                 trace_sink=trace_sink,
             )

@@ -26,10 +26,19 @@ class TestControlValidation:
         with pytest.raises(ConfigError, match="trim"):
             measure_cells(CELLS, repeats=repeats, trim=trim)
 
-    def test_simulator_rejected_as_measurement_backend(self):
-        """The simulator has no per-phase Measured block to fit against."""
+    def test_backend_without_phase_walls_rejected(self, unmeasured_backend):
+        """A plugin backend with no per-phase walls has nothing to fit."""
         with pytest.raises(ConfigError, match="measuring backend"):
-            measure_cells(CELLS, backend="simulated", repeats=1, warmup=0)
+            measure_cells(
+                CELLS, backend=unmeasured_backend, repeats=1, warmup=0
+            )
+
+    def test_simulator_measures_phases(self):
+        """The simulator runs the shared rank loop, so it is measurable."""
+        (meas,) = measure_cells(
+            CELLS[:1], backend="simulated", repeats=1, warmup=0
+        )
+        assert meas.phase_wall_s
 
 
 class TestMeasureOnThreadBackend:

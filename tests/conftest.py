@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
+
+DEV_SHM = "/dev/shm"
 
 
 @pytest.fixture
@@ -22,3 +28,53 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running statistical or scale tests"
     )
+
+
+@pytest.fixture
+def unmeasured_backend(monkeypatch) -> str:
+    """Register a plugin backend whose ``Measured`` has no phase walls.
+
+    Stands in for a third-party backend that does not run the shared rank
+    loop; returns its registry name.  Unregistered after the test.
+    """
+    from repro.runtime import BACKENDS, Backend, Measured, SimulatedBackend
+
+    class UnmeasuredBackend(Backend):
+        name = "unmeasured"
+        description = "test plugin: modeled results, wall_s only"
+
+        def run(self, program, rank_args, **kwargs):
+            result = SimulatedBackend().run(program, rank_args, **kwargs)
+            result.measured = Measured(
+                backend=self.name, workers=1, wall_s=result.measured.wall_s
+            )
+            return result
+
+    monkeypatch.setitem(BACKENDS, UnmeasuredBackend.name, UnmeasuredBackend)
+    return UnmeasuredBackend.name
+
+
+def _shm_entries() -> set[str]:
+    return set(os.listdir(DEV_SHM)) if os.path.isdir(DEV_SHM) else set()
+
+
+@pytest.fixture
+def no_leaks():
+    """Fail the test if it leaves a worker, thread or shm segment behind.
+
+    Directories whose tests run real backends autouse this from their own
+    ``conftest.py``.
+    """
+    shm_before = _shm_entries()
+    threads_before = set(threading.enumerate())
+    yield
+    # active_children() also reaps workers that exited but were not joined.
+    children = multiprocessing.active_children()
+    assert not children, f"worker processes survived the test: {children}"
+    threads = [
+        t for t in threading.enumerate()
+        if t not in threads_before and t.is_alive()
+    ]
+    assert not threads, f"threads survived the test: {threads}"
+    leaked = _shm_entries() - shm_before
+    assert not leaked, f"/dev/shm entries survived the test: {sorted(leaked)}"

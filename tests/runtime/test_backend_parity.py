@@ -9,6 +9,7 @@ compare everything against the simulator.
 """
 
 import dataclasses
+import pickle
 import threading
 import time
 
@@ -16,9 +17,14 @@ import numpy as np
 import pytest
 
 from repro.algorithms import REGISTRY, Dataset, Sorter, get_spec
-from repro.bsp.engine import RunResult
+from repro.bsp.engine import BSPEngine, RunResult
 from repro.errors import BSPError, CollectiveMismatchError, DeadlockError
-from repro.runtime import ProcessBackend, SimulatedBackend, ThreadBackend
+from repro.runtime import (
+    Backend,
+    ProcessBackend,
+    SimulatedBackend,
+    ThreadBackend,
+)
 
 P = 4
 N_PER = 300
@@ -72,8 +78,6 @@ def test_process_backend_bit_identical(algorithm, workload):
     for a, b in zip(sim.rank_stats, proc.rank_stats):
         _assert_stats_equal(a, b)
     assert sim.backend == "simulated" and proc.backend == "process"
-    # Measured blocks differ by design: the process backend instruments
-    # ranks, the simulator reports only the total wall.
     assert proc.measured.workers == 2
     assert proc.measured.wall_s > 0.0
     assert len(proc.measured.rank_compute_s) == P
@@ -93,11 +97,67 @@ def test_thread_backend_bit_identical(algorithm, workload):
     for a, b in zip(sim.rank_stats, thr.rank_stats):
         _assert_stats_equal(a, b)
     assert sim.backend == "simulated" and thr.backend == "thread"
-    # The thread backend instruments ranks exactly like the process one.
     assert thr.measured.workers == 2
     assert thr.measured.wall_s > 0.0
     assert len(thr.measured.rank_compute_s) == P
     assert thr.measured.phase_wall_s
+
+
+class EngineBackend(Backend):
+    """A bare :meth:`BSPEngine.run`, without the registry's adapter."""
+
+    name = "engine"
+    description = "BSPEngine.run called directly"
+
+    def run(self, program, rank_args, *, machine=None, node_layout=None,
+            trace_sink=None, **shared_kwargs):
+        engine = BSPEngine(
+            len(rank_args), machine=machine, node_layout=node_layout
+        )
+        return engine.run(
+            program, rank_args, trace_sink=trace_sink, **shared_kwargs
+        )
+
+
+LOOP_P = 16
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["hss", "hss-node", "sample-regular", "histogram"]
+)
+def test_one_loop_same_results_and_measurements(algorithm):
+    """The engine, the simulator and one thread worker share one loop:
+    identical modeled results, and the same measured shape."""
+    dataset = Dataset.from_workload(
+        "changa-dwarf", p=LOOP_P, n_per=N_PER, seed=11
+    )
+    results = [
+        Sorter(algorithm, backend=backend, verify=False)
+        .run(dataset)
+        .engine_result
+        for backend in (
+            EngineBackend(), SimulatedBackend(), ThreadBackend(workers=1)
+        )
+    ]
+    reference = results[0]
+    for result in results:
+        assert pickle.dumps(result.returns) == pickle.dumps(reference.returns)
+        assert list(result.trace) == list(reference.trace)
+        assert result.stats == reference.stats
+        measured = result.measured
+        assert measured.workers == 1
+        assert len(measured.rank_compute_s) == LOOP_P
+        assert len(measured.rank_comm_wait_s) == LOOP_P
+        # The same phases are measured on every runner, and each phase
+        # of the modeled breakdown is among them.  The measured side may
+        # add phases that cost no modeled time ('unlabeled' prologues).
+        assert list(measured.phase_wall_s) == list(
+            reference.measured.phase_wall_s
+        )
+        assert set(result.breakdown().phases()) <= set(measured.phase_wall_s)
+    assert [r.measured.backend for r in results] == [
+        "simulated", "simulated", "thread"
+    ]
 
 
 PAYLOAD_ALGORITHMS = sorted(

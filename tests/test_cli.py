@@ -735,11 +735,13 @@ class TestBackendFlag:
         assert "'process' (2 workers" in out
         assert "modeled makespan" in out  # both sides of the story
 
-    def test_sort_simulated_prints_no_measured_line(self, capsys):
+    def test_sort_simulated_prints_measured_line(self, capsys):
         code = main(["sort", "-p", "4", "-n", "400"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "measured wall" not in out
+        assert "measured wall" in out
+        assert "'simulated' (1 workers" in out
+        assert "collective wait" in out
 
     def test_unknown_backend_exits_2(self, capsys):
         assert main(["sort", "--backend", "quantum"]) == 2
@@ -1027,10 +1029,10 @@ class TestCalibrateCommand:
         assert code == 2
         assert "trim" in capsys.readouterr().err
 
-    def test_simulated_backend_exits_2(self, capsys):
+    def test_non_measuring_backend_exits_2(self, capsys, unmeasured_backend):
         code = main(
-            ["calibrate", "--profile", "tiny", "--backend", "simulated",
-             "--repeats", "1", "--warmup", "0"]
+            ["calibrate", "--profile", "tiny", "--backend",
+             unmeasured_backend, "--repeats", "1", "--warmup", "0"]
         )
         assert code == 2
         assert "measuring backend" in capsys.readouterr().err
