@@ -27,11 +27,16 @@ NumPy arrays or directly on scalars.  Payload sizes are measured with
 per-type cache with vectorized fast paths for the payload shapes the sort
 programs actually send — ndarrays, scalars, and flat homogeneous sequences
 of either; :func:`sizeof_reference` keeps the plain recursive walk as the
-semantic ground truth the fast path is tested against.
+semantic ground truth the fast path is tested against.  An :class:`ArrayRef`
+(a transport's descriptor for an array kept out of band) sizes as the array
+it stands for, so a sweep resolved over refs prices byte for byte like one
+resolved over the arrays.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -39,12 +44,44 @@ import numpy as np
 from repro.errors import BSPError, CollectiveMismatchError
 
 __all__ = [
+    "ArrayRef",
+    "VALUE_OPS",
     "sizeof",
     "sizeof_reference",
     "resolve",
     "ResolvedCollective",
     "REDUCERS",
 ]
+
+
+@dataclass(frozen=True)
+class ArrayRef:
+    """Descriptor for one ndarray whose bytes sit in a shared segment.
+
+    Names the segment, the byte offset of the array in it, and the
+    array's shape and dtype; ``nbytes`` is derived from those.  Ops
+    outside :data:`VALUE_OPS` route refs without reading them.
+    """
+
+    segment: str
+    offset: int
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        # math.prod: np.prod on a shape tuple costs microseconds per ref.
+        object.__setattr__(
+            self, "nbytes", math.prod(self.shape) * self.dtype.itemsize
+        )
+
+    def __len__(self) -> int:
+        # Mirror ndarray length semantics so dataclasses that validate
+        # lengths in __post_init__ (e.g. Shard) rebuild cleanly with
+        # refs substituted for their arrays.
+        if not self.shape:
+            raise TypeError("len() of unsized ArrayRef")
+        return self.shape[0]
 
 
 def sizeof_reference(obj: Any) -> int:
@@ -61,7 +98,7 @@ def sizeof_reference(obj: Any) -> int:
     """
     if obj is None:
         return 0
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, ArrayRef)):
         return int(obj.nbytes)
     if isinstance(obj, np.void):
         # Structured scalar (one record row): exact record bytes, not the
@@ -134,7 +171,7 @@ def _sizeof_flat_sequence(obj: Any) -> int:
         kind = next(iter(kinds))
         if kind in _SCALAR_TYPES:
             return 8 * len(obj)
-        if kind is np.ndarray:
+        if kind is np.ndarray or kind is ArrayRef:
             return int(sum(x.nbytes for x in obj))
         if issubclass(kind, np.void):
             return int(sum(x.nbytes for x in obj))
@@ -150,6 +187,7 @@ def _sizeof_flat_sequence(obj: Any) -> int:
 _SIZEOF_DISPATCH: dict[type, Callable[[Any], int]] = {
     type(None): _sizeof_none,
     np.ndarray: _sizeof_ndarray,
+    ArrayRef: _sizeof_ndarray,
     np.void: _sizeof_void,
     bool: _sizeof_scalar,
     int: _sizeof_scalar,
@@ -256,6 +294,12 @@ class ResolvedCollective:
         self.results = results
         self.max_bytes = max_bytes
         self.total_bytes = total_bytes
+
+
+#: Ops whose resolution computes with payload values.  Every other op
+#: only routes payloads, reading nothing but their sizes and sequence
+#: structure, so a transport may resolve it over :class:`ArrayRef` stand-ins.
+VALUE_OPS = frozenset({"reduce", "allreduce", "scan"})
 
 
 def resolve(

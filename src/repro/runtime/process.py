@@ -1,10 +1,10 @@
 """Real-core execution: one worker process per rank, a deterministic broker.
 
 ``ProcessBackend`` launches OS worker processes (one per rank, or fewer
-with rank multiplexing when ``workers`` is below the rank count), ships
-the per-rank input arrays through one shared-memory segment
-(:mod:`repro.runtime.shm`), and services the programs' yielded collective
-requests through a broker loop in the parent process.
+with rank multiplexing when ``workers`` is below the rank count), hands
+each worker its ranks' inputs as process arguments (fork shares them
+copy-on-write, spawn pickles them), and services the programs' yielded
+collective requests through a broker loop in the parent process.
 
 The process runs the shared rank loop and broker loop of
 :mod:`repro.bsp.engine`: each worker pumps
@@ -22,6 +22,17 @@ RankDone | RankFailed}`` per sweep and receive ``{rank: resume value}``;
 the per-phase compute and collective waits they time land in the
 :class:`~repro.runtime.Measured` block on the returned result.
 
+The broker routes descriptors, not bytes.  Each worker writes a batch's
+arrays into one segment it creates, and the pipe carries the batch with
+:class:`~repro.bsp.collectives.ArrayRef` descriptors in their place.  The
+resolver routes those refs unread (``sizeof`` counts a ref as its array),
+so a receiver copies an exchanged key straight from the sender's segment:
+data moves once.  The broker copies out only what it reads — the payloads
+of :data:`~repro.bsp.collectives.VALUE_OPS` and finished or failed ranks'
+messages — and ships arrays it computes (reduction results) in a segment
+of its own.  It unlinks the segments a sweep's results name once every
+receiver has sent its next batch, which proves it copied them out.
+
 Determinism: collective resolution happens only in the broker, from a
 complete sweep, in rank order — worker scheduling can reorder nothing
 observable.  A run is the same pure function of its inputs as under the
@@ -34,29 +45,27 @@ import itertools
 import multiprocessing
 import os
 import time
-from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
+from repro.bsp.collectives import VALUE_OPS, ArrayRef
 from repro.bsp.engine import (
     BSPEngine,
     Program,
+    RankYield,
     RunResult,
     _broker_loop,
+    _Call,
     _rank_steps,
 )
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.runtime.base import Backend, register_backend
 from repro.runtime.shm import (
-    attach_segment,
+    SegmentReader,
     create_segment,
     fill_segment,
     pack_message,
-    pack_rank_args,
     unlink_segment,
-    unpack_message,
-    unpack_rank_args,
-    untrack_segment,
 )
 
 __all__ = ["ProcessBackend"]
@@ -66,18 +75,13 @@ _RUN_COUNTER = itertools.count()
 
 
 class _ShmChannel:
-    """One direction of array traffic over named shared-memory segments.
+    """One sender's data channel: a fresh segment per message with bytes.
 
-    Every message is an envelope ``("inline", packed)`` when it carries no
-    arrays, or ``("shm", segment_name, packed)`` when its ndarray leaves
-    were lifted into a fresh segment named ``{base}-{seq}`` (``seq``
-    strictly monotonic, so a peer can probe for in-flight segments after a
-    crash).  The sender creates, fills, closes and *untracks* each
-    segment; the receiver attaches, copies out, and — depending on
-    ``receiver_unlinks`` — either unlinks immediately (worker→broker) or
-    leaves the unlink to the sender's bookkeeping (broker→worker result
-    segments, reclaimed once the worker's next batch proves them
-    consumed).
+    ``send`` lifts a message's ndarray leaves into segment
+    ``{base}-{seq}`` (``seq`` strictly monotonic, so the broker can probe
+    for a segment in flight after a crash) and pipes ``(segment name or
+    None, skeleton)``.  The sender creates and fills segments, and
+    unlinks only one whose send failed; the broker unlinks the rest.
     """
 
     __slots__ = ("base", "seq", "last_recv_seq")
@@ -88,42 +92,31 @@ class _ShmChannel:
         self.last_recv_seq = 0
 
     def send(self, conn, message: Any) -> str | None:
-        """Send one message, lifting array leaves into a new segment.
-
-        Returns the segment name (for sender-side reclamation) or None
-        for inline messages.
-        """
-        packed, arrays, total = pack_message(message)
+        """Send one message; return the segment it created, if any."""
+        name = f"{self.base}-{self.seq + 1}"
+        packed, arrays, total = pack_message(message, name)
         if not total:
-            conn.send(("inline", packed))
+            conn.send((None, packed))
             return None
         self.seq += 1
-        name = f"{self.base}-{self.seq}"
         seg = create_segment(name, total)
         try:
             fill_segment(seg, arrays)
         finally:
-            untrack_segment(seg)
             seg.close()
-        conn.send(("shm", name, packed))
+        try:
+            conn.send((name, packed))
+        except BaseException:
+            unlink_segment(name)  # no receiver will learn its name
+            raise
         return name
 
-    def recv(self, conn, *, unlink: bool) -> Any:
-        """Receive one message, copying array leaves out of its segment."""
-        envelope = conn.recv()
-        if envelope[0] == "inline":
-            return unpack_message(envelope[1], None)
-        _, name, packed = envelope
-        self.last_recv_seq = int(name.rsplit("-", 1)[1])
-        seg = attach_segment(name)
-        try:
-            return unpack_message(packed, seg.buf)
-        finally:
-            if unlink:
-                unlink_segment(seg)
-            else:
-                untrack_segment(seg)
-                seg.close()
+    def recv(self, conn) -> tuple[str | None, Any]:
+        """Receive one ``(segment name or None, skeleton)`` envelope."""
+        name, packed = conn.recv()
+        if name is not None:
+            self.last_recv_seq = int(name.rsplit("-", 1)[1])
+        return name, packed
 
     def probe_unlink_in_flight(self, extra: int = 2) -> None:
         """Reclaim segments the peer created but we never received.
@@ -135,11 +128,7 @@ class _ShmChannel:
         for seq in range(
             self.last_recv_seq + 1, self.last_recv_seq + 1 + extra
         ):
-            try:
-                seg = attach_segment(f"{self.base}-{seq}")
-            except FileNotFoundError:
-                continue
-            unlink_segment(seg)
+            unlink_segment(f"{self.base}-{seq}")
 
 
 def _mp_context():
@@ -169,13 +158,24 @@ def _assign_ranks(nprocs: int, workers: int) -> list[list[int]]:
     return blocks
 
 
-def _unlink_by_name(name: str) -> None:
-    """Unlink a segment by name, tolerating it being gone already."""
-    try:
-        seg = attach_segment(name)
-    except FileNotFoundError:
-        return
-    unlink_segment(seg)
+def _reads_payload(call: _Call) -> bool:
+    """Whether the broker must copy ``call``'s payload bytes to resolve it.
+
+    Reductions compute with values; scatter and alltoallv index into a
+    payload sequence, which the ref of one bare array cannot stand in
+    for.  Every other payload is routed as the refs it arrived as.
+    """
+    return call.op in VALUE_OPS or (
+        call.op in ("scatter", "alltoallv")
+        and isinstance(call.payload, ArrayRef)
+    )
+
+
+def _recv_results(conn) -> dict[int, Any]:
+    """Receive one sweep's results, copying every array out of its segment."""
+    _, packed = conn.recv()
+    with SegmentReader() as reader:
+        return reader.unpack(packed)
 
 
 def _rank_loop(
@@ -216,15 +216,13 @@ def _rank_loop(
 
 def _worker_main(
     conn,
-    shm_name: str | None,
     ranks: Sequence[int],
-    packed_args: Sequence[tuple],
+    rank_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
     engine: BSPEngine,
-    unregister_shm: bool = False,
-    chan_base: str = "",
-    record_segments: bool = False,
+    chan_base: str,
+    record_segments: bool,
     inherited_conns: Sequence[Any] = (),
 ) -> None:
     """Run this worker's ranks, forwarding every collective to the broker.
@@ -237,37 +235,14 @@ def _worker_main(
     """
     for inherited in inherited_conns:
         inherited.close()
-    tx = _ShmChannel(f"{chan_base}t")  # worker -> broker
-    rx = _ShmChannel(f"{chan_base}r")  # broker -> worker
+    tx = _ShmChannel(f"{chan_base}t")
     try:
-        shm = None
-        if shm_name is not None:
-            shm = shared_memory.SharedMemory(name=shm_name)
-            if unregister_shm:
-                # Spawned workers run their own resource tracker, which
-                # would unlink the parent-owned segment when this process
-                # exits; drop the attach-time registration.  (Forked
-                # workers share the parent's tracker, whose registry is a
-                # set — the parent's own unlink handles it.)
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(shm._name, "shared_memory")
-                except Exception:
-                    pass
-        try:
-            args = unpack_rank_args(shm, packed_args)
-        finally:
-            if shm is not None:
-                shm.close()
         _rank_loop(
             lambda batch: tx.send(conn, batch),
-            # The broker owns each result segment and unlinks it after
-            # our next send proves we read it.
-            lambda: rx.recv(conn, unlink=False),
+            lambda: _recv_results(conn),
             engine,
             ranks,
-            args,
+            rank_args,
             program,
             shared_kwargs,
             record_segments,
@@ -315,36 +290,50 @@ class ProcessBackend(Backend):
         start = time.perf_counter()
 
         assignment = _assign_ranks(p, nworkers)
-        shm, packed = pack_rank_args(rank_args)
         mp = _mp_context()
         procs: list[Any] = []
         conns: list[Any] = []
         chan_base = f"rpr{os.getpid():x}x{next(_RUN_COUNTER):x}w"
-        # Broker-side channel pair per worker; bases mirror the workers'.
+        # Worker i sends on f"{chan_base}{i}t"; the broker on its own.
         worker_rx = [
             _ShmChannel(f"{chan_base}{i}t") for i in range(len(assignment))
         ]
-        worker_tx = [
-            _ShmChannel(f"{chan_base}{i}r") for i in range(len(assignment))
-        ]
-        #: Result segments sent to worker i, not yet proven consumed.
-        sent_results: dict[int, list[str]] = {
-            i: [] for i in range(len(assignment))
-        }
+        broker_tx = _ShmChannel(f"{chan_base}b")
+        #: Segments received in the sweep being collected, and those the
+        #: results of the last resolved sweep may name.
+        received: list[str] = []
+        routed: list[str] = []
+        collecting = False
 
         def recv(i: int) -> dict[int, Any]:
-            batch = worker_rx[i].recv(conns[i], unlink=True)
-            # A new batch proves the worker copied the previous sweep's
-            # results out: reclaim those segments.
-            for name in sent_results[i]:
-                _unlink_by_name(name)
-            sent_results[i].clear()
+            nonlocal collecting
+            collecting = True
+            name, batch = worker_rx[i].recv(conns[i])
+            if name is not None:
+                received.append(name)
+            # Copy out only what the broker itself reads; routed payloads
+            # stay refs, which receivers copy from the sender's segment.
+            with SegmentReader() as reader:
+                for r, msg in batch.items():
+                    if not isinstance(msg, RankYield):
+                        batch[r] = reader.unpack(msg)
+                    elif _reads_payload(msg.call):
+                        msg.call.payload = reader.unpack(msg.call.payload)
             return batch
 
         def send(i: int, results: dict[int, Any]) -> None:
-            name = worker_tx[i].send(conns[i], results)
+            nonlocal collecting, routed, received
+            if collecting:
+                # Every worker sent results last sweep has now delivered
+                # its next batch, so it copied them out: reclaim what they
+                # named.
+                collecting = False
+                for name in routed:
+                    unlink_segment(name)
+                routed, received = received, []
+            name = broker_tx.send(conns[i], results)
             if name is not None:
-                sent_results[i].append(name)
+                routed.append(name)
 
         forked = mp.get_start_method() == "fork"
         try:
@@ -354,13 +343,12 @@ class ProcessBackend(Backend):
                     target=_worker_main,
                     args=(
                         child_conn,
-                        shm.name if shm is not None else None,
                         ranks,
-                        [packed[r] for r in ranks],
+                        # Fork shares these copy-on-write; spawn pickles.
+                        [rank_args[r] for r in ranks],
                         program,
                         shared_kwargs,
                         engine,
-                        not forked,
                         f"{chan_base}{i}",
                         trace_sink is not None,
                         [*conns, parent_conn] if forked else (),
@@ -388,17 +376,13 @@ class ProcessBackend(Backend):
                 if proc.is_alive():  # pragma: no cover - defensive
                     proc.terminate()
                     proc.join()
-            # Reclaim collective-channel segments stranded by an error or
-            # worker crash: results we sent but never saw consumed, and
-            # batches a worker created that we never received.
-            for names in sent_results.values():
-                for name in names:
-                    _unlink_by_name(name)
+                # Release its sentinel pipes now, not when an error's
+                # traceback lets go of this frame.
+                proc.close()
+            # Reclaim what the sweeps left: segments still named by sent
+            # results or received batches, and batches a worker created
+            # that we never received (a crash mid-send).
+            for name in routed + received:
+                unlink_segment(name)
             for rx in worker_rx:
                 rx.probe_unlink_in_flight()
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass

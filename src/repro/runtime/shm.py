@@ -1,149 +1,68 @@
-"""Shared-memory transport for the process backend's array traffic.
+"""Shared-memory data channel for the process backend's array traffic.
 
-Two layers:
+The process backend splits its traffic the way a DMA engine splits a
+control channel from a data channel: pipes carry pickled message
+*skeletons*, and array bytes sit in named POSIX shared-memory segments.
 
-* **Input shipping** (:func:`pack_rank_args` / :func:`unpack_rank_args`) —
-  the parent packs every ndarray leaf of ``rank_args`` into one segment;
-  workers map it and copy out their own ranks' slices.
+* :func:`pack_message` walks a message tree (tuples, lists, dicts,
+  dataclasses like ``_Call`` and ``Shard``), replaces every non-object
+  ndarray leaf with an :class:`~repro.bsp.collectives.ArrayRef` naming the
+  segment the sender is about to create, and returns the leaves for
+  :func:`fill_segment`.  Refs already in the tree — descriptors the broker
+  routes on to a receiver — pass through untouched, so one message can
+  name segments of several senders.  Key and payload column buffers
+  never pass through pickle.
+* :class:`SegmentReader` rebuilds a tree, copying each ref's bytes out of
+  the segment it names, mapping each segment once.
 
-* **Message shipping** (:func:`pack_message` / :func:`unpack_message` +
-  the segment helpers) — the broker loop's collective traffic.  Worker
-  batches and broker resume values are arbitrary trees (tuples, lists,
-  dicts, dataclasses like ``_Call`` and ``Shard``); the packer walks the
-  tree, lifts every non-object ndarray leaf into a shared segment and
-  replaces it with an :class:`ArrayRef`, so key and payload column buffers
-  never pass through pickle — the pipe carries only the array-free
-  skeleton.  This is what keeps record payload shipping zero-copy(-ish)
-  and zero-pickle on the column hot path.
+Segments are created, mapped and unlinked directly through
+``_posixshmem`` and ``mmap``, never through
+:class:`multiprocessing.shared_memory.SharedMemory`: before Python 3.13
+that class registers every attach with the resource tracker, forked
+workers share one set-based tracker, and two workers attaching the same
+segment would unregister it twice.  Here no process registers anything:
+the broker unlinks every segment by name, exactly once.
 
 Offsets are 64-byte aligned so reconstructed views are always aligned for
 any dtype, including the structured dtypes the record schemas and the
 §4.3 tagged key space use.
-
-Segment hygiene (CPython 3.11 POSIX): ``SharedMemory`` registers with the
-``resource_tracker`` on *both* create and attach, and ``unlink()``
-unregisters.  The protocol therefore is: whichever process will *not*
-unlink a segment calls :func:`untrack_segment` right after creating or
-attaching it, and exactly one process unlinks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
-from multiprocessing import shared_memory
+import mmap
+import os
+from dataclasses import fields, is_dataclass, replace
 from typing import Any, Sequence
 
+import _posixshmem
 import numpy as np
 
+from repro.bsp.collectives import ArrayRef
+
 __all__ = [
-    "ArrayRef",
-    "pack_rank_args",
-    "unpack_rank_args",
     "pack_message",
-    "unpack_message",
     "fill_segment",
+    "SegmentReader",
     "create_segment",
-    "attach_segment",
-    "untrack_segment",
+    "map_segment",
     "unlink_segment",
 ]
 
 _ALIGN = 64
 
 
-@dataclass(frozen=True)
-class ArrayRef:
-    """Placeholder for one ndarray stored in the shared segment."""
-
-    offset: int
-    shape: tuple[int, ...]
-    dtype: np.dtype
-
-    def __len__(self) -> int:
-        # Mirror ndarray length semantics so dataclasses that validate
-        # lengths in __post_init__ (e.g. Shard) rebuild cleanly with
-        # refs substituted for their arrays.
-        if not self.shape:
-            raise TypeError("len() of unsized ArrayRef")
-        return self.shape[0]
-
-
 def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def pack_rank_args(
-    rank_args: Sequence[tuple],
-) -> tuple[shared_memory.SharedMemory | None, list[tuple]]:
-    """Replace every ndarray leaf with an :class:`ArrayRef` into one segment.
-
-    Returns ``(shm, packed)`` where ``shm`` is None when there are no
-    arrays to share.  The caller owns the segment: keep it alive until
-    every worker has copied its inputs out, then ``close()`` +
-    ``unlink()``.
-    """
-    arrays: list[np.ndarray] = []
-    offsets: list[int] = []
-    total = 0
-    packed: list[tuple] = []
-    for args in rank_args:
-        row: list[Any] = []
-        for item in args:
-            if isinstance(item, np.ndarray):
-                arr = np.ascontiguousarray(item)
-                arrays.append(arr)
-                offsets.append(total)
-                row.append(ArrayRef(total, arr.shape, arr.dtype))
-                total += _aligned(arr.nbytes)
-            else:
-                row.append(item)
-        packed.append(tuple(row))
-    if not arrays:
-        return None, packed
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    for arr, offset in zip(arrays, offsets):
-        dest = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-        )
-        dest[...] = arr
-    return shm, packed
-
-
-def unpack_rank_args(
-    shm: shared_memory.SharedMemory | None, packed: Sequence[tuple]
-) -> list[tuple]:
-    """Rebuild rank args, copying each referenced array out of the segment.
-
-    Copies (rather than views) so rank programs own their inputs and the
-    parent may unlink the segment as soon as every worker has unpacked.
-    """
-    out: list[tuple] = []
-    for args in packed:
-        row: list[Any] = []
-        for item in args:
-            if isinstance(item, ArrayRef):
-                view = np.ndarray(
-                    item.shape,
-                    dtype=item.dtype,
-                    buffer=shm.buf,
-                    offset=item.offset,
-                )
-                row.append(view.copy())
-            else:
-                row.append(item)
-        out.append(tuple(row))
-    return out
-
-
-# ------------------------------------------------------------------ #
-# Generic message trees: broker/worker collective traffic.
-# ------------------------------------------------------------------ #
 class _TreePacker:
     """Walk a message tree, lifting ndarray leaves into ArrayRefs."""
 
-    __slots__ = ("arrays", "total")
+    __slots__ = ("segment", "arrays", "total")
 
-    def __init__(self) -> None:
+    def __init__(self, segment: str) -> None:
+        self.segment = segment
         self.arrays: list[tuple[int, np.ndarray]] = []
         self.total = 0
 
@@ -151,10 +70,9 @@ class _TreePacker:
         if isinstance(obj, np.ndarray):
             if obj.dtype.hasobject:
                 return obj  # object arrays must pickle: no flat buffer
-            arr = np.ascontiguousarray(obj)
-            ref = ArrayRef(self.total, arr.shape, arr.dtype)
-            self.arrays.append((self.total, arr))
-            self.total += _aligned(arr.nbytes)
+            ref = ArrayRef(self.segment, self.total, obj.shape, obj.dtype)
+            self.arrays.append((self.total, obj))
+            self.total += _aligned(ref.nbytes)
             return ref
         if isinstance(obj, tuple):
             return tuple(self.walk(x) for x in obj)
@@ -162,6 +80,8 @@ class _TreePacker:
             return [self.walk(x) for x in obj]
         if isinstance(obj, dict):
             return {k: self.walk(v) for k, v in obj.items()}
+        if isinstance(obj, ArrayRef):
+            return obj
         if is_dataclass(obj) and not isinstance(obj, type):
             mark_arrays, mark_total = len(self.arrays), self.total
             changes = {
@@ -180,87 +100,113 @@ class _TreePacker:
         return obj
 
 
-def pack_message(obj: Any) -> tuple[Any, list[tuple[int, np.ndarray]], int]:
+def pack_message(
+    obj: Any, segment: str
+) -> tuple[Any, list[tuple[int, np.ndarray]], int]:
     """Split a message tree into an array-free skeleton plus array leaves.
 
     Returns ``(packed, arrays, total)``: the skeleton with every non-object
-    ndarray replaced by an :class:`ArrayRef`, the ``(offset, array)`` pairs
-    to write into a segment, and the segment size in bytes (0 when the
-    message carries no arrays and can travel inline).
+    ndarray replaced by an :class:`ArrayRef` into ``segment``, the
+    ``(offset, array)`` pairs to write there, and the segment size in
+    bytes (0 when no leaf has bytes and no segment need exist).
     """
-    packer = _TreePacker()
+    packer = _TreePacker(segment)
     packed = packer.walk(obj)
     return packed, packer.arrays, packer.total
 
 
 def fill_segment(
-    shm: shared_memory.SharedMemory, arrays: Sequence[tuple[int, np.ndarray]]
+    seg: mmap.mmap, arrays: Sequence[tuple[int, np.ndarray]]
 ) -> None:
     """Write packed array leaves at their assigned offsets."""
     for offset, arr in arrays:
-        dest = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset
-        )
+        dest = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg, offset=offset)
         dest[...] = arr
 
 
-def unpack_message(packed: Any, buf: memoryview | None) -> Any:
-    """Rebuild a message tree, copying each ArrayRef out of the buffer."""
-    if isinstance(packed, ArrayRef):
+class SegmentReader:
+    """Rebuild message trees, copying each ArrayRef out of its segment.
+
+    A context manager: every segment is mapped on first use and unmapped
+    on exit.  Zero-byte refs name no segment that need exist.
+    """
+
+    __slots__ = ("_maps",)
+
+    def __init__(self) -> None:
+        self._maps: dict[str, mmap.mmap] = {}
+
+    def __enter__(self) -> "SegmentReader":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for seg in self._maps.values():
+            seg.close()
+        self._maps.clear()
+
+    def _array(self, ref: ArrayRef) -> np.ndarray:
+        if not ref.nbytes:
+            return np.empty(ref.shape, dtype=ref.dtype)
+        seg = self._maps.get(ref.segment)
+        if seg is None:
+            seg = self._maps[ref.segment] = map_segment(ref.segment)
         view = np.ndarray(
-            packed.shape, dtype=packed.dtype, buffer=buf, offset=packed.offset
+            ref.shape, dtype=ref.dtype, buffer=seg, offset=ref.offset
         )
         return view.copy()
-    if isinstance(packed, tuple):
-        return tuple(unpack_message(x, buf) for x in packed)
-    if isinstance(packed, list):
-        return [unpack_message(x, buf) for x in packed]
-    if isinstance(packed, dict):
-        return {k: unpack_message(v, buf) for k, v in packed.items()}
-    if is_dataclass(packed) and not isinstance(packed, type):
-        changes = {
-            f.name: unpack_message(getattr(packed, f.name), buf)
-            for f in fields(packed)
-            if f.init
-        }
-        try:
-            return replace(packed, **changes)
-        except Exception:
-            return packed
-    return packed
+
+    def unpack(self, packed: Any) -> Any:
+        if isinstance(packed, ArrayRef):
+            return self._array(packed)
+        if isinstance(packed, tuple):
+            return tuple(self.unpack(x) for x in packed)
+        if isinstance(packed, list):
+            return [self.unpack(x) for x in packed]
+        if isinstance(packed, dict):
+            return {k: self.unpack(v) for k, v in packed.items()}
+        if is_dataclass(packed) and not isinstance(packed, type):
+            changes = {
+                f.name: self.unpack(getattr(packed, f.name))
+                for f in fields(packed)
+                if f.init
+            }
+            try:
+                return replace(packed, **changes)
+            except Exception:
+                return packed
+        return packed
 
 
 # ------------------------------------------------------------------ #
-# Segment lifecycle helpers.
+# Segment lifecycle, outside the resource tracker.
 # ------------------------------------------------------------------ #
-def create_segment(name: str, nbytes: int) -> shared_memory.SharedMemory:
-    return shared_memory.SharedMemory(
-        name=name, create=True, size=max(1, nbytes)
+def create_segment(name: str, nbytes: int) -> mmap.mmap:
+    """Create segment ``name`` of ``nbytes`` and map it read-write."""
+    fd = _posixshmem.shm_open(
+        "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
     )
-
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    return shared_memory.SharedMemory(name=name)
-
-
-def untrack_segment(shm: shared_memory.SharedMemory) -> None:
-    """Drop this process's resource-tracker registration for a segment.
-
-    Called by whichever side will NOT unlink: the tracker would otherwise
-    unlink (or warn about) a segment another process still owns.
-    """
     try:
-        from multiprocessing import resource_tracker
+        os.ftruncate(fd, nbytes)
+        return mmap.mmap(fd, nbytes)
+    except BaseException:
+        unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals are defensive
-        pass
 
-
-def unlink_segment(shm: shared_memory.SharedMemory) -> None:
-    """Close and unlink, tolerating a segment already gone."""
+def map_segment(name: str) -> mmap.mmap:
+    """Map an existing segment read-only."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
     try:
-        shm.close()
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already cleaned up
+        return mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ)
+    finally:
+        os.close(fd)
+
+
+def unlink_segment(name: str) -> None:
+    """Unlink a segment by name without mapping it; tolerate it gone."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
         pass

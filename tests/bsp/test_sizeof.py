@@ -4,7 +4,10 @@
 the payload shapes the engine actually ships (ndarrays, scalars, flat
 homogeneous sequences); ``sizeof_reference`` is the original recursive
 definition.  Any divergence silently skews every byte count in the cost
-model, so equivalence is pinned here across the whole payload zoo.
+model, so equivalence is pinned here across the whole payload zoo.  The
+process backend resolves routing collectives over ``ArrayRef`` descriptors
+instead of arrays, so trees of refs must size exactly like the
+materialized trees they stand for.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.bsp.collectives import sizeof, sizeof_reference
+from repro.bsp.collectives import ArrayRef, sizeof, sizeof_reference
+from repro.core.data_movement import Shard
+from repro.runtime.shm import pack_message
 
 
 @dataclass
@@ -100,6 +105,27 @@ def test_fast_path_matches_reference(payload):
     assert sizeof(payload) == sizeof_reference(payload)
 
 
+REF_TREES = {
+    "alltoall_rows": [np.arange(k, dtype=np.int64) for k in (0, 3, 5, 1)],
+    "keys_payload_rows": [
+        (np.arange(4, dtype=np.uint32), np.zeros(4, dtype=RECORD_DTYPE)),
+        (np.arange(0, dtype=np.uint32), np.zeros(0, dtype=RECORD_DTYPE)),
+    ],
+    "shard": Shard(np.arange(6, dtype=np.int64), np.zeros(6, RECORD_DTYPE)),
+    "shard_rows": [Shard(np.arange(k, dtype=np.float64)) for k in (2, 0)],
+    "bare_2d": np.zeros((3, 4), dtype=np.float32),
+    "mixed": {"splitters": np.arange(7), "round": 2, "done": [True, False]},
+}
+
+
+@pytest.mark.parametrize("tree", REF_TREES.values(), ids=REF_TREES.keys())
+def test_refs_size_as_the_arrays_they_stand_for(tree):
+    packed, _, _ = pack_message(tree, "segment")
+    assert "ArrayRef" in repr(packed)
+    assert sizeof(packed) == sizeof_reference(packed) == sizeof_reference(tree)
+    assert sizeof(tree) == sizeof_reference(tree)
+
+
 class TestKnownSizes:
     """Absolute anchors so both implementations can't drift together."""
 
@@ -117,6 +143,11 @@ class TestKnownSizes:
     def test_flat_ndarray_sequence_batches(self):
         rows = [np.zeros(k, dtype=np.int64) for k in (1, 2, 3)]
         assert sizeof(rows) == 8 * 6
+
+    def test_array_ref_counts_its_array(self):
+        ref = ArrayRef("segment", 64, (3, 4), np.dtype(np.float32))
+        assert ref.nbytes == 48 and len(ref) == 3
+        assert sizeof(ref) == sizeof([ref, ref]) // 2 == 48
 
     def test_dataclass_counts_attributes(self):
         frag = Fragment(keys=np.zeros(4, np.int64), origin=1, label="ab")

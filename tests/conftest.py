@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 DEV_SHM = "/dev/shm"
+PROC_FDS = "/proc/self/fd"
 
 
 @pytest.fixture
@@ -58,15 +59,30 @@ def _shm_entries() -> set[str]:
     return set(os.listdir(DEV_SHM)) if os.path.isdir(DEV_SHM) else set()
 
 
+def _open_fds() -> dict[int, str]:
+    """This process's open file descriptors and what each one names."""
+    if not os.path.isdir(PROC_FDS):
+        return {}
+    fds = {}
+    for entry in os.listdir(PROC_FDS):
+        try:
+            fds[int(entry)] = os.readlink(os.path.join(PROC_FDS, entry))
+        except OSError:  # the fd listing the directory itself, now closed
+            continue
+    return fds
+
+
 @pytest.fixture
 def no_leaks():
-    """Fail the test if it leaves a worker, thread or shm segment behind.
+    """Fail the test if it leaves a worker, thread, shm segment or open
+    file descriptor behind.
 
-    Directories whose tests run real backends autouse this from their own
-    ``conftest.py``.
+    Directories whose tests run real backends or servers autouse this
+    from their own ``conftest.py``.
     """
     shm_before = _shm_entries()
     threads_before = set(threading.enumerate())
+    fds_before = _open_fds()
     yield
     # active_children() also reaps workers that exited but were not joined.
     children = multiprocessing.active_children()
@@ -78,3 +94,8 @@ def no_leaks():
     assert not threads, f"threads survived the test: {threads}"
     leaked = _shm_entries() - shm_before
     assert not leaked, f"/dev/shm entries survived the test: {sorted(leaked)}"
+    fds = _open_fds()
+    opened = {fd: fds[fd] for fd in fds.keys() - fds_before.keys()}
+    assert len(fds) <= len(fds_before), (
+        f"file descriptors survived the test: {opened}"
+    )

@@ -1,15 +1,21 @@
 """Record transport through the process backend: no pickling, no leaks.
 
-Two contracts from the record data plane land here:
+Three contracts of the process backend's data channel land here:
 
 * **zero-pickle hot path** — payload columns and key arrays travel between
   the broker and its workers through named shared-memory segments only;
-  the pipes carry envelopes with :class:`~repro.runtime.shm.ArrayRef`
-  placeholders.  A pickler that refuses plain ndarrays proves it.
+  the pipes carry skeletons with :class:`~repro.bsp.collectives.ArrayRef`
+  descriptors in their place.  A pickler that refuses plain ndarrays
+  proves it.
+* **data moves once** — the broker routes the refs of a routing
+  collective without mapping the segments they name; each receiver copies
+  straight from the sender's segment.  The broker maps segments only for
+  the payloads it reads (reductions, finished ranks' values).
 * **crash hygiene** — a worker dying mid-superstep (``os._exit``, no
-  cleanup handlers run) must not leak ``/dev/shm`` segments: the broker's
-  teardown reclaims result segments it sent and probes for in-flight
-  batches the dead worker created.
+  cleanup handlers run), even after peers received refs into its
+  segments, must not leak ``/dev/shm`` segments: the broker's teardown
+  unlinks every segment a sweep left and probes for in-flight batches the
+  dead worker created.
 """
 
 import dataclasses
@@ -20,8 +26,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import Dataset, Sorter
+from repro.bsp.engine import SuperstepResolver
 from repro.errors import BSPError
-from repro.runtime import ProcessBackend, SimulatedBackend
+from repro.runtime import ProcessBackend, SimulatedBackend, shm
 
 P = 4
 DEV_SHM = "/dev/shm"
@@ -104,30 +111,105 @@ def test_payload_columns_never_pickled(no_array_pickling):
 
 
 # --------------------------------------------------------------------- #
+# Data moves once.                                                      #
+# --------------------------------------------------------------------- #
+def _alltoall_then_allreduce(ctx, keys, payload):
+    rows = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
+    received = yield from ctx.alltoall(rows)
+    count = yield from ctx.allreduce(np.array([len(keys)]))
+    return np.concatenate(received), count
+
+
+def test_broker_maps_no_segment_for_a_routing_collective(monkeypatch):
+    broker = os.getpid()
+    maps: list[str] = []
+    maps_at_sweep: list[tuple[str, int]] = []
+    real_map, real_sweep = shm.map_segment, SuperstepResolver.resolve_sweep
+
+    def counting_map(name):
+        if os.getpid() == broker:  # forked workers count into their copy
+            maps.append(name)
+        return real_map(name)
+
+    def counting_sweep(self, yields, finished):
+        maps_at_sweep.append((yields[0].call.op, len(maps)))
+        return real_sweep(self, yields, finished)
+
+    monkeypatch.setattr(shm, "map_segment", counting_map)
+    monkeypatch.setattr(SuperstepResolver, "resolve_sweep", counting_sweep)
+    rank_args = _payload_dataset(n_per=64).rank_args()
+    run = ProcessBackend(workers=2).run(_alltoall_then_allreduce, rank_args)
+    # Mapped while collecting each sweep: nothing for the alltoall, one
+    # segment per worker for the allreduce the broker must add up.
+    assert maps_at_sweep == [("alltoallv", 0), ("allreduce", 2)]
+    baseline = SimulatedBackend().run(_alltoall_then_allreduce, rank_args)
+    for (keys, count), (want_keys, want_count) in zip(
+        run.returns, baseline.returns
+    ):
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(count, want_count)
+    assert run.stats == baseline.stats
+
+
+def _bare_array_routing(ctx, keys, payload):
+    grid = np.arange(ctx.nprocs * 3).reshape(ctx.nprocs, 3) + 100 * ctx.rank
+    rows = yield from ctx.alltoall(grid)
+    chunk = yield from ctx.scatter(grid if ctx.rank == 0 else None)
+    splitters = yield from ctx.bcast(grid[0] if ctx.rank == 0 else None)
+    return np.concatenate([np.ravel(rows), chunk, splitters])
+
+
+def test_collectives_indexing_a_bare_array_match_simulator():
+    """scatter/alltoall index into a 2-D array payload: the broker reads it."""
+    rank_args = _payload_dataset(n_per=8).rank_args()
+    run = ProcessBackend(workers=2).run(_bare_array_routing, rank_args)
+    baseline = SimulatedBackend().run(_bare_array_routing, rank_args)
+    for got, want in zip(run.returns, baseline.returns):
+        np.testing.assert_array_equal(got, want)
+    assert run.stats == baseline.stats
+
+
+# --------------------------------------------------------------------- #
 # Crash hygiene.                                                        #
 # --------------------------------------------------------------------- #
-def _crashing_program(ctx, keys, payload):
-    # Superstep 1 ships real arrays both ways, so named segments exist.
-    parts = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
-    yield from ctx.alltoall(parts)
+def _crashing_program(ctx, keys, payload, exchanges):
+    # Each alltoall ships real arrays both ways, so named segments exist:
+    # after one, peers hold refs into the crashing worker's segment; after
+    # two, the first sweep's segments are already reclaimed.
+    for _ in range(exchanges):
+        parts = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
+        yield from ctx.alltoall(parts)
     if ctx.rank == 1:
         os._exit(1)  # no atexit, no finally: the hard-crash case
     yield from ctx.barrier()
     return keys
 
 
-@pytest.mark.skipif(
-    not os.path.isdir(DEV_SHM), reason="needs a /dev/shm tmpfs"
-)
-def test_worker_crash_leaks_no_segments():
+def _assert_crash_leaks_nothing(exchanges: int) -> None:
     before = set(os.listdir(DEV_SHM))
     dataset = _payload_dataset(n_per=50)
     with pytest.raises(BSPError, match="exited unexpectedly"):
         ProcessBackend(workers=2).run(
-            _crashing_program, dataset.rank_args()
+            _crashing_program, dataset.rank_args(), exchanges=exchanges
         )
     leaked = set(os.listdir(DEV_SHM)) - before
     assert not leaked, f"crash leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir(DEV_SHM), reason="needs a /dev/shm tmpfs"
+)
+def test_worker_crash_leaks_no_segments():
+    """The crash comes after peers received refs into its segment."""
+    _assert_crash_leaks_nothing(exchanges=1)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir(DEV_SHM), reason="needs a /dev/shm tmpfs"
+)
+@pytest.mark.parametrize("exchanges", [0, 2])
+def test_worker_crash_at_other_sweeps_leaks_no_segments(exchanges):
+    _assert_crash_leaks_nothing(exchanges)
 
 
 @pytest.mark.skipif(

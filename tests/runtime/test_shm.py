@@ -1,73 +1,90 @@
-"""Tests for the shared-memory rank-args transport."""
+"""Tests for the shared-memory data channel's message layer."""
+
+import itertools
+import os
 
 import numpy as np
 
-from repro.runtime.shm import ArrayRef, pack_rank_args, unpack_rank_args
+from repro.bsp.collectives import ArrayRef
+from repro.core.data_movement import Shard
+from repro.runtime.shm import (
+    SegmentReader,
+    create_segment,
+    fill_segment,
+    pack_message,
+    unlink_segment,
+)
 
 TAGGED = np.dtype([("key", "<i8"), ("pe", "<i8")])
+_NAMES = itertools.count()
+
+
+def _segment_name() -> str:
+    return f"rprtest{os.getpid():x}x{next(_NAMES)}"
+
+
+def _round_trip(message):
+    """Pack ``message`` into a fresh segment and copy it back out."""
+    name = _segment_name()
+    packed, arrays, total = pack_message(message, name)
+    try:
+        if total:
+            seg = create_segment(name, total)
+            fill_segment(seg, arrays)
+            seg.close()
+        with SegmentReader() as reader:
+            return packed, total, reader.unpack(packed)
+    finally:
+        unlink_segment(name)
 
 
 class TestPackUnpack:
     def test_round_trip_plain_arrays(self):
         rng = np.random.default_rng(0)
-        rank_args = [(rng.integers(0, 100, 50),) for _ in range(4)]
-        shm, packed = pack_rank_args(rank_args)
-        try:
-            assert all(
-                isinstance(args[0], ArrayRef) for args in packed
-            )
-            out = unpack_rank_args(shm, packed)
-            for (orig,), (copy,) in zip(rank_args, out):
-                np.testing.assert_array_equal(orig, copy)
-                assert copy.base is None  # owns its data, not a view
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        rows = [rng.integers(0, 100, 50) for _ in range(4)]
+        packed, _, out = _round_trip(rows)
+        assert all(isinstance(ref, ArrayRef) for ref in packed)
+        assert len({ref.segment for ref in packed}) == 1
+        assert [ref.nbytes for ref in packed] == [r.nbytes for r in rows]
+        for orig, copy in zip(rows, out):
+            np.testing.assert_array_equal(orig, copy)
+            assert copy.base is None  # owns its data, not a view
 
     def test_mixed_leaves_pass_through(self):
         keys = np.arange(10)
         payload = np.arange(10, dtype=np.float64)
-        rank_args = [(keys, payload, "label", 7)]
-        shm, packed = pack_rank_args(rank_args)
-        try:
-            out = unpack_rank_args(shm, packed)
-            np.testing.assert_array_equal(out[0][0], keys)
-            np.testing.assert_array_equal(out[0][1], payload)
-            assert out[0][2] == "label" and out[0][3] == 7
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        foreign = ArrayRef("elsewhere", 0, (3,), np.dtype(np.int64))
+        packed, _, out = _round_trip(
+            {"shard": Shard(keys, payload), "tag": ("label", 7)}
+        )
+        assert isinstance(packed["shard"].keys, ArrayRef)
+        np.testing.assert_array_equal(out["shard"].keys, keys)
+        np.testing.assert_array_equal(out["shard"].payload, payload)
+        assert out["tag"] == ("label", 7)
+        # A ref already in the tree is routed on untouched.
+        routed, _, _ = pack_message([foreign], _segment_name())
+        assert routed[0] is foreign
 
     def test_no_arrays_means_no_segment(self):
-        shm, packed = pack_rank_args([(1,), (2,)])
-        assert shm is None
-        assert unpack_rank_args(None, packed) == [(1,), (2,)]
+        packed, total, out = _round_trip([(1,), (2,)])
+        assert total == 0
+        assert packed == out == [(1,), (2,)]
 
     def test_structured_and_empty_arrays(self):
         tagged = np.zeros(3, dtype=TAGGED)
         tagged["key"] = [3, 1, 2]
         empty = np.empty(0, dtype=np.int64)
-        shm, packed = pack_rank_args([(tagged,), (empty,)])
-        try:
-            out = unpack_rank_args(shm, packed)
-            np.testing.assert_array_equal(out[0][0], tagged)
-            assert out[0][0].dtype == TAGGED
-            assert len(out[1][0]) == 0 and out[1][0].dtype == np.int64
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        _, _, out = _round_trip([tagged, empty])
+        np.testing.assert_array_equal(out[0], tagged)
+        assert out[0].dtype == TAGGED
+        assert len(out[1]) == 0 and out[1].dtype == np.int64
+        # Only empty leaves: no bytes, so no segment, yet they rebuild.
+        _, total, out = _round_trip([empty])
+        assert total == 0 and out[0].dtype == np.int64
 
     def test_non_contiguous_input(self):
         base = np.arange(20)
         strided = base[::2]
-        shm, packed = pack_rank_args([(strided,)])
-        try:
-            out = unpack_rank_args(shm, packed)
-            np.testing.assert_array_equal(out[0][0], strided)
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        packed, _, out = _round_trip([strided])
+        assert packed[0].nbytes == strided.nbytes
+        np.testing.assert_array_equal(out[0], strided)
