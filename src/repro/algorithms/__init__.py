@@ -17,8 +17,8 @@ in the reproduction:
 
 Quick tour
 ----------
->>> from repro.algorithms import Dataset, Sorter, available_algorithms
->>> "hss" in list(available_algorithms())
+>>> from repro.algorithms import REGISTRY, Dataset, Sorter
+>>> "hss" in REGISTRY.names()
 True
 >>> ds = Dataset.from_workload("uniform", p=4, n_per=300, seed=1)
 >>> run = Sorter("sample-regular", eps=0.2).run(ds)
@@ -32,12 +32,7 @@ True
 # program modules load, because those modules import back into this
 # namespace while it is still initializing.
 from repro.algorithms.spec import AlgorithmSpec
-from repro.algorithms.registry import (
-    REGISTRY,
-    available_algorithms,
-    get_spec,
-    register_algorithm,
-)
+from repro.algorithms.registry import REGISTRY, register_algorithm
 from repro.algorithms.result import SortRun
 from repro.algorithms.dataset import Dataset
 from repro.algorithms.sorter import Sorter
@@ -64,8 +59,6 @@ __all__ = [
     "AlgorithmSpec",
     "REGISTRY",
     "register_algorithm",
-    "get_spec",
-    "available_algorithms",
     "Dataset",
     "Sorter",
     "SortRun",

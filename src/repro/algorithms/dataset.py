@@ -61,9 +61,9 @@ def _resolve_payload_schema(
 ) -> RecordSchema:
     """Resolve ``from_workload(payloads=...)`` into a concrete schema."""
     if payloads is True:
-        from repro.workloads import get_workload
+        from repro.workloads import WORKLOAD_SPECS
 
-        schema = get_workload(workload).record_schema
+        schema = WORKLOAD_SPECS.get(workload).record_schema
         if schema is None:
             raise ConfigError(
                 f"workload {workload!r} declares no record schema; pass "

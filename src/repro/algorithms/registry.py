@@ -27,21 +27,17 @@ algorithms through this one mapping.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.algorithms.spec import AlgorithmSpec
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
-__all__ = [
-    "REGISTRY",
-    "register_algorithm",
-    "get_spec",
-    "available_algorithms",
-]
+__all__ = ["REGISTRY", "register_algorithm"]
 
 #: name -> :class:`AlgorithmSpec`, populated at import time by the program
 #: modules themselves (plus any third-party plugins).
-REGISTRY: dict[str, AlgorithmSpec] = {}
+REGISTRY: Registry[AlgorithmSpec] = Registry("algorithm")
 
 
 def register_algorithm(spec: AlgorithmSpec | None = None, /, **spec_kwargs: Any):
@@ -62,36 +58,11 @@ def register_algorithm(spec: AlgorithmSpec | None = None, /, **spec_kwargs: Any)
                 "pass either a complete AlgorithmSpec or keyword fields, "
                 "not both"
             )
-        _add(spec)
-        return spec
+        return REGISTRY.register(spec.name, spec)
 
     def decorator(program: Callable[..., Any]) -> Callable[..., Any]:
-        _add(AlgorithmSpec(program=program, **spec_kwargs))
+        built = AlgorithmSpec(program=program, **spec_kwargs)
+        REGISTRY.register(built.name, built)
         return program
 
     return decorator
-
-
-def _add(spec: AlgorithmSpec) -> None:
-    existing = REGISTRY.get(spec.name)
-    if existing is not None and existing.program is not spec.program:
-        raise ConfigError(
-            f"algorithm {spec.name!r} is already registered "
-            f"(by {existing.program.__module__})"
-        )
-    REGISTRY[spec.name] = spec
-
-
-def get_spec(name: str) -> AlgorithmSpec:
-    """Look up a registered algorithm, with the canonical error message."""
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown algorithm {name!r}; choose from {sorted(REGISTRY)}"
-        ) from None
-
-
-def available_algorithms() -> Iterable[str]:
-    """Registered algorithm names, sorted."""
-    return sorted(REGISTRY)

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.algorithms.dataset import Dataset
-from repro.algorithms.registry import get_spec
+from repro.algorithms.registry import REGISTRY
 from repro.algorithms.result import SortRun
 from repro.bsp.machine import MachineModel
 from repro.errors import CapabilityError, ConfigError
@@ -73,7 +73,7 @@ class Sorter:
         verify: bool = True,
         **config_kwargs: Any,
     ) -> None:
-        self.spec = get_spec(algorithm)
+        self.spec = REGISTRY.get(algorithm)
         if config is not None and config_kwargs:
             raise ConfigError(
                 "pass either a pre-built config or keyword knobs, not both"
@@ -94,11 +94,7 @@ class Sorter:
     def _check_capabilities(self, dataset: Dataset) -> None:
         spec = self.spec
         if dataset.has_payloads and not spec.supports_payloads:
-            from repro.algorithms.registry import REGISTRY
-
-            capable = sorted(
-                n for n, s in REGISTRY.items() if s.supports_payloads
-            )
+            capable = [n for n, s in REGISTRY.items() if s.supports_payloads]
             raise CapabilityError(
                 f"algorithm {spec.name!r} does not support payloads "
                 f"(AlgorithmSpec.supports_payloads is False); use a "
@@ -148,11 +144,9 @@ class Sorter:
         config = self.config
         if initial_intervals is not None:
             if not self.spec.supports_warm_start:
-                from repro.algorithms.registry import REGISTRY
-
-                capable = sorted(
+                capable = [
                     n for n, s in REGISTRY.items() if s.supports_warm_start
-                )
+                ]
                 raise CapabilityError(
                     f"algorithm {self.spec.name!r} does not support "
                     f"initial_intervals warm starts "

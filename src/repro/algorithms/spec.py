@@ -21,6 +21,14 @@ from repro.errors import ConfigError
 
 __all__ = ["AlgorithmSpec"]
 
+#: Short capability labels for the ``repro algorithms`` listing.
+_CAPABILITY_LABELS = {
+    "supports_payloads": "payloads",
+    "balanced": "balanced",
+    "needs_multicore": "multicore",
+    "duplicate_tolerant": "dup-tolerant",
+}
+
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -166,3 +174,17 @@ class AlgorithmSpec:
             "needs_multicore": self.needs_multicore,
             "duplicate_tolerant": self.duplicate_tolerant,
         }
+
+    def summary_lines(self) -> list[str]:
+        """This spec's rows in the ``repro algorithms`` listing."""
+        caps = self.capabilities()
+        cap_text = ",".join(
+            short for key, short in _CAPABILITY_LABELS.items() if caps[key]
+        )
+        section = f"§{self.paper_section}" if self.paper_section else ""
+        knobs = ", ".join(sorted(self.config_keys())) or "no knobs"
+        return [
+            f"{self.name:24s} {section:8s} [{cap_text}]",
+            f"{'':24s} {self.description}",
+            f"{'':24s} config: {self.config_cls.__name__}({knobs})",
+        ]

@@ -29,7 +29,7 @@ from repro.bench.compare import (
     MetricDelta,
     compare_documents,
 )
-from repro.bench.registry import Benchmark, get_suite, register, suite_names
+from repro.bench.registry import SUITES, Benchmark, register, suite_names
 from repro.bench.runner import (
     ParallelRunner,
     resolve_suites,
@@ -48,6 +48,7 @@ from repro.bench.schema import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SUITES",
     "BenchDocument",
     "Benchmark",
     "CaseResult",
@@ -58,7 +59,6 @@ __all__ = [
     "SchemaError",
     "SuiteRun",
     "compare_documents",
-    "get_suite",
     "register",
     "resolve_suites",
     "run_suite",

@@ -29,14 +29,14 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.bench.schema import CaseResult
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
 __all__ = [
     "Benchmark",
-    "REGISTRY",
+    "SUITES",
     "TIERS",
     "KNOWN_TIERS",
     "register",
-    "get_suite",
     "suite_names",
 ]
 
@@ -74,6 +74,11 @@ class Benchmark:
     def has_tier(self, tier: str) -> bool:
         return tier in self.tiers
 
+    def summary_lines(self) -> list[str]:
+        """This suite's row in the ``repro bench --list`` listing."""
+        tiers = ",".join(t for t in KNOWN_TIERS if t in self.tiers)
+        return [f"{self.name:22s} [{self.kind}] ({tiers}) {self.description}"]
+
     def params_for(
         self, tier: str, overrides: Mapping[str, Any] | None = None
     ) -> dict[str, Any]:
@@ -94,7 +99,13 @@ class Benchmark:
         return params
 
 
-REGISTRY: dict[str, Benchmark] = {}
+def _load_suites() -> None:
+    # Suites self-register on import; importing them only when the catalog
+    # is read keeps ``import repro`` free of the measurement code.
+    from repro.bench import suites  # noqa: F401
+
+
+SUITES: Registry[Benchmark] = Registry("benchmark suite", loader=_load_suites)
 
 
 def register(
@@ -108,8 +119,6 @@ def register(
     runtime_params: Mapping[str, Any] | None = None,
 ) -> Callable[[RunFn], RunFn]:
     """Decorator registering a measurement function as a suite."""
-    if name in REGISTRY:
-        raise ConfigError(f"benchmark suite {name!r} already registered")
     missing = [t for t in TIERS if t not in tiers]
     if missing:
         raise ConfigError(f"suite {name!r} missing tiers {missing}")
@@ -121,7 +130,7 @@ def register(
         )
 
     def decorate(fn: RunFn) -> RunFn:
-        REGISTRY[name] = Benchmark(
+        SUITES.register(name, Benchmark(
             name=name,
             description=description,
             kind=kind,
@@ -130,31 +139,12 @@ def register(
             render=render,
             artifact=artifact or name,
             runtime_params=dict(runtime_params or {}),
-        )
+        ))
         return fn
 
     return decorate
 
 
-def _ensure_loaded() -> None:
-    # Suites self-register on import; keep the import inside the accessor so
-    # ``repro.bench.schema`` stays importable without pulling in numpy-heavy
-    # measurement code.
-    from repro.bench import suites  # noqa: F401
-
-
-def get_suite(name: str) -> Benchmark:
-    _ensure_loaded()
-    if name not in REGISTRY:
-        raise ConfigError(
-            f"unknown benchmark suite {name!r}; choose from {suite_names()}"
-        )
-    return REGISTRY[name]
-
-
 def suite_names(tier: str | None = None) -> list[str]:
     """Registered suite names, optionally only those defining ``tier``."""
-    _ensure_loaded()
-    if tier is None:
-        return sorted(REGISTRY)
-    return sorted(n for n, b in REGISTRY.items() if b.has_tier(tier))
+    return [n for n, b in SUITES.items() if tier is None or b.has_tier(tier)]

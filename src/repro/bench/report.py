@@ -10,7 +10,7 @@ gate's verdict for CI logs.
 from __future__ import annotations
 
 from repro.bench.compare import CompareReport
-from repro.bench.registry import get_suite
+from repro.bench.registry import SUITES
 from repro.bench.schema import BenchDocument, SuiteRun
 from repro.perf.report import format_series_table
 
@@ -19,7 +19,7 @@ __all__ = ["render_suite", "render_document", "render_comparison"]
 
 def render_suite(run: SuiteRun) -> str:
     """Render one suite's cases as its text-table artifact body."""
-    bench = get_suite(run.suite)
+    bench = SUITES.get(run.suite)
     return bench.render(run.cases, run.params)
 
 

@@ -27,7 +27,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.bench.registry import get_suite, suite_names
+from repro.bench.registry import SUITES, suite_names
 from repro.bench.schema import BenchDocument, SuiteRun
 from repro.errors import ConfigError
 
@@ -56,7 +56,6 @@ def resolve_suites(
         return known if tier is None else suite_names(tier)
     eligible = known if tier is None else suite_names(tier)
     selected: set[str] = set()
-    unknown: list[str] = []
     for pattern in names:
         if _is_glob(pattern):
             matches = fnmatch.filter(known, pattern)
@@ -73,14 +72,8 @@ def resolve_suites(
                     f"tier {tier!r} suites: {suite_names(tier)}"
                 )
             selected.update(tiered)
-        elif pattern not in known:
-            unknown.append(pattern)
         else:
-            selected.add(pattern)
-    if unknown:
-        raise ConfigError(
-            f"unknown benchmark suite(s) {unknown}; choose from {known}"
-        )
+            selected.add(SUITES.get(pattern).name)
     lacking = [n for n in names if not _is_glob(n) and n not in eligible]
     if lacking:
         raise ConfigError(
@@ -98,7 +91,7 @@ def run_suite(
     overrides: Mapping[str, Any] | None = None,
 ) -> SuiteRun:
     """Run one registered suite and wrap its cases in a :class:`SuiteRun`."""
-    bench = get_suite(name)
+    bench = SUITES.get(name)
     params = bench.params_for(tier, overrides)
     start = time.perf_counter()
     cases = bench.fn(params)

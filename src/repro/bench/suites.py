@@ -147,7 +147,7 @@ _SHOOTOUT_ALGORITHMS = [
     runtime_params={"backend": "simulated"},
 )
 def _run_shootout(params: Mapping[str, Any]) -> list[CaseResult]:
-    from repro.algorithms import Dataset, Sorter, get_spec
+    from repro.algorithms import REGISTRY, Dataset, Sorter
 
     p = params["procs"]
     n_per = params["keys_per_rank"]
@@ -163,7 +163,7 @@ def _run_shootout(params: Mapping[str, Any]) -> list[CaseResult]:
             # w.h.p.; at small p the Theorem 3.2.2 failure budget is a few
             # percent, so run them best-effort and *report* imbalance.
             kwargs = {"strict": False} if name.startswith("hss-") else {}
-            config = get_spec(name).legacy_config(
+            config = REGISTRY.get(name).legacy_config(
                 eps=eps, seed=params["sort_seed"], **kwargs
             )
             run = Sorter(
@@ -271,7 +271,7 @@ _RECORD_SCHEMA = "mass:f8,vx:f4,vy:f4,vz:f4,id:u4"
     runtime_params={"backend": "simulated"},
 )
 def _run_shootout_records(params: Mapping[str, Any]) -> list[CaseResult]:
-    from repro.algorithms import Dataset, Sorter, get_spec
+    from repro.algorithms import REGISTRY, Dataset, Sorter
     from repro.records import parse_schema
 
     p = params["procs"]
@@ -287,7 +287,7 @@ def _run_shootout_records(params: Mapping[str, Any]) -> list[CaseResult]:
         )
         for name in params["algorithms"]:
             kwargs = {"strict": False} if name.startswith("hss-") else {}
-            config = get_spec(name).legacy_config(
+            config = REGISTRY.get(name).legacy_config(
                 eps=eps, seed=params["sort_seed"], **kwargs
             )
             run = Sorter(

@@ -91,7 +91,7 @@ def _basis_machine(**constants: float):
 
 
 def _run_cell(cell: DoECell, machine, backend):
-    from repro.algorithms import Dataset, Sorter, get_spec
+    from repro.algorithms import REGISTRY, Dataset, Sorter
 
     dataset = Dataset.from_workload(
         cell.workload,
@@ -103,7 +103,7 @@ def _run_cell(cell: DoECell, machine, backend):
     kwargs = (
         {"strict": False} if cell.algorithm.startswith("hss") else {}
     )
-    config = get_spec(cell.algorithm).legacy_config(
+    config = REGISTRY.get(cell.algorithm).legacy_config(
         eps=cell.eps, seed=cell.sort_seed, **kwargs
     )
     return Sorter(

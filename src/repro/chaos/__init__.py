@@ -29,8 +29,6 @@ order matters — see each module's docstring).
 from repro.chaos.plan import (
     FAULT_PLANS,
     FaultPlan,
-    available_fault_plans,
-    get_fault_plan,
     make_fault_plan,
     register_fault_plan,
     resolve_fault_plan,
@@ -40,8 +38,6 @@ __all__ = [
     "FaultPlan",
     "FAULT_PLANS",
     "register_fault_plan",
-    "get_fault_plan",
     "make_fault_plan",
     "resolve_fault_plan",
-    "available_fault_plans",
 ]

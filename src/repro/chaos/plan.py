@@ -26,15 +26,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
 __all__ = [
     "FaultPlan",
     "FAULT_PLANS",
     "register_fault_plan",
-    "get_fault_plan",
     "make_fault_plan",
     "resolve_fault_plan",
-    "available_fault_plans",
 ]
 
 # Salt constants keep the straggler/kill/drop decision streams
@@ -94,6 +93,16 @@ class FaultPlan:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
+
+    def summary_lines(self) -> list[str]:
+        """This plan's rows in the ``repro chaos`` listing."""
+        default = "(default)" if self.name == "none" else ""
+        return [
+            f"{self.name:20s} {default:10s} {self.description}",
+            f"{'':20s} straggler_prob={self.straggler_prob:g} "
+            f"delay={self.straggler_delay_s:g}s "
+            f"drop_prob={self.drop_prob:g} kill_rank={self.kill_rank}",
+        ]
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -157,35 +166,16 @@ class FaultPlan:
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
-FAULT_PLANS: dict[str, FaultPlan] = {}
+FAULT_PLANS: Registry[FaultPlan] = Registry("fault plan")
 
 
 def register_fault_plan(plan: FaultPlan) -> FaultPlan:
-    """Register ``plan`` under ``plan.name`` (duplicate names rejected)."""
+    """Register ``plan`` under ``plan.name``."""
     if not plan.description:
         raise ConfigError(
             f"fault plan {plan.name!r} must carry a description"
         )
-    if plan.name in FAULT_PLANS:
-        raise ConfigError(f"fault plan {plan.name!r} already registered")
-    FAULT_PLANS[plan.name] = plan
-    return plan
-
-
-def available_fault_plans() -> list[str]:
-    """Sorted names of every registered fault plan."""
-    return sorted(FAULT_PLANS)
-
-
-def get_fault_plan(name: str) -> FaultPlan:
-    """Look up a registered plan by name."""
-    try:
-        return FAULT_PLANS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown fault plan {name!r}; choose from "
-            f"{available_fault_plans()}"
-        ) from None
+    return FAULT_PLANS.register(plan.name, plan)
 
 
 def make_fault_plan(name: str, **overrides) -> FaultPlan:
@@ -195,7 +185,7 @@ def make_fault_plan(name: str, **overrides) -> FaultPlan:
     (the PR 3 typed-config convention); value errors (negative delays,
     probabilities outside [0, 1]) surface from ``FaultPlan`` validation.
     """
-    plan = get_fault_plan(name)
+    plan = FAULT_PLANS.get(name)
     valid = sorted(
         f.name for f in fields(FaultPlan)
         if f.name not in ("name", "description")
@@ -216,7 +206,7 @@ def resolve_fault_plan(plan: FaultPlan | str | None) -> FaultPlan:
     if isinstance(plan, FaultPlan):
         return plan
     if isinstance(plan, str):
-        return get_fault_plan(plan)
+        return FAULT_PLANS.get(plan)
     raise ConfigError(
         f"fault plan must be a FaultPlan, a registered name, or None; "
         f"got {type(plan).__name__}"

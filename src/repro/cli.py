@@ -124,6 +124,22 @@ from typing import Sequence
 
 __all__ = ["main", "build_parser", "execution_options"]
 
+#: The catalog listings ``repro <command>``: (command, registry as
+#: ``module:attribute``, help).  Each entry renders its own
+#: ``summary_lines()``.
+_LISTINGS = (
+    ("algorithms", "repro.algorithms:REGISTRY",
+     "list registered algorithms, capabilities and config keys"),
+    ("machines", "repro.machines:MACHINES",
+     "list registered machines, topologies and constants"),
+    ("backends", "repro.runtime:BACKENDS",
+     "list registered execution backends"),
+    ("workloads", "repro.workloads:WORKLOAD_SPECS",
+     "list registered workloads, paper sections and record schemas"),
+    ("chaos", "repro.chaos:FAULT_PLANS",
+     "list registered fault plans (chaos backend)"),
+)
+
 #: Sentinel: "this subcommand does not take the option at all" (``None``
 #: is a meaningful default — e.g. ``repro serve`` injecting no machine).
 _OMIT = object()
@@ -267,30 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply §4.3 implicit tagging (HSS variants only)",
     )
 
-    sub.add_parser(
-        "algorithms",
-        help="list registered algorithms, capabilities and config keys",
-    )
-
-    sub.add_parser(
-        "machines",
-        help="list registered machines, topologies and constants",
-    )
-
-    sub.add_parser(
-        "backends",
-        help="list registered execution backends",
-    )
-
-    sub.add_parser(
-        "workloads",
-        help="list registered workloads, paper sections and record schemas",
-    )
-
-    sub.add_parser(
-        "chaos",
-        help="list registered fault plans (chaos backend)",
-    )
+    for command, _, help_text in _LISTINGS:
+        sub.add_parser(command, help=help_text)
 
     sweep = sub.add_parser(
         "sweep",
@@ -693,94 +687,20 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_algorithms(args: argparse.Namespace) -> int:
-    from repro.algorithms import REGISTRY
+def _cmd_listing(registry_path: str) -> int:
+    """Print every entry of a registry through its ``summary_lines()``."""
+    import importlib
 
-    del args
-    flags = {
-        "supports_payloads": "payloads",
-        "balanced": "balanced",
-        "needs_multicore": "multicore",
-        "duplicate_tolerant": "dup-tolerant",
-    }
-    for name in sorted(REGISTRY):
-        spec = REGISTRY[name]
-        caps = spec.capabilities()
-        cap_text = ",".join(short for key, short in flags.items() if caps[key])
-        section = f"§{spec.paper_section}" if spec.paper_section else ""
-        print(f"{name:24s} {section:8s} [{cap_text}]")
-        print(f"{'':24s} {spec.description}")
-        print(
-            f"{'':24s} config: {spec.config_cls.__name__}"
-            f"({', '.join(sorted(spec.config_keys())) or 'no knobs'})"
-        )
-    return 0
+    from repro.errors import ConfigError
 
-
-def _cmd_machines(args: argparse.Namespace) -> int:
-    from repro.machines import MACHINES
-
-    del args
-    for name in sorted(MACHINES):
-        spec = MACHINES[name]
-        section = f"§{spec.paper_section}" if spec.paper_section else ""
-        topo = spec.topology
-        if spec.topology_params:
-            inner = ", ".join(
-                f"{k}={v}" for k, v in sorted(spec.topology_params.items())
-            )
-            topo = f"{topo}({inner})"
-        print(f"{name:18s} {section:6s} {topo}, {spec.cores_per_node} cores/node")
-        print(
-            f"{'':18s} alpha={spec.alpha:.2e}s  beta={spec.beta:.2e}s/B  "
-            f"gamma={spec.gamma_compare:.2e}s/cmp"
-        )
-        if spec.note:
-            print(f"{'':18s} {spec.note}")
-    return 0
-
-
-def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.workloads import WORKLOAD_SPECS
-
-    del args
-    for name in sorted(WORKLOAD_SPECS):
-        spec = WORKLOAD_SPECS[name]
-        section = f"§{spec.paper_section}" if spec.paper_section else ""
-        schema = (
-            f"records: {spec.record_schema.compact()}"
-            if spec.record_schema is not None
-            else "keys only"
-        )
-        print(f"{name:18s} {section:6s} {schema}")
-        print(f"{'':18s} {spec.description}")
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.runtime import BACKENDS
-
-    del args
-    for name in sorted(BACKENDS):
-        default = "(default)" if name == "simulated" else ""
-        print(f"{name:12s} {default:10s} {BACKENDS[name].description}")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import FAULT_PLANS
-
-    del args
-    for name in sorted(FAULT_PLANS):
-        plan = FAULT_PLANS[name]
-        default = "(default)" if name == "none" else ""
-        knobs = (
-            f"straggler_prob={plan.straggler_prob:g} "
-            f"delay={plan.straggler_delay_s:g}s "
-            f"drop_prob={plan.drop_prob:g} kill_rank={plan.kill_rank}"
-        )
-        print(f"{name:20s} {default:10s} {plan.description}")
-        print(f"{'':20s} {knobs}")
+    module, _, attr = registry_path.partition(":")
+    registry = getattr(importlib.import_module(module), attr)
+    try:
+        for entry in registry.values():
+            print("\n".join(entry.summary_lines()))
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     return 0
 
 
@@ -934,26 +854,19 @@ def _bench_tolerances(args: argparse.Namespace) -> dict[str, float]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
+        SUITES,
         BenchDocument,
         SchemaError,
         compare_documents,
-        get_suite,
         resolve_suites,
         run_suites,
-        suite_names,
     )
     from repro.bench.report import render_comparison, render_document
     from repro.bench.runner import stderr_progress
     from repro.errors import ConfigError
 
     if args.list:
-        from repro.bench.registry import KNOWN_TIERS
-
-        for name in suite_names():
-            bench = get_suite(name)
-            tiers = ",".join(t for t in KNOWN_TIERS if t in bench.tiers)
-            print(f"{name:22s} [{bench.kind}] ({tiers}) {bench.description}")
-        return 0
+        return _cmd_listing("repro.bench:SUITES")
 
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -969,19 +882,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     overrides = None
     if args.backend is not None and args.candidate is None:
-        from repro.runtime import BACKENDS
+        from repro.runtime import backend_class
 
-        # 'chaos:process'-style spellings validate on the base name.
-        if args.backend.partition(":")[0] not in BACKENDS:
-            print(
-                f"unknown backend {args.backend!r}; "
-                f"choose from {sorted(BACKENDS)}",
-                file=sys.stderr,
-            )
+        try:
+            backend_class(args.backend)
+        except ConfigError as exc:
+            print(str(exc), file=sys.stderr)
             return 2
         supporting = [
             n for n in selected
-            if "backend" in get_suite(n).runtime_params
+            if "backend" in SUITES[n].runtime_params
         ]
         if not supporting:
             print(
@@ -1268,16 +1178,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "sort":
         return _cmd_sort(args)
-    if args.command == "algorithms":
-        return _cmd_algorithms(args)
-    if args.command == "machines":
-        return _cmd_machines(args)
-    if args.command == "backends":
-        return _cmd_backends(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "workloads":
-        return _cmd_workloads(args)
+    for command, registry_path, _ in _LISTINGS:
+        if args.command == command:
+            return _cmd_listing(registry_path)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "table":

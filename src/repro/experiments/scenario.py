@@ -68,30 +68,22 @@ class Scenario:
 
     def __post_init__(self) -> None:
         from repro.algorithms import REGISTRY
-        from repro.machines import get_machine_spec
+        from repro.chaos import FAULT_PLANS
+        from repro.machines import MACHINES
         from repro.runtime import backend_class
         from repro.workloads import WORKLOAD_SPECS
 
-        if self.algorithm not in REGISTRY:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {sorted(REGISTRY)}"
-            )
-        if self.workload not in WORKLOAD_SPECS:
-            raise ConfigError(
-                f"unknown workload {self.workload!r}; "
-                f"choose from {sorted(WORKLOAD_SPECS)}"
-            )
-        get_machine_spec(self.machine)  # raises ConfigError when unknown
+        # Each lookup raises the registry's ConfigError for unknown names.
+        REGISTRY.get(self.algorithm)
+        WORKLOAD_SPECS.get(self.workload)
+        MACHINES.get(self.machine)
         if self.layout not in LAYOUTS:
             raise ConfigError(
                 f"unknown layout {self.layout!r}; choose from {list(LAYOUTS)}"
             )
-        backend_class(self.backend)  # raises ConfigError when unknown
+        backend_class(self.backend)
         if self.chaos:
-            from repro.chaos import get_fault_plan
-
-            get_fault_plan(self.chaos)  # raises ConfigError when unknown
+            FAULT_PLANS.get(self.chaos)
         if self.procs < 1:
             raise ConfigError(f"procs must be >= 1, got {self.procs}")
         if self.keys_per_rank < 1:
@@ -157,9 +149,9 @@ class Scenario:
         payloads: Any = None
         if self.payloads == "workload":
             from repro.errors import CapabilityError
-            from repro.workloads import get_workload
+            from repro.workloads import WORKLOAD_SPECS
 
-            if get_workload(self.workload).record_schema is None:
+            if WORKLOAD_SPECS[self.workload].record_schema is None:
                 # CapabilityError so grid sweeps record the cell as
                 # skipped rather than aborting on an infeasible corner.
                 raise CapabilityError(
@@ -199,14 +191,14 @@ class Scenario:
         ``knobs`` adds algorithm config keys beyond ``eps``/``seed``
         (``repro sort --tag-duplicates``).  Neither is part of the cell.
         """
-        from repro.algorithms import Sorter, get_spec
+        from repro.algorithms import REGISTRY, Sorter
         from repro.machines import machine_summary
         from repro.runtime import ChaosBackend, get_backend
 
         machine = self.resolved_machine()
         if dataset is None:
             dataset = self.build_dataset()
-        config = get_spec(self.algorithm).legacy_config(
+        config = REGISTRY.get(self.algorithm).legacy_config(
             eps=self.eps, seed=self.seed, **(knobs or {})
         )
         options = {} if workers is None else {"workers": workers}

@@ -32,8 +32,6 @@ True
 from repro.machines.spec import MachineSpec
 from repro.machines.topologies import (
     TOPOLOGIES,
-    available_topologies,
-    get_topology_cls,
     make_topology,
     register_topology,
     topology_from_dict,
@@ -41,7 +39,6 @@ from repro.machines.topologies import (
 )
 from repro.machines.registry import (
     MACHINES,
-    available_machines,
     get_machine,
     get_machine_spec,
     machine_summary,
@@ -66,12 +63,9 @@ __all__ = [
     "register_topology",
     "get_machine",
     "get_machine_spec",
-    "get_topology_cls",
     "make_topology",
     "machine_summary",
     "resolve_machine",
-    "available_machines",
-    "available_topologies",
     "topology_to_dict",
     "topology_from_dict",
 ]

@@ -16,8 +16,8 @@ and the experiment sweeps all resolve machines through this one mapping.
 
 Examples
 --------
->>> from repro.machines import available_machines, get_machine
->>> len(available_machines()) >= 6
+>>> from repro.machines import MACHINES, get_machine
+>>> len(MACHINES.names()) >= 6
 True
 >>> get_machine("mira-like-bgq").topology.dims
 5
@@ -32,6 +32,7 @@ from typing import Any, Callable, Mapping
 from repro.bsp.machine import MachineModel
 from repro.errors import ConfigError
 from repro.machines.spec import MachineSpec
+from repro.utils.registry import Registry
 
 __all__ = [
     "MACHINES",
@@ -40,12 +41,7 @@ __all__ = [
     "get_machine",
     "resolve_machine",
     "machine_summary",
-    "available_machines",
 ]
-
-#: name -> :class:`MachineSpec`, populated at import time by the preset
-#: catalog (plus any third-party plugins).
-MACHINES: dict[str, MachineSpec] = {}
 
 
 def register_machine(
@@ -74,10 +70,7 @@ def register_machine(
             f"register_machine needs a MachineSpec (or a factory returning "
             f"one), got {type(built).__name__}"
         )
-    existing = MACHINES.get(built.name)
-    if existing is not None and existing != built and not replace:
-        raise ConfigError(f"machine {built.name!r} is already registered")
-    MACHINES[built.name] = built
+    MACHINES.register(built.name, built, replace=replace)
     return spec
 
 
@@ -85,33 +78,28 @@ def get_machine_spec(
     name: str, overrides: Mapping[str, Any] | None = None
 ) -> MachineSpec:
     """Look up a registered machine, applying overrides."""
-    if name not in MACHINES:
-        _load_machine_path()
-    try:
-        spec = MACHINES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown machine {name!r}; choose from {available_machines()}"
-        ) from None
+    spec = MACHINES.get(name)
     if overrides:
         spec = spec.override(**overrides)
     return spec
 
 
-def _load_machine_path() -> list[str]:
-    """Load spec JSON files named by ``REPRO_MACHINE_PATH`` (lazy, on miss).
+def _load_machine_path() -> None:
+    """Load spec JSON files named by ``REPRO_MACHINE_PATH``.
 
     The env var holds ``os.pathsep``-separated paths to ``MachineSpec``
     JSON files (``repro calibrate --out spec.json`` output).  It is how a
     generated spec crosses process boundaries — ``repro sweep --machines
     local-calibrated`` in a fresh process resolves the name without any
-    code registering it.  Files are (re)loaded with replace semantics, so
-    a re-calibration on disk wins over a stale in-process copy.
+    code registering it.  This is the :data:`MACHINES` loader: it runs
+    before every listing and on a lookup miss, so ``repro machines`` and
+    ``repro sweep --machines`` see the same catalog.  Files are
+    (re)loaded with replace semantics, so a re-calibration on disk wins
+    over a stale in-process copy.
     """
     import os
 
     raw = os.environ.get("REPRO_MACHINE_PATH", "")
-    loaded: list[str] = []
     for path in filter(None, raw.split(os.pathsep)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -121,8 +109,11 @@ def _load_machine_path() -> list[str]:
                 f"REPRO_MACHINE_PATH entry {path!r} is unreadable: {exc}"
             ) from exc
         register_machine(spec, replace=True)
-        loaded.append(spec.name)
-    return loaded
+
+
+#: name -> :class:`MachineSpec`, populated at import time by the preset
+#: catalog (plus any third-party plugins and ``REPRO_MACHINE_PATH`` files).
+MACHINES: Registry[MachineSpec] = Registry("machine", loader=_load_machine_path)
 
 
 def get_machine(
@@ -186,8 +177,3 @@ def machine_summary(
         "topology": model.topology.name,
         "cores_per_node": model.cores_per_node,
     }
-
-
-def available_machines() -> list[str]:
-    """Registered machine names, sorted."""
-    return sorted(MACHINES)

@@ -76,7 +76,7 @@ class MachineSpec:
     gamma_key_compare: float = 0.0
     #: Seconds per byte of local memory traffic.
     gamma_byte: float = 1.0 / 6.0e9
-    #: Registered interconnect plugin name (see ``available_topologies``).
+    #: Registered interconnect plugin name (see ``TOPOLOGIES``).
     topology: str = "fully-connected"
     #: Keyword parameters for the topology plugin.
     topology_params: Mapping[str, Any] = field(default_factory=dict)
@@ -141,6 +141,25 @@ class MachineSpec:
             "topology": self.topology,
             "cores_per_node": self.cores_per_node,
         }
+
+    def summary_lines(self) -> list[str]:
+        """This spec's rows in the ``repro machines`` listing."""
+        section = f"§{self.paper_section}" if self.paper_section else ""
+        topo = self.topology
+        if self.topology_params:
+            inner = ", ".join(
+                f"{k}={v}" for k, v in sorted(self.topology_params.items())
+            )
+            topo = f"{topo}({inner})"
+        lines = [
+            f"{self.name:18s} {section:6s} {topo}, "
+            f"{self.cores_per_node} cores/node",
+            f"{'':18s} alpha={self.alpha:.2e}s  beta={self.beta:.2e}s/B  "
+            f"gamma={self.gamma_compare:.2e}s/cmp",
+        ]
+        if self.note:
+            lines.append(f"{'':18s} {self.note}")
+        return lines
 
     # ------------------------------------------------------------------ #
     # (De)serialization.

@@ -29,13 +29,12 @@ from typing import Any, Mapping
 
 from repro.bsp.network import Dragonfly, FatTree, FullyConnected, Topology, Torus
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
 __all__ = [
     "TOPOLOGIES",
     "register_topology",
-    "get_topology_cls",
     "make_topology",
-    "available_topologies",
     "topology_to_dict",
     "topology_from_dict",
 ]
@@ -43,7 +42,7 @@ __all__ = [
 #: name -> :class:`Topology` subclass.  The registry key is the class's
 #: default ``name`` field, which instances carry — so any topology object
 #: can be mapped back to its plugin without extra bookkeeping.
-TOPOLOGIES: dict[str, type[Topology]] = {}
+TOPOLOGIES: Registry[type[Topology]] = Registry("topology")
 
 
 def register_topology(cls: type[Topology]) -> type[Topology]:
@@ -62,30 +61,7 @@ def register_topology(cls: type[Topology]) -> type[Topology]:
             f"topology {cls.__name__} needs a 'name' field with a string "
             f"default (the registry key)"
         )
-    key = name_fields[0].default
-    existing = TOPOLOGIES.get(key)
-    if existing is not None and existing is not cls:
-        raise ConfigError(
-            f"topology {key!r} is already registered (by "
-            f"{existing.__module__}.{existing.__qualname__})"
-        )
-    TOPOLOGIES[key] = cls
-    return cls
-
-
-def get_topology_cls(name: str) -> type[Topology]:
-    """Look up a registered topology class, with the canonical error."""
-    try:
-        return TOPOLOGIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown topology {name!r}; choose from {sorted(TOPOLOGIES)}"
-        ) from None
-
-
-def available_topologies() -> list[str]:
-    """Registered topology names, sorted."""
-    return sorted(TOPOLOGIES)
+    return TOPOLOGIES.register(name_fields[0].default, cls)
 
 
 def make_topology(name: str, /, **params: Any) -> Topology:
@@ -94,7 +70,7 @@ def make_topology(name: str, /, **params: Any) -> Topology:
     Unknown parameters raise :class:`~repro.errors.ConfigError` naming the
     valid ones (the dataclass fields, minus ``name``).
     """
-    cls = get_topology_cls(name)
+    cls = TOPOLOGIES.get(name)
     valid = _param_names(cls)
     unknown = sorted(set(params) - valid)
     if unknown:
@@ -115,7 +91,7 @@ def topology_to_dict(topology: Topology) -> dict[str, Any]:
     parameters are emitted so serialized machines are self-describing.
     """
     cls = type(topology)
-    if TOPOLOGIES.get(topology.name) is not cls:
+    if topology.name not in TOPOLOGIES or TOPOLOGIES[topology.name] is not cls:
         raise ConfigError(
             f"topology {topology.name!r} ({cls.__name__}) is not registered; "
             f"register it with @register_topology before serializing"

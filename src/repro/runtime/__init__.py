@@ -47,7 +47,6 @@ from repro.runtime.base import (
     BACKENDS,
     Backend,
     Measured,
-    available_backends,
     backend_class,
     get_backend,
     register_backend,
@@ -82,7 +81,6 @@ __all__ = [
     "SimulatedBackend",
     "ProcessBackend",
     "ThreadBackend",
-    "available_backends",
     "backend_class",
     "get_backend",
     "register_backend",

@@ -17,8 +17,8 @@ mapping.
 
 Examples
 --------
->>> from repro.runtime import available_backends, get_backend
->>> available_backends()
+>>> from repro.runtime import BACKENDS, get_backend
+>>> BACKENDS.names()
 ['chaos', 'process', 'simulated', 'thread']
 >>> get_backend("simulated").name
 'simulated'
@@ -43,6 +43,7 @@ from repro.bsp.engine import Measured, Program, RunResult
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.errors import ConfigError
+from repro.utils.registry import Registry
 
 __all__ = [
     "Measured",
@@ -52,7 +53,6 @@ __all__ = [
     "backend_class",
     "get_backend",
     "resolve_backend",
-    "available_backends",
 ]
 
 
@@ -118,13 +118,19 @@ class Backend(ABC):
             f"(got {variant!r})"
         )
 
+    @classmethod
+    def summary_lines(cls) -> list[str]:
+        """This backend's row in the ``repro backends`` listing."""
+        default = "(default)" if cls.name == "simulated" else ""
+        return [f"{cls.name:12s} {default:10s} {cls.description}"]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}(workers={self.workers})"
 
 
 #: name -> :class:`Backend` subclass, populated at import time by the
 #: built-in backends (plus any third-party plugins).
-BACKENDS: dict[str, type[Backend]] = {}
+BACKENDS: Registry[type[Backend]] = Registry("backend")
 
 
 def register_backend(cls: type[Backend]) -> type[Backend]:
@@ -146,11 +152,7 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
         raise ConfigError(f"backend class {cls.__name__} must set a name")
     if not cls.description:
         raise ConfigError(f"backend {cls.name!r} must set a description")
-    existing = BACKENDS.get(cls.name)
-    if existing is not None and existing is not cls:
-        raise ConfigError(f"backend {cls.name!r} is already registered")
-    BACKENDS[cls.name] = cls
-    return cls
+    return BACKENDS.register(cls.name, cls)
 
 
 def backend_class(name: str) -> type[Backend]:
@@ -160,12 +162,7 @@ def backend_class(name: str) -> type[Backend]:
     the variant itself is checked when the backend is built.  Unknown
     names raise :class:`~repro.errors.ConfigError`.
     """
-    try:
-        return BACKENDS[name.partition(":")[0]]
-    except KeyError:
-        raise ConfigError(
-            f"unknown backend {name!r}; choose from {available_backends()}"
-        ) from None
+    return BACKENDS.get(name.partition(":")[0])
 
 
 def get_backend(name: str, **options: Any) -> Backend:
@@ -207,8 +204,3 @@ def resolve_backend(
         f"cannot resolve a backend from {type(backend).__name__}; pass a "
         f"registered name or a Backend instance"
     )
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(BACKENDS)

@@ -212,13 +212,13 @@ class SortService:
         carry: tuple | None,
     ) -> tuple[dict[str, Any], tuple | None]:
         """Run one job; returns ``(reply, boundary_intervals)``."""
-        from repro.algorithms import get_spec
+        from repro.algorithms import REGISTRY
 
         sink = self.trace_sink
         if sink is not None:
             self._span_row()
             probe_t0 = self._clock()
-        warm_capable = get_spec(job.scenario.algorithm).supports_warm_start
+        warm_capable = REGISTRY.get(job.scenario.algorithm).supports_warm_start
         hints = None
         source = None
         if warm_capable:

@@ -1,4 +1,5 @@
-"""Small shared utilities: seeded RNG trees, bit tricks, validation helpers."""
+"""Small shared utilities: seeded RNG trees, bit tricks, validation helpers
+and the :class:`Registry` every named plugin catalog is an instance of."""
 
 from repro.utils.rng import RngTree, spawn_rngs
 from repro.utils.bits import (
@@ -9,6 +10,7 @@ from repro.utils.bits import (
     part1by2,
     compact1by2,
 )
+from repro.utils.registry import Registry
 from repro.utils.validation import (
     check_positive_int,
     check_probability,
@@ -29,4 +31,5 @@ __all__ = [
     "check_probability",
     "check_epsilon",
     "require",
+    "Registry",
 ]

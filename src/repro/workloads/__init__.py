@@ -17,20 +17,15 @@ Every generator self-registers through
 a description, a paper-section tag and (for record-carrying workloads like
 the particle sets) its natural record schema — the same plugin-registry
 treatment algorithms, machines and backends already get.  ``repro
-workloads`` lists the catalog; :data:`WORKLOAD_SPECS` /
-:func:`get_workload` resolve names.
+workloads`` lists the catalog; :data:`WORKLOAD_SPECS` resolves names.
 """
 
 from repro.workloads.registry import (
     WORKLOAD_SPECS,
     WorkloadSpec,
-    available_workloads,
-    get_workload,
     register_workload,
 )
 from repro.workloads.distributions import (
-    DISTRIBUTIONS,
-    make_distributed,
     uniform_shards,
     normal_shards,
     exponential_shards,
@@ -80,18 +75,14 @@ def __getattr__(name):
 
 def make_workload(name, p, n_per, rng=0, **kwargs):
     """Generate per-rank shards for any registered workload by name."""
-    return get_workload(name).generate(p, n_per, rng, **kwargs)
+    return WORKLOAD_SPECS.get(name).generate(p, n_per, rng, **kwargs)
 
 
 __all__ = [
-    "DISTRIBUTIONS",
     "PARTICLE_SCHEMA",
     "WORKLOAD_SPECS",
     "WorkloadSpec",
-    "available_workloads",
-    "get_workload",
     "register_workload",
-    "make_distributed",
     "make_workload",
     "uniform_shards",
     "normal_shards",

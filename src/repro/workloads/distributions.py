@@ -13,8 +13,6 @@ sample sort) are distribution-free — the contrast behind Fig 6.2.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -22,8 +20,6 @@ from repro.utils.rng import rng_or_default
 from repro.workloads.registry import register_workload
 
 __all__ = [
-    "DISTRIBUTIONS",
-    "make_distributed",
     "uniform_shards",
     "normal_shards",
     "exponential_shards",
@@ -195,30 +191,3 @@ def reversed_shards(
     rng = rng_or_default(rng)
     keys = np.sort(rng.integers(0, KEY_SPAN, size=p * n_per, dtype=np.int64))[::-1]
     return [chunk.copy() for chunk in np.array_split(keys, p)]
-
-
-#: Registry used by shootout benchmarks and property tests.
-DISTRIBUTIONS: dict[str, Callable[..., list[np.ndarray]]] = {
-    "uniform": uniform_shards,
-    "normal": normal_shards,
-    "exponential": exponential_shards,
-    "lognormal": lognormal_shards,
-    "staircase": staircase_shards,
-    "nearly-sorted": nearly_sorted_shards,
-    "reversed": reversed_shards,
-}
-
-
-def make_distributed(
-    name: str,
-    p: int,
-    n_per: int,
-    rng: np.random.Generator | int | None = 0,
-    **kwargs,
-) -> list[np.ndarray]:
-    """Generate shards for a registered distribution by name."""
-    if name not in DISTRIBUTIONS:
-        raise WorkloadError(
-            f"unknown distribution {name!r}; choose from {sorted(DISTRIBUTIONS)}"
-        )
-    return DISTRIBUTIONS[name](p, n_per, rng, **kwargs)

@@ -15,8 +15,7 @@ Generator modules self-register::
     )
     def uniform_shards(p, n_per, rng=0): ...
 
-Call sites resolve names through :data:`WORKLOAD_SPECS` /
-:func:`get_workload`.
+Call sites resolve names through :data:`WORKLOAD_SPECS`.
 """
 
 from __future__ import annotations
@@ -24,16 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.errors import WorkloadError
 from repro.records import RecordSchema
+from repro.utils.registry import Registry
 
-__all__ = [
-    "WorkloadSpec",
-    "WORKLOAD_SPECS",
-    "register_workload",
-    "get_workload",
-    "available_workloads",
-]
+__all__ = ["WorkloadSpec", "WORKLOAD_SPECS", "register_workload"]
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,23 @@ class WorkloadSpec:
         """Generate the per-rank key shards."""
         return self.fn(p, n_per, rng, **kwargs)
 
+    def summary_lines(self) -> list[str]:
+        """This spec's rows in the ``repro workloads`` listing."""
+        section = f"§{self.paper_section}" if self.paper_section else ""
+        schema = (
+            f"records: {self.record_schema.compact()}"
+            if self.record_schema is not None
+            else "keys only"
+        )
+        return [
+            f"{self.name:18s} {section:6s} {schema}",
+            f"{'':18s} {self.description}",
+        ]
+
 
 #: name -> spec; populated by :func:`register_workload` at import time of
 #: the generator modules (the package ``__init__`` imports them all).
-WORKLOAD_SPECS: dict[str, WorkloadSpec] = {}
+WORKLOAD_SPECS: Registry[WorkloadSpec] = Registry("workload")
 
 
 def register_workload(
@@ -76,30 +82,13 @@ def register_workload(
         record_schema = RecordSchema.from_mapping(record_schema)
 
     def decorate(fn: Callable) -> Callable:
-        if name in WORKLOAD_SPECS:
-            raise WorkloadError(f"workload {name!r} is already registered")
-        WORKLOAD_SPECS[name] = WorkloadSpec(
+        WORKLOAD_SPECS.register(name, WorkloadSpec(
             name=name,
             fn=fn,
             description=description,
             paper_section=paper_section,
             record_schema=record_schema,
-        )
+        ))
         return fn
 
     return decorate
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    """Resolve a registered workload spec by name."""
-    try:
-        return WORKLOAD_SPECS[name]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown workload {name!r}; choose from {sorted(WORKLOAD_SPECS)}"
-        ) from None
-
-
-def available_workloads() -> list[str]:
-    """Sorted names of every registered workload."""
-    return sorted(WORKLOAD_SPECS)

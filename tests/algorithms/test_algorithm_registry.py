@@ -5,13 +5,7 @@ import re
 
 import pytest
 
-from repro.algorithms import (
-    REGISTRY,
-    AlgorithmSpec,
-    available_algorithms,
-    get_spec,
-    register_algorithm,
-)
+from repro.algorithms import REGISTRY, AlgorithmSpec, register_algorithm
 from repro.errors import ConfigError
 
 
@@ -36,11 +30,11 @@ class TestRegistryContents:
         assert table == set(REGISTRY)
 
     def test_available_algorithms_sorted(self):
-        assert list(available_algorithms()) == sorted(REGISTRY)
+        assert list(REGISTRY) == REGISTRY.names() == sorted(REGISTRY.names())
 
     def test_get_spec_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            get_spec("quicksort")
+            REGISTRY.get("quicksort")
 
     def test_paper_sections_present(self):
         for spec in REGISTRY.values():
@@ -121,9 +115,9 @@ class TestPluginRegistration:
                 return keys
 
             assert REGISTRY["test-null"].program is null_program
-            assert get_spec("test-null").description == "test plugin"
+            assert REGISTRY.get("test-null").description == "test plugin"
         finally:
-            REGISTRY.pop("test-null", None)
+            REGISTRY._entries.pop("test-null", None)
 
     def test_conflicting_reregistration_rejected(self):
         spec = REGISTRY["hss"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import Dataset
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError
 
 
 class TestFromArrays:
@@ -66,13 +66,12 @@ class TestFromWorkload:
             Dataset.from_workload("uniform", p=4, n_per=10, n_total=40)
 
     def test_unknown_workload(self):
-        with pytest.raises(WorkloadError, match="unknown workload"):
+        with pytest.raises(ConfigError, match="unknown workload"):
             Dataset.from_workload("cauchy", p=4, n_per=10)
 
     def test_catalog_covers_changa_and_duplicates(self):
-        from repro.workloads import DISTRIBUTIONS, WORKLOAD_SPECS
+        from repro.workloads import WORKLOAD_SPECS
 
-        assert set(DISTRIBUTIONS) <= set(WORKLOAD_SPECS)
         assert {"changa-dwarf", "hotspot", "zipf-duplicates"} <= set(
             WORKLOAD_SPECS
         )

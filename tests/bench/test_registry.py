@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.registry import KNOWN_TIERS, TIERS, get_suite, suite_names
+from repro.bench.registry import KNOWN_TIERS, SUITES, TIERS, suite_names
 from repro.errors import ConfigError
 
 EXPECTED_SUITES = {
@@ -31,7 +31,7 @@ class TestContents:
 
     def test_each_suite_has_required_tiers(self):
         for name in suite_names():
-            bench = get_suite(name)
+            bench = SUITES.get(name)
             assert set(TIERS) <= set(bench.tiers), name
             assert set(bench.tiers) <= set(KNOWN_TIERS), name
             for tier in bench.tiers:
@@ -41,7 +41,7 @@ class TestContents:
         # Every tier must be a re-parameterization of full, never a
         # different shape.
         for name in suite_names():
-            bench = get_suite(name)
+            bench = SUITES.get(name)
             for tier in bench.tiers:
                 assert set(bench.tiers[tier]) == set(bench.tiers["full"]), (
                     f"{name}/{tier}"
@@ -67,7 +67,7 @@ class TestContents:
         stress = suite_names("stress")
         assert len(stress) >= 4
         for name in stress:
-            bench = get_suite(name)
+            bench = SUITES.get(name)
             assert scale(bench.tiers["stress"]) >= 4 * scale(bench.tiers["quick"])
             assert scale(bench.tiers["stress"]) > scale(bench.tiers["full"])
 
@@ -82,43 +82,43 @@ class TestContents:
             "calibration",
         }
         for name in suite_names():
-            bench = get_suite(name)
+            bench = SUITES.get(name)
             assert bench.description
             assert bench.kind in kinds
             assert bench.artifact  # text artifact stem
 
     def test_artifacts_unique(self):
-        artifacts = [get_suite(n).artifact for n in suite_names()]
+        artifacts = [SUITES.get(n).artifact for n in suite_names()]
         assert len(artifacts) == len(set(artifacts))
 
 
 class TestResolution:
     def test_unknown_suite_raises(self):
         with pytest.raises(ConfigError, match="unknown benchmark suite"):
-            get_suite("quicksort")
+            SUITES.get("quicksort")
 
     def test_unknown_tier_raises(self):
         with pytest.raises(ConfigError, match="no tier"):
-            get_suite("table_5_1").params_for("huge")
+            SUITES.get("table_5_1").params_for("huge")
 
     def test_unknown_override_raises(self):
         with pytest.raises(ConfigError, match="unknown parameter"):
-            get_suite("table_5_1").params_for("quick", {"bogus": 1})
+            SUITES.get("table_5_1").params_for("quick", {"bogus": 1})
 
     def test_override_applies(self):
-        params = get_suite("table_5_1").params_for("quick", {"procs": 1000})
+        params = SUITES.get("table_5_1").params_for("quick", {"procs": 1000})
         assert params["procs"] == 1000
 
     def test_runtime_param_absent_unless_overridden(self):
         # The backend knob must not leak into default params — committed
         # baselines are byte-identical to a registry that never heard of
         # runtime params.
-        suite = get_suite("shootout")
+        suite = SUITES.get("shootout")
         assert "backend" in suite.runtime_params
         assert "backend" not in suite.params_for("quick")
 
     def test_runtime_param_override_accepted(self):
-        params = get_suite("shootout").params_for(
+        params = SUITES.get("shootout").params_for(
             "quick", {"backend": "process"}
         )
         assert params["backend"] == "process"
@@ -126,4 +126,4 @@ class TestResolution:
     def test_runtime_param_unknown_elsewhere(self):
         # Suites that never declared the knob still reject it.
         with pytest.raises(ConfigError, match="unknown parameter"):
-            get_suite("table_5_1").params_for("quick", {"backend": "process"})
+            SUITES.get("table_5_1").params_for("quick", {"backend": "process"})

@@ -28,10 +28,9 @@ pytestmark = pytest.mark.usefixtures("_clean_registry")
 
 @pytest.fixture
 def _clean_registry():
-    before = dict(MACHINES)
+    before = dict(MACHINES._entries)
     yield
-    MACHINES.clear()
-    MACHINES.update(before)
+    MACHINES._entries = before
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +151,7 @@ class TestMachinePathHandoff:
         emit_spec(
             build_spec(fit, name="path-probe-machine"), out=str(out)
         )
-        MACHINES.pop("path-probe-machine")
+        MACHINES._entries.pop("path-probe-machine")
         monkeypatch.setenv("REPRO_MACHINE_PATH", str(out))
         assert get_machine_spec("path-probe-machine").name == (
             "path-probe-machine"

@@ -17,7 +17,7 @@ The headline contracts pinned here:
 import numpy as np
 import pytest
 
-from repro.algorithms import REGISTRY, Dataset, Sorter, get_spec
+from repro.algorithms import REGISTRY, Dataset, Sorter
 from repro.chaos import FaultPlan, make_fault_plan
 from repro.errors import (
     BSPError,
@@ -47,7 +47,7 @@ GRID = [
 def _run(algorithm: str, workload: str, backend) -> object:
     dataset = Dataset.from_workload(workload, p=P, n_per=N_PER, seed=11)
     kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = get_spec(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
+    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
     return Sorter(
         algorithm, config=config, backend=backend, verify=False
     ).run(dataset)

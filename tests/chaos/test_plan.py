@@ -5,8 +5,6 @@ import pytest
 from repro.chaos import (
     FAULT_PLANS,
     FaultPlan,
-    available_fault_plans,
-    get_fault_plan,
     make_fault_plan,
     register_fault_plan,
     resolve_fault_plan,
@@ -42,7 +40,7 @@ class TestValidation:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_fault_plans() == [
+        assert FAULT_PLANS.names() == [
             "dropped-collectives", "kill-rank", "mayhem", "none",
             "stragglers",
         ]
@@ -54,7 +52,7 @@ class TestRegistry:
 
     def test_unknown_plan_lists_choices(self):
         with pytest.raises(ConfigError, match="unknown fault plan 'storm'"):
-            get_fault_plan("storm")
+            FAULT_PLANS.get("storm")
 
     def test_make_rejects_unknown_parameters_naming_valid_keys(self):
         # The PR 3 config-validation convention: the error names both the
@@ -77,8 +75,14 @@ class TestRegistry:
             make_fault_plan("stragglers", straggler_prob=2.0)
 
     def test_duplicate_registration_rejected(self):
+        # Re-registering the identical plan is a no-op; a different plan
+        # under a taken name is rejected.
+        assert register_fault_plan(FAULT_PLANS["none"]) is FAULT_PLANS["none"]
         with pytest.raises(ConfigError, match="already registered"):
-            register_fault_plan(FAULT_PLANS["none"])
+            register_fault_plan(
+                FaultPlan(name="none", description="not the zero plan",
+                          drop_prob=0.5)
+            )
 
     def test_resolve_accepts_none_name_and_plan(self):
         assert resolve_fault_plan(None) is FAULT_PLANS["none"]

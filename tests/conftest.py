@@ -51,7 +51,9 @@ def unmeasured_backend(monkeypatch) -> str:
             )
             return result
 
-    monkeypatch.setitem(BACKENDS, UnmeasuredBackend.name, UnmeasuredBackend)
+    monkeypatch.setitem(
+        BACKENDS._entries, UnmeasuredBackend.name, UnmeasuredBackend
+    )
     return UnmeasuredBackend.name
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import REGISTRY, Sorter, get_spec
+from repro.algorithms import REGISTRY, Sorter
 from repro.errors import ConfigError
 from repro.metrics import verify_sorted_output
 
@@ -31,7 +31,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_every_algorithm_sorts(self, name, rng):
         inputs = [rng.integers(0, 10**7, 600) for _ in range(8)]
-        config = get_spec(name).legacy_config(eps=0.1, seed=5)
+        config = REGISTRY.get(name).legacy_config(eps=0.1, seed=5)
         run = Sorter(name, config=config).run(inputs)
         verify_sorted_output(inputs, run.shards)
         assert run.algorithm == name
@@ -78,6 +78,6 @@ class TestCrossAlgorithmAgreement:
         inputs = [rng.integers(0, 10**7, 500) for _ in range(8)]
         reference = np.sort(np.concatenate(inputs))
         for name in ("hss", "scanning", "sample-regular", "histogram", "radix"):
-            config = get_spec(name).legacy_config(eps=0.1, seed=2)
+            config = REGISTRY.get(name).legacy_config(eps=0.1, seed=2)
             run = Sorter(name, config=config).run(inputs)
             assert np.array_equal(np.concatenate(run.shards), reference), name

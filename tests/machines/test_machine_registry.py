@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.machines import (
     MACHINES,
     MachineSpec,
-    available_machines,
     get_machine,
     get_machine_spec,
     machine_summary,
@@ -31,16 +30,16 @@ EXPECTED_PRESETS = [
 
 class TestCatalog:
     def test_at_least_six_presets(self):
-        assert available_machines() == EXPECTED_PRESETS
+        assert MACHINES.names() == EXPECTED_PRESETS
 
     def test_every_preset_models(self):
-        for name in available_machines():
+        for name in MACHINES.names():
             model = get_machine(name)
             assert isinstance(model, MachineModel)
             assert model.name == name
 
     def test_every_preset_has_provenance_note(self):
-        for name in available_machines():
+        for name in MACHINES.names():
             assert get_machine_spec(name).note, f"{name} lacks a note"
 
     def test_legacy_constants_preserved(self):
@@ -92,7 +91,7 @@ class TestRegisterMachine:
             with pytest.raises(ConfigError, match="already registered"):
                 register_machine(MachineSpec(name="test-rig", alpha=2e-6))
         finally:
-            MACHINES.pop("test-rig", None)
+            MACHINES._entries.pop("test-rig", None)
 
     def test_factory_decorator(self):
         try:
@@ -103,7 +102,7 @@ class TestRegisterMachine:
 
             assert get_machine("test-factory-rig").beta == 1e-8
         finally:
-            MACHINES.pop("test-factory-rig", None)
+            MACHINES._entries.pop("test-factory-rig", None)
 
     def test_non_spec_rejected(self):
         with pytest.raises(ConfigError, match="MachineSpec"):

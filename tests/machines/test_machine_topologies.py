@@ -7,8 +7,7 @@ import pytest
 from repro.bsp.network import Dragonfly, FatTree, FullyConnected, Topology, Torus
 from repro.errors import ConfigError
 from repro.machines import (
-    available_topologies,
-    get_topology_cls,
+    TOPOLOGIES,
     make_topology,
     register_topology,
     topology_from_dict,
@@ -18,20 +17,20 @@ from repro.machines import (
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_topologies() == [
+        assert TOPOLOGIES.names() == [
             "dragonfly", "fat-tree", "fully-connected",
             "jittered-dragonfly", "jittered-fat-tree", "torus",
         ]
 
     def test_get_cls(self):
-        assert get_topology_cls("torus") is Torus
-        assert get_topology_cls("fat-tree") is FatTree
-        assert get_topology_cls("fully-connected") is FullyConnected
-        assert get_topology_cls("dragonfly") is Dragonfly
+        assert TOPOLOGIES.get("torus") is Torus
+        assert TOPOLOGIES.get("fat-tree") is FatTree
+        assert TOPOLOGIES.get("fully-connected") is FullyConnected
+        assert TOPOLOGIES.get("dragonfly") is Dragonfly
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigError, match="dragonfly"):
-            get_topology_cls("hypercube")
+            TOPOLOGIES.get("hypercube")
 
     def test_reregistering_same_class_is_idempotent(self):
         assert register_topology(Torus) is Torus
@@ -68,9 +67,7 @@ class TestRegistry:
             topo = make_topology("test-star", arms=7)
             assert topology_from_dict(topology_to_dict(topo)) == topo
         finally:
-            from repro.machines import TOPOLOGIES
-
-            TOPOLOGIES.pop("test-star", None)
+            TOPOLOGIES._entries.pop("test-star", None)
 
 
 class TestMakeTopology:

@@ -194,13 +194,13 @@ class TestDistributionFreeness:
 
     def test_rounds_invariant_across_distributions(self):
         from repro.algorithms import Sorter
-        from repro.workloads.distributions import make_distributed
+        from repro.workloads import make_workload
 
         p, n_per = 8, 2_000
         cfg = HSSConfig.constant_oversampling(5.0, eps=0.05, seed=33)
         rounds = set()
         for name in ("uniform", "lognormal", "staircase"):
-            shards = make_distributed(name, p, n_per, 3)
+            shards = make_workload(name, p, n_per, 3)
             run = Sorter("hss", config=cfg, verify=False).run(shards)
             rounds.add(run.splitter_stats.num_rounds)
         assert len(rounds) <= 2  # sampling noise only, no distribution term

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.algorithms import REGISTRY, Dataset, Sorter, get_spec
+from repro.algorithms import REGISTRY, Dataset, Sorter
 from repro.bsp.engine import BSPEngine, RunResult
 from repro.errors import BSPError, CollectiveMismatchError, DeadlockError
 from repro.runtime import (
@@ -42,7 +42,7 @@ def _run(algorithm: str, workload: str, backend) -> object:
     # Fixed-round HSS variants guarantee balance only w.h.p.; at this tiny
     # scale run them best-effort, as the shootout suite does.
     kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = get_spec(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
+    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
     return Sorter(
         algorithm, config=config, backend=backend, verify=False
     ).run(dataset)
@@ -173,7 +173,7 @@ def test_record_payload_parity(algorithm):
         "uniform", p=P, n_per=N_PER, seed=11, payloads=RECORD_COLUMNS
     )
     kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = get_spec(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
+    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
     sim, proc = (
         Sorter(
             algorithm, config=config, backend=backend, verify=False

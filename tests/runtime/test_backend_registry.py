@@ -12,7 +12,6 @@ from repro.runtime import (
     ProcessBackend,
     SimulatedBackend,
     ThreadBackend,
-    available_backends,
     get_backend,
     register_backend,
     resolve_backend,
@@ -21,7 +20,7 @@ from repro.runtime import (
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_backends() == [
+        assert BACKENDS.names() == [
             "chaos", "process", "simulated", "thread"
         ]
         assert BACKENDS["simulated"] is SimulatedBackend
@@ -95,7 +94,7 @@ class TestRegistry:
             register_backend(Custom)
             assert resolve_backend("test-custom-backend").name == Custom.name
         finally:
-            BACKENDS.pop("test-custom-backend", None)
+            BACKENDS._entries.pop("test-custom-backend", None)
 
 
 class TestReadmeBackendsTable:

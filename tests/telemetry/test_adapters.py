@@ -10,7 +10,7 @@ and running traced changes nothing about the modeled result.
 import pytest
 
 from repro.algorithms import Dataset, Sorter
-from repro.chaos.plan import get_fault_plan
+from repro.chaos import FAULT_PLANS
 from repro.errors import ConfigError
 from repro.experiments import ExperimentRunner, Scenario
 from repro.runtime import Measured
@@ -126,7 +126,7 @@ class TestChaosEvents:
     def test_plan_injections_become_instants(self):
         run = _run()
         sink = TraceSink()
-        plan = get_fault_plan("stragglers")
+        plan = FAULT_PLANS.get("stragglers")
         chaos_plan_to_events(sink, plan, run.engine_result.trace, P)
         instants = [e for e in sink.events if e["ph"] == "i"]
         assert instants
@@ -139,7 +139,7 @@ class TestChaosEvents:
         run = _run()
         sink = TraceSink()
         chaos_plan_to_events(
-            sink, get_fault_plan("none"), run.engine_result.trace, P
+            sink, FAULT_PLANS.get("none"), run.engine_result.trace, P
         )
         assert sink.events == []
 

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Byte-exact ``repro <kind>`` listings (``REPRO_MACHINE_PATH`` unset).
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class TestParser:
@@ -538,23 +543,48 @@ class TestMachineFlag:
 
 class TestMachinesCommand:
     def test_lists_all_presets_with_notes(self, capsys):
-        from repro.machines import available_machines
+        from repro.machines import MACHINES
 
         assert main(["machines"]) == 0
         out = capsys.readouterr().out
-        assert len(available_machines()) >= 6
-        for name in available_machines():
+        assert len(MACHINES) >= 6
+        for name in MACHINES:
             assert name in out
         assert "torus" in out and "alpha=" in out
+
+    def test_lists_specs_from_machine_path(self, capsys, monkeypatch, tmp_path):
+        from repro.machines import MACHINES, MachineSpec
+
+        monkeypatch.setattr(MACHINES, "_entries", dict(MACHINES._entries))
+        path = tmp_path / "box.json"
+        path.write_text(MachineSpec(name="box", note="path probe").to_json())
+        monkeypatch.setenv("REPRO_MACHINE_PATH", str(path))
+        assert main(["machines"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("box ") for line in lines)
+        assert any(line.endswith(" path probe") for line in lines)
+
+
+class TestListingGolden:
+    """``repro <kind>`` listings are pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "command", ["algorithms", "machines", "workloads", "backends", "chaos"]
+    )
+    def test_stdout_matches_golden(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_MACHINE_PATH", raising=False)
+        assert main([command]) == 0
+        golden = GOLDEN_DIR / f"{command}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestWorkloadsCommand:
     def test_lists_registry_with_record_schemas(self, capsys):
-        from repro.workloads import available_workloads
+        from repro.workloads import WORKLOAD_SPECS
 
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
-        for name in available_workloads():
+        for name in WORKLOAD_SPECS:
             assert name in out
         # Record-carrying workloads show their columns, the rest say so.
         assert "records: mass:<f8" in out
@@ -564,11 +594,11 @@ class TestWorkloadsCommand:
 
 class TestChaosCommand:
     def test_lists_registered_fault_plans(self, capsys):
-        from repro.chaos import available_fault_plans
+        from repro.chaos import FAULT_PLANS
 
         assert main(["chaos"]) == 0
         out = capsys.readouterr().out
-        for name in available_fault_plans():
+        for name in FAULT_PLANS:
             assert name in out
         assert "(default)" in out  # the fault-free 'none' plan
         assert "straggler_prob=" in out
@@ -1004,10 +1034,9 @@ class TestCalibrateCommand:
     def _clean_registry(self):
         from repro.machines import MACHINES
 
-        before = dict(MACHINES)
+        before = dict(MACHINES._entries)
         yield
-        MACHINES.clear()
-        MACHINES.update(before)
+        MACHINES._entries = before
 
     def test_dry_run_prints_doe_table(self, capsys):
         code = main(["calibrate", "--dry-run", "--profile", "tiny"])

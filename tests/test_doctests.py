@@ -20,6 +20,7 @@ import repro.runtime
 import repro.runtime.base
 import repro.telemetry.metrics
 import repro.telemetry.spans
+import repro.utils.registry
 import repro.utils.rng
 
 MODULES = [
@@ -39,6 +40,7 @@ MODULES = [
     repro.runtime.base,
     repro.telemetry.metrics,
     repro.telemetry.spans,
+    repro.utils.registry,
     repro.utils.rng,
 ]
 

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
+from repro.workloads import make_workload
 from repro.workloads.distributions import (
-    DISTRIBUTIONS,
-    make_distributed,
     nearly_sorted_shards,
     reversed_shards,
     staircase_shards,
@@ -14,29 +13,41 @@ from repro.workloads.distributions import (
 )
 
 
+#: The parametric key distributions this module registers.
+DISTRIBUTIONS = (
+    "uniform",
+    "normal",
+    "exponential",
+    "lognormal",
+    "staircase",
+    "nearly-sorted",
+    "reversed",
+)
+
+
 class TestRegistry:
-    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("name", DISTRIBUTIONS)
     def test_shape_and_dtype(self, name):
-        shards = make_distributed(name, 4, 300, 7)
+        shards = make_workload(name, 4, 300, 7)
         assert len(shards) == 4
         assert all(len(s) == 300 for s in shards)
         assert all(s.dtype == np.int64 for s in shards)
 
-    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("name", DISTRIBUTIONS)
     def test_deterministic(self, name):
-        a = make_distributed(name, 3, 100, 5)
-        b = make_distributed(name, 3, 100, 5)
+        a = make_workload(name, 3, 100, 5)
+        b = make_workload(name, 3, 100, 5)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_unknown_name(self):
-        with pytest.raises(WorkloadError, match="unknown distribution"):
-            make_distributed("cauchy", 2, 10)
+        with pytest.raises(ConfigError, match="unknown workload"):
+            make_workload("cauchy", 2, 10)
 
-    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("name", DISTRIBUTIONS)
     def test_keys_stay_clear_of_dtype_extremes(self, name):
         """Sentinel safety: keys must avoid int64 min/max."""
-        shards = make_distributed(name, 4, 200, 3)
+        shards = make_workload(name, 4, 200, 3)
         info = np.iinfo(np.int64)
         for s in shards:
             assert s.min() > info.min and s.max() < info.max
@@ -82,12 +93,12 @@ class TestShapes:
 
 
 class TestSortability:
-    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("name", DISTRIBUTIONS)
     def test_hss_handles_every_distribution(self, name):
         from repro.algorithms import Sorter
         from repro.core.config import HSSConfig
 
-        shards = make_distributed(name, 8, 600, 11)
+        shards = make_workload(name, 8, 600, 11)
         cfg = HSSConfig(eps=0.1, seed=2, tag_duplicates=True)
         run = Sorter("hss", config=cfg).run(shards)
         assert run.imbalance <= 1.1 + 1e-9

@@ -6,13 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError
 from repro.records import RecordSchema
 from repro.workloads import (
     WORKLOAD_SPECS,
     WorkloadSpec,
-    available_workloads,
-    get_workload,
     make_workload,
     register_workload,
 )
@@ -24,22 +22,22 @@ class TestRegistry:
             assert name in WORKLOAD_SPECS
 
     def test_get_workload_resolves(self):
-        spec = get_workload("uniform")
+        spec = WORKLOAD_SPECS.get("uniform")
         assert isinstance(spec, WorkloadSpec)
         assert spec.name == "uniform"
         assert spec.record_schema is None
 
     def test_get_workload_unknown_lists_choices(self):
-        with pytest.raises(WorkloadError, match="choose from"):
-            get_workload("nope")
+        with pytest.raises(ConfigError, match="choose from"):
+            WORKLOAD_SPECS.get("nope")
 
     def test_available_workloads_sorted(self):
-        names = available_workloads()
+        names = WORKLOAD_SPECS.names()
         assert names == sorted(names)
         assert "uniform" in names
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(WorkloadError, match="already registered"):
+        with pytest.raises(ConfigError, match="already registered"):
             register_workload("uniform", description="again")(lambda p, n, rng=0: [])
 
     def test_register_and_generate(self):
@@ -55,16 +53,16 @@ class TestRegistry:
             def probe(p, n_per, rng=0):
                 return [np.arange(n_per, dtype=np.int64) for _ in range(p)]
 
-            spec = get_workload(name)
+            spec = WORKLOAD_SPECS.get(name)
             assert spec.record_schema == RecordSchema.from_mapping({"w": "f8"})
             shards = spec.generate(3, 5)
             assert len(shards) == 3 and len(shards[0]) == 5
             assert spec.fn is probe
         finally:
-            WORKLOAD_SPECS.pop(name, None)
+            WORKLOAD_SPECS._entries.pop(name, None)
 
     def test_changa_declares_particle_schema(self):
-        schema = get_workload("changa-dwarf").record_schema
+        schema = WORKLOAD_SPECS.get("changa-dwarf").record_schema
         assert schema is not None
         assert schema.column_names == ("mass", "vx", "vy", "vz", "id")
         assert schema.record_nbytes() == 32  # 8-byte key + 24 payload bytes
@@ -73,7 +71,7 @@ class TestRegistry:
 class TestCatalogView:
     def test_make_workload_matches_direct_call(self):
         via_catalog = make_workload("uniform", 2, 10, rng=7)
-        via_spec = get_workload("uniform").generate(2, 10, rng=7)
+        via_spec = WORKLOAD_SPECS.get("uniform").generate(2, 10, rng=7)
         for a, b in zip(via_catalog, via_spec):
             np.testing.assert_array_equal(a, b)
 
