@@ -128,10 +128,11 @@ class Sorter:
         only histogram-refining algorithms accept it
         (``AlgorithmSpec.supports_warm_start``).
 
-        ``trace_sink`` (a :class:`~repro.telemetry.TraceSink`) collects
-        span telemetry from the run: modeled superstep/phase spans and
-        measured per-rank compute/wait spans, on every built-in backend.
-        ``None`` — the default — records nothing and adds no overhead.
+        ``trace_sink`` (a :class:`~repro.telemetry.TraceSink`) receives
+        the finished run's projection (:meth:`Backend.emit_spans
+        <repro.runtime.Backend.emit_spans>`): modeled superstep/phase
+        spans and measured per-rank compute/wait spans, on every built-in
+        backend.  A run that raises emits nothing.
         """
         if isinstance(data, Dataset):
             if payloads is not None:
@@ -166,7 +167,6 @@ class Sorter:
             self.spec.program,
             dataset.rank_args(),
             machine=self.machine,
-            trace_sink=trace_sink,
             **self.spec.program_kwargs(config),
         )
 
@@ -179,6 +179,8 @@ class Sorter:
             verify_sorted_output(
                 dataset.shards, shards, self.spec.verify_eps(self.config)
             )
+        if trace_sink is not None:
+            self.backend.emit_spans(result, trace_sink)
         return SortRun(
             shards=shards,
             payloads=out_payloads,

@@ -33,7 +33,8 @@ convention of counting key comparisons (``T_I``) and bytes moved.  Charged
 time accumulates per rank; at each rendezvous the superstep's compute cost is
 the *maximum* over ranks, exactly as in Valiant's BSP accounting.  The rank
 loop also times the real wall-clock of every compute segment and
-collective wait; those land in :class:`Measured` on the result.
+collective wait; the result carries those segments and the
+:class:`Measured` totals derived from them.
 
 Determinism: rank programs run in rank order within each scheduling sweep and
 all randomness comes from caller-provided seeded generators, so a run is a
@@ -131,8 +132,7 @@ class Context:
     Besides the modeled clock (``charge_*``), a context measures real
     wall-clock: the rank loop opens a segment before resuming the rank's
     generator and closes it at the next yield, phase scopes split it, and
-    the time spent waiting for the broker's reply adds to
-    ``comm_wait_s``.
+    each wait for the broker's reply is logged as a wait segment.
     """
 
     _group: tuple = ("global",)
@@ -144,15 +144,11 @@ class Context:
         self._phase = _DEFAULT_PHASE
         self._pending_compute = 0.0  # seconds since last rendezvous
         self._pending_by_phase: dict[str, float] = {}
-        self.wall_by_phase: dict[str, float] = {}
-        self.comm_wait_s = 0.0
         self._seg_start: float | None = None
         #: Raw ``(phase, start, end)`` compute segments and ``(op, start,
-        #: end, sweep)`` collective waits on the ``perf_counter`` clock —
-        #: kept only under a trace sink (None otherwise, so the
-        #: telemetry-off path allocates nothing per segment).
-        self.segments: list[tuple] | None = None
-        self.wait_segments: list[tuple] | None = None
+        #: end, sweep)`` collective waits on the ``perf_counter`` clock.
+        self.segments: list[tuple] = []
+        self.wait_segments: list[tuple] = []
 
     def node_comm(self) -> "NodeContext":
         """A sub-communicator over this rank's *node* (§6.1 nodegroups).
@@ -290,13 +286,8 @@ class Context:
         """
         now = perf_counter()
         start = self._seg_start
-        if start is not None:
-            phase = self._phase
-            self.wall_by_phase[phase] = (
-                self.wall_by_phase.get(phase, 0.0) + (now - start)
-            )
-            if self.segments is not None and now > start:
-                self.segments.append((phase, start, now))
+        if start is not None and now > start:
+            self.segments.append((self._phase, start, now))
         self._seg_start = now
 
     def _drain_compute(self) -> tuple[float, dict[str, float]]:
@@ -363,7 +354,8 @@ class Measured:
     Phase attribution follows the programs' own ``ctx.phase(...)`` labels,
     so measured entries line up with the modeled phase breakdown.  Times
     spent blocked at collectives are kept separate (``rank_comm_wait_s``)
-    rather than smeared into compute phases.
+    rather than smeared into compute phases.  Every total is derived from
+    the per-rank segments on :class:`RunResult`.
     """
 
     #: Which backend produced the run (registry name).
@@ -414,18 +406,6 @@ class Measured:
         """
         return max(self.rank_comm_wait_s, default=0.0)
 
-    def to_spans(self, sink):
-        """Project this block onto the measured timeline; returns the sink.
-
-        One compute + one wait span per rank (the block stores totals,
-        not segments); backends passed a live ``trace_sink`` emit full
-        per-segment spans instead — see
-        :func:`repro.telemetry.adapters.emit_rank_segments`.
-        """
-        from repro.telemetry.adapters import measured_to_spans
-
-        return measured_to_spans(self, sink)
-
 
 @dataclass
 class RunResult:
@@ -437,9 +417,16 @@ class RunResult:
     makespan: float
     #: Real wall-clock measurements of the run (:class:`Measured`), filled
     #: by the shared broker loop on every built-in backend.  Modeled
-    #: fields above are bit-identical across backends; this block is the
-    #: only backend-dependent part of a result.
+    #: fields above are bit-identical across backends; this block and the
+    #: segments below are the only backend-dependent part of a result.
     measured: Measured | None = None
+    #: Per rank, its ``(phase, start_s, end_s)`` compute segments, in
+    #: seconds since the run started.  Empty only for a plugin backend
+    #: that does not run the shared rank loop.
+    compute_segments: tuple[list[tuple], ...] = ()
+    #: Per rank, its ``(op, start_s, end_s, sweep)`` collective waits on
+    #: the same clock; ``sweep`` indexes the broker's rendezvous.
+    wait_segments: tuple[list[tuple], ...] = ()
 
     def breakdown(self):
         """Phase breakdown of the modeled execution time."""
@@ -470,10 +457,8 @@ class RankDone:
     phase: str
     compute: float
     by_phase: dict[str, float]
-    wall_by_phase: dict[str, float]
-    comm_wait_s: float
-    segments: list[tuple] | None
-    wait_segments: list[tuple] | None
+    segments: list[tuple]
+    wait_segments: list[tuple]
 
 
 @dataclass
@@ -520,7 +505,6 @@ class SuperstepResolver:
         cost_model: CostModel,
         node_layout: NodeLayout | None,
         nprocs: int,
-        trace_sink: Any = None,
     ) -> None:
         self.cost_model = cost_model
         self.node_layout = node_layout
@@ -528,22 +512,6 @@ class SuperstepResolver:
         self.trace = Trace()
         self.stats = CommStats()
         self.step = 0
-        self.trace_sink = trace_sink
-        self._span_clock = 0.0
-        if trace_sink is not None:
-            # Bound once: the per-record emission path must not pay an
-            # import per superstep (and stays entirely off when no sink).
-            from repro.telemetry.adapters import emit_superstep_spans
-
-            self._emit_spans = emit_superstep_spans
-
-    def _record(self, record: SuperstepRecord) -> None:
-        """Append one superstep record, mirroring it to the span sink."""
-        self.trace.append(record)
-        if self.trace_sink is not None:
-            self._span_clock = self._emit_spans(
-                self.trace_sink, record, self._span_clock
-            )
 
     # ------------------------------------------------------------------ #
     def resolve_sweep(
@@ -675,7 +643,7 @@ class SuperstepResolver:
 
             group_comm = cost.comm_seconds + cost.compute_seconds
             if scope == "global":
-                self._record(
+                self.trace.append(
                     SuperstepRecord(
                         index=step,
                         op=first.op,
@@ -699,7 +667,7 @@ class SuperstepResolver:
                 results[r] = resolved.results[i]
 
         if sweep_op:
-            self._record(
+            self.trace.append(
                 SuperstepRecord(
                     index=step,
                     op=sweep_op,
@@ -736,7 +704,7 @@ class SuperstepResolver:
                 phase = max(max_phases.items(), key=lambda kv: kv[1])[0]
             else:
                 phase = fallback_phase
-            self._record(
+            self.trace.append(
                 SuperstepRecord(
                     index=self.step,
                     op="__final__",
@@ -751,12 +719,6 @@ class SuperstepResolver:
 
     def result(self, returns: list[Any]) -> RunResult:
         """Package the accumulated trace/stats into a :class:`RunResult`."""
-        if self.trace_sink is not None:
-            from repro.telemetry.adapters import emit_run_span
-
-            emit_run_span(
-                self.trace_sink, self.trace.makespan, len(self.trace)
-            )
         return RunResult(
             returns=returns,
             trace=self.trace,
@@ -771,7 +733,6 @@ def _rank_steps(
     rank_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
-    record_segments: bool,
 ) -> Generator[dict[int, Any], dict[int, Any], dict[int, Any]]:
     """Advance a block of ranks to their next yield, sweep after sweep.
 
@@ -786,9 +747,6 @@ def _rank_steps(
     gens: dict[int, Any] = {}
     for rank, args in zip(ranks, rank_args):
         ctx = Context(engine, rank)
-        if record_segments:
-            ctx.segments = []
-            ctx.wait_segments = []
         try:
             gen = program(ctx, *args, **shared_kwargs)
             if not hasattr(gen, "send"):
@@ -818,8 +776,6 @@ def _rank_steps(
                     ctx._phase,
                     pending,
                     by_phase,
-                    ctx.wall_by_phase,
-                    ctx.comm_wait_s,
                     ctx.segments,
                     ctx.wait_segments,
                 )
@@ -833,24 +789,21 @@ def _rank_steps(
                 return batch
             pending, by_phase = ctx._drain_compute()
             batch[r] = RankYield(request, ctx._phase, pending, by_phase)
-            if record_segments:
-                ops[r] = request.op
+            ops[r] = request.op
             waiting.append(r)
             resume[r] = None
         if not waiting:
             return batch
         wait_start = perf_counter()
         results = yield batch
-        waited = perf_counter() - wait_start
+        wait_end = perf_counter()
         for r in waiting:
-            ctxs[r].comm_wait_s += waited
-            if record_segments:
-                # Every live worker joins every broker sweep, so this
-                # local counter indexes the same global rendezvous on all
-                # workers — the flow-connection key.
-                ctxs[r].wait_segments.append(
-                    (ops[r], wait_start, wait_start + waited, sweep_index)
-                )
+            # Every live worker joins every broker sweep, so this local
+            # counter indexes the same global rendezvous on all workers —
+            # the flow-connection key.
+            ctxs[r].wait_segments.append(
+                (ops[r], wait_start, wait_end, sweep_index)
+            )
         sweep_index += 1
         resume.update(results)
         # Drop the transport's references: the ranks hold what they need.
@@ -866,7 +819,6 @@ def _broker_loop(
     *,
     backend: str,
     start: float,
-    trace_sink: Any,
 ) -> RunResult:
     """Resolve complete sweeps of worker ``i``'s ``recv(i)`` batches.
 
@@ -878,9 +830,7 @@ def _broker_loop(
     worker whose transport hits EOF died.
     """
     p = engine.nprocs
-    resolver = SuperstepResolver(
-        engine.cost_model, engine.node_layout, p, trace_sink=trace_sink
-    )
+    resolver = SuperstepResolver(engine.cost_model, engine.node_layout, p)
     returns: list[Any] = [None] * p
     final: dict[int, RankDone] = {}
     finished: list[int] = []
@@ -922,59 +872,56 @@ def _broker_loop(
         [(final[r].compute, final[r].by_phase) for r in range(p)],
         fallback_phase=final[0].phase,
     )
+    # Rank timestamps come from ``perf_counter`` (CLOCK_MONOTONIC — one
+    # machine-wide clock, comparable across processes); rebased on the
+    # run's start, the measured timeline begins at zero.
     result = resolver.result(returns)
-    result.measured = _measured(
-        final, backend, len(assignment), start, trace_sink
+    result.compute_segments = tuple(
+        [
+            (phase, t0 - start, t1 - start)
+            for phase, t0, t1 in final[r].segments
+        ]
+        for r in range(p)
     )
+    result.wait_segments = tuple(
+        [
+            (op, t0 - start, t1 - start, sweep)
+            for op, t0, t1, sweep in final[r].wait_segments
+        ]
+        for r in range(p)
+    )
+    result.measured = _measured(result, backend, len(assignment), start)
     return result
 
 
 def _measured(
-    final: dict[int, RankDone],
-    backend: str,
-    workers: int,
-    start: float,
-    trace_sink: Any,
+    result: RunResult, backend: str, workers: int, start: float
 ) -> Measured:
-    """Aggregate the ranks' measurements; emit their spans under a sink.
-
-    Rank timestamps come from ``perf_counter`` (CLOCK_MONOTONIC — one
-    machine-wide clock, comparable across processes), normalized here
-    against the run's own start so the measured timeline begins at zero.
-    """
-    ranks = range(len(final))
+    """Every :class:`Measured` total, derived from the result's segments."""
+    rank_compute: list[float] = []
     phase_wall: dict[str, float] = {}
-    for r in ranks:
-        for phase, seconds in final[r].wall_by_phase.items():
+    for segments in result.compute_segments:
+        by_phase: dict[str, float] = {}
+        total = 0.0
+        for phase, t0, t1 in segments:
+            seconds = t1 - t0
+            total += seconds
+            by_phase[phase] = by_phase.get(phase, 0.0) + seconds
+        rank_compute.append(total)
+        for phase, seconds in by_phase.items():
             if seconds > phase_wall.get(phase, 0.0):
                 phase_wall[phase] = seconds
-    measured = Measured(
+    return Measured(
         backend=backend,
         workers=workers,
         wall_s=perf_counter() - start,
-        rank_compute_s=tuple(
-            sum(final[r].wall_by_phase.values()) for r in ranks
+        rank_compute_s=tuple(rank_compute),
+        rank_comm_wait_s=tuple(
+            sum(t1 - t0 for _, t0, t1, _ in waits)
+            for waits in result.wait_segments
         ),
-        rank_comm_wait_s=tuple(final[r].comm_wait_s for r in ranks),
         phase_wall_s=phase_wall,
     )
-    if trace_sink is not None:
-        from repro.telemetry.adapters import emit_rank_segments
-
-        def shift(entries: list[tuple] | None) -> list[tuple]:
-            return [
-                (entry[0], max(0.0, entry[1] - start), entry[2] - start)
-                + entry[3:]
-                for entry in entries or ()
-            ]
-
-        emit_rank_segments(
-            trace_sink,
-            {r: shift(final[r].segments) for r in ranks},
-            {r: shift(final[r].wait_segments) for r in ranks},
-            backend,
-        )
-    return measured
 
 
 class BSPEngine:
@@ -1011,7 +958,6 @@ class BSPEngine:
         self,
         program: Program,
         rank_args: Sequence[tuple] | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         """Execute ``program`` on every rank and return the joint result.
@@ -1025,11 +971,6 @@ class BSPEngine:
             Generator function ``program(ctx, *args, **shared_kwargs)``.
         rank_args:
             Optional per-rank positional arguments (length ``nprocs``).
-        trace_sink:
-            Optional :class:`~repro.telemetry.TraceSink` receiving
-            modeled superstep/phase spans as they resolve, plus measured
-            per-rank compute/wait spans.  ``None`` (the default) records
-            nothing and allocates nothing.
         shared_kwargs:
             Keyword arguments passed identically to every rank.
         """
@@ -1042,10 +983,7 @@ class BSPEngine:
             )
         start = perf_counter()
         ranks = list(range(p))
-        steps = _rank_steps(
-            self, ranks, rank_args, program, shared_kwargs,
-            trace_sink is not None,
-        )
+        steps = _rank_steps(self, ranks, rank_args, program, shared_kwargs)
         reply: dict[int, Any] | None = None
 
         def recv(_: int) -> dict[int, Any]:
@@ -1060,5 +998,5 @@ class BSPEngine:
 
         return _broker_loop(
             self, [ranks], recv, send,
-            backend="simulated", start=start, trace_sink=trace_sink,
+            backend="simulated", start=start,
         )

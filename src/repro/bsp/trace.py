@@ -122,18 +122,6 @@ class Trace:
                 out.add(phase, seconds, 0.0)
         return out
 
-    def to_spans(self, sink):
-        """Replay this trace into a telemetry sink; returns the sink.
-
-        Produces exactly the spans live resolver emission would have —
-        both paths share :func:`repro.telemetry.adapters.trace_to_spans`
-        — so a breakdown computed from spans always matches
-        :meth:`breakdown`.
-        """
-        from repro.telemetry.adapters import trace_to_spans
-
-        return trace_to_spans(self, sink)
-
     def count_collectives(self, op: str | None = None) -> int:
         """Number of collectives executed (optionally of one kind)."""
         if op is None:

@@ -171,7 +171,6 @@ class ChaosBackend(Backend):
         *,
         machine: MachineModel | None = None,
         node_layout: NodeLayout | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         plan = self.plan
@@ -182,7 +181,6 @@ class ChaosBackend(Backend):
                 rank_args,
                 machine=machine,
                 node_layout=node_layout,
-                trace_sink=trace_sink,
                 **shared_kwargs,
             )
 
@@ -193,7 +191,6 @@ class ChaosBackend(Backend):
                 rank_args,
                 machine=machine,
                 node_layout=node_layout,
-                trace_sink=trace_sink,
                 **shared_kwargs,
             )
         except (DeadlockError, CollectiveMismatchError) as exc:
@@ -221,13 +218,16 @@ class ChaosBackend(Backend):
             backend=f"chaos:{self.inner.name}",
             chaos=self._metrics(plan, counters, result, fault_free),
         )
-        if trace_sink is not None:
-            from repro.telemetry.adapters import chaos_plan_to_events
-
-            chaos_plan_to_events(
-                trace_sink, plan, result.trace, len(rank_args)
-            )
         return result
+
+    def emit_spans(self, result: RunResult, sink: Any) -> None:
+        """The inner backend's projection, then this plan's injections."""
+        from repro.telemetry.adapters import chaos_plan_to_events
+
+        self.inner.emit_spans(result, sink)
+        chaos_plan_to_events(
+            sink, self.plan, result.trace, len(result.returns)
+        )
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -18,10 +18,13 @@ built-in :class:`Backend` supplies only the transport between them:
   processes on real cores.
 
 All three therefore agree bit-for-bit on sorted outputs, ``CommStats``
-and modeled times, and all three report the wall-clock the loop
-measured — per-phase walls, per-rank compute and collective wait — in
-the same :class:`Measured` block (``result.measured``).  What differs
-is the wall-clock itself.
+and modeled times, and all three return the wall-clock the loop
+measured the same way: each rank's compute segments and collective
+waits on the result, and the :class:`Measured` totals derived from them
+(``result.measured``: per-phase walls, per-rank compute and collective
+wait).  What differs is the wall-clock itself.  Telemetry is a view of
+that result: :meth:`Backend.emit_spans` projects it into a trace sink
+after the run, so no backend takes a sink.
 The fourth registered backend is adversarial: ``chaos`` (from
 :mod:`repro.chaos`) wraps any of the above — spelled
 ``chaos:<inner>`` — and injects a seeded, deterministic fault plan.

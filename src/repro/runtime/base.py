@@ -7,7 +7,8 @@ default) and the thread and process backends all implement the same
 ``run(program, rank_args, ...) -> RunResult`` contract and run the one
 shared rank loop and broker loop of :mod:`repro.bsp.engine` — so sorted
 outputs, comm stats and modeled times are bit-identical across backends
-while wall-clock behaviour differs.
+while wall-clock behaviour differs.  A run takes no trace sink: spans
+are projected from the returned result by :meth:`Backend.emit_spans`.
 
 The registry mirrors :mod:`repro.algorithms.registry` and
 :mod:`repro.machines.registry`: backends self-register at import via
@@ -60,10 +61,11 @@ class Backend(ABC):
     """One strategy for executing an SPMD rank program.
 
     Subclasses set :attr:`name`/:attr:`description` class attributes and
-    implement :meth:`run`.  All backends accept a ``workers`` option — the
-    number of OS processes the backend may use (the simulator always uses
-    one and ignores higher requests; the process backend multiplexes
-    ranks over that many workers).
+    implement :meth:`run`.  All backends accept a ``workers`` option —
+    the number of OS processes the backend may use (the simulator always
+    uses one and ignores higher requests; the process backend multiplexes
+    ranks over that many workers).  Telemetry is not part of a run: a
+    finished result is projected into a trace sink by :meth:`emit_spans`.
     """
 
     #: Registry key (``Sorter(backend=...)``, ``repro sort --backend``).
@@ -84,7 +86,6 @@ class Backend(ABC):
         *,
         machine: MachineModel | None = None,
         node_layout: NodeLayout | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         """Execute ``program`` on ``len(rank_args)`` ranks.
@@ -95,13 +96,19 @@ class Backend(ABC):
         modeled fields (returns, trace, stats, makespan) are bit-identical
         across backends and whose :attr:`~repro.bsp.engine.RunResult.measured`
         block carries this backend's wall-clock observations.
-
-        ``trace_sink`` (a :class:`~repro.telemetry.TraceSink`) receives
-        the run's modeled superstep spans and, from every backend that
-        runs the shared rank loop (all built-ins), measured per-rank
-        compute/wait spans.  ``None`` — the default — records nothing
-        and costs nothing.
         """
+
+    def emit_spans(self, result: RunResult, sink: Any) -> None:
+        """Project a finished ``result`` of this backend into ``sink``.
+
+        The modeled superstep spans plus, from every backend that runs
+        the shared rank loop (all built-ins), measured per-rank
+        compute/wait spans — see
+        :func:`repro.telemetry.adapters.run_to_spans`.
+        """
+        from repro.telemetry.adapters import run_to_spans
+
+        run_to_spans(result, sink, self.name)
 
     @classmethod
     def with_variant(

@@ -19,8 +19,8 @@ therefore bit-identical to :class:`~repro.runtime.SimulatedBackend`; only
 *wall-clock* changes, because the compute between collectives runs
 concurrently on real cores.  Workers send one batch ``{rank: RankYield |
 RankDone | RankFailed}`` per sweep and receive ``{rank: resume value}``;
-the per-phase compute and collective waits they time land in the
-:class:`~repro.runtime.Measured` block on the returned result.
+the compute segments and collective waits they time travel in each
+rank's final ``RankDone`` and land on the returned result.
 
 The broker routes descriptors, not bytes.  Each worker writes a batch's
 arrays into one segment it creates, and the pipe carries the batch with
@@ -186,7 +186,6 @@ def _rank_loop(
     rank_args: Sequence[tuple],
     program: Program,
     shared_kwargs: dict[str, Any],
-    record_segments: bool,
 ) -> None:
     """Pump one worker's rank steps over a blocking transport.
 
@@ -196,9 +195,7 @@ def _rank_loop(
     pipe error: the broker went away because of an error elsewhere) ends
     the pump quietly.
     """
-    steps = _rank_steps(
-        engine, ranks, rank_args, program, shared_kwargs, record_segments
-    )
+    steps = _rank_steps(engine, ranks, rank_args, program, shared_kwargs)
     try:
         try:
             batch = next(steps)
@@ -222,7 +219,6 @@ def _worker_main(
     shared_kwargs: dict[str, Any],
     engine: BSPEngine,
     chan_base: str,
-    record_segments: bool,
     inherited_conns: Sequence[Any] = (),
 ) -> None:
     """Run this worker's ranks, forwarding every collective to the broker.
@@ -245,7 +241,6 @@ def _worker_main(
             rank_args,
             program,
             shared_kwargs,
-            record_segments,
         )
     finally:
         conn.close()
@@ -279,7 +274,6 @@ class ProcessBackend(Backend):
         *,
         machine: MachineModel | None = None,
         node_layout: NodeLayout | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         engine = BSPEngine(
@@ -350,7 +344,6 @@ class ProcessBackend(Backend):
                         shared_kwargs,
                         engine,
                         f"{chan_base}{i}",
-                        trace_sink is not None,
                         [*conns, parent_conn] if forked else (),
                     ),
                     daemon=True,
@@ -366,7 +359,6 @@ class ProcessBackend(Backend):
                 send,
                 backend=self.name,
                 start=start,
-                trace_sink=trace_sink,
             )
         finally:
             for conn in conns:

@@ -38,15 +38,9 @@ class SimulatedBackend(Backend):
         *,
         machine: MachineModel | None = None,
         node_layout: NodeLayout | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         engine = BSPEngine(
             len(rank_args), machine=machine, node_layout=node_layout
         )
-        return engine.run(
-            program,
-            rank_args=rank_args,
-            trace_sink=trace_sink,
-            **shared_kwargs,
-        )
+        return engine.run(program, rank_args=rank_args, **shared_kwargs)

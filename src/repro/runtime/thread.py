@@ -65,7 +65,6 @@ class ThreadBackend(Backend):
         *,
         machine: MachineModel | None = None,
         node_layout: NodeLayout | None = None,
-        trace_sink: Any = None,
         **shared_kwargs: Any,
     ) -> RunResult:
         engine = BSPEngine(
@@ -89,7 +88,6 @@ class ThreadBackend(Backend):
                     [rank_args[r] for r in ranks],
                     program,
                     shared_kwargs,
-                    trace_sink is not None,
                 ),
                 daemon=True,
             )
@@ -105,7 +103,6 @@ class ThreadBackend(Backend):
                 lambda i, results: to_worker[i].put(results),
                 backend=self.name,
                 start=start,
-                trace_sink=trace_sink,
             )
         finally:
             for rx in to_worker:

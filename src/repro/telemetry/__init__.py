@@ -7,17 +7,18 @@ counters) each told part of it in isolation.  This package is the single
 plane they project into:
 
 * :mod:`~repro.telemetry.spans` — explicit-clock span tracer
-  (:class:`TraceSink`), fed by the resolver, the backends, the daemon
-  and the chaos wrapper; zero-cost when no sink is passed.
+  (:class:`TraceSink`), fed by the run projections below and by the
+  daemon; runs record nothing for it, so no sink costs nothing.
 * :mod:`~repro.telemetry.metrics` — Counter/Gauge/Histogram registry
   with Prometheus text exposition (``GET /metrics``); no wall-clock
   reads, values only advance via recorded observations.
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) plus the ASCII timeline report
   (``repro trace``).
-* :mod:`~repro.telemetry.adapters` — projections from the four legacy
-  surfaces into spans/metrics, shared by live emission and post-hoc
-  replay so the two can never drift.
+* :mod:`~repro.telemetry.adapters` — projections of a finished run
+  result (modeled trace, per-rank measured segments, chaos plan) into
+  spans; a traced run emits them once it returns, so there is no live
+  path to drift from a replay.
 
 Entry points: ``Sorter.run(trace_sink=...)``, ``Scenario.execute(...,
 trace_sink=...)``, ``repro sort|sweep|serve --trace OUT.json``, and

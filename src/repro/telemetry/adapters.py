@@ -1,21 +1,21 @@
-"""Bridges from the four existing metric surfaces into the telemetry plane.
+"""Projections from finished runs into the telemetry plane.
 
-Each pre-telemetry surface — the modeled :class:`~repro.bsp.trace.Trace`,
-the measured :class:`~repro.runtime.Measured` block, the service's
-``stats()`` dict, and the chaos fault plans — keeps its own
-representation; these adapters *project* them into spans and metrics so
-nothing is double-maintained.  The live emission paths (the resolver
-recording supersteps as it resolves them, the backends shipping rank
-segments) call the same functions a post-hoc replay does, so a trace
-rebuilt from a saved ``Trace`` is identical to the one recorded live.
+Spans are a view of a :class:`~repro.bsp.engine.RunResult`, not a
+parameter of the run: the engine and the backends record nothing for
+telemetry beyond the result they always return (the modeled
+:class:`~repro.bsp.trace.Trace` and each rank's measured segments), and
+:func:`run_to_spans` projects that result into a sink after the run
+returns.  A run that fails therefore emits nothing.  The chaos backend
+adds its fault plan's injections with :func:`chaos_plan_to_events`.
 
 Timeline layout (see :mod:`repro.telemetry.spans` for the pid map):
 
 * modeled (pid 1): one row per sweep cell (``sink.modeled_tid``); each
   superstep is a ``cat="superstep"`` span containing per-phase
-  ``cat="compute"`` child spans followed by one ``cat="comm"`` span.
+  ``cat="compute"`` child spans followed by one ``cat="comm"`` span,
+  and one ``cat="run"`` span encloses them all.
 * measured (pid 2): one row per rank; ``cat="compute"`` spans from the
-  worker's phase segments and ``cat="wait"`` spans for collective
+  rank's phase segments and ``cat="wait"`` spans for collective
   blocks, flow-connected per rendezvous.
 * chaos: instant events on the modeled row at each injection's
   superstep start.
@@ -23,7 +23,7 @@ Timeline layout (see :mod:`repro.telemetry.spans` for the pid map):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.spans import (
     MEASURED_PID,
@@ -32,144 +32,103 @@ from repro.telemetry.spans import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bsp.trace import SuperstepRecord, Trace
+    from repro.bsp.engine import RunResult
+    from repro.bsp.trace import Trace
 
 __all__ = [
-    "emit_superstep_spans",
-    "emit_run_span",
     "trace_to_spans",
-    "measured_to_spans",
-    "emit_rank_segments",
+    "run_to_spans",
     "chaos_plan_to_events",
-    "stats_to_metrics",
 ]
 
 
-def emit_superstep_spans(
-    sink: TraceSink, record: "SuperstepRecord", start_s: float
-) -> float:
-    """Emit one superstep's span tree starting at ``start_s``.
+def trace_to_spans(trace: "Trace", sink: TraceSink) -> TraceSink:
+    """Fold a modeled trace onto the modeled row; returns the sink.
 
-    Returns the modeled clock after the superstep — the caller threads
-    it through successive records, so span layout is a pure fold over
-    the trace.  Phase-level children tile the parent span exactly:
-    compute spans (in the record's phase order) then the collective,
-    which is what lets the export test sum spans back into the
-    :class:`~repro.bsp.trace.PhaseBreakdown`.
+    Each superstep's span starts where the previous one ended, so the
+    layout is a pure fold over the records.  Phase-level children tile
+    the parent span exactly: compute spans (in the record's phase order)
+    then the collective, which is what lets the export test sum spans
+    back into the :class:`~repro.bsp.trace.PhaseBreakdown`.  A ``run``
+    span enclosing every superstep comes last.
     """
     tid = sink.modeled_tid
     sink.process(MODELED_PID, "modeled (simulated machine)")
-    total = record.total_seconds
-    sink.complete(
-        MODELED_PID,
-        tid,
-        record.op,
-        "superstep",
-        start_s,
-        total,
-        args={"superstep": record.index, "phase": record.phase},
-    )
-    t = start_s
-    for phase, seconds in record.compute_by_phase.items():
-        sink.complete(
-            MODELED_PID,
-            tid,
-            phase,
-            "compute",
-            t,
-            seconds,
-            args={"superstep": record.index},
-        )
-        t += seconds
-    if record.comm_seconds > 0.0:
+    clock = 0.0
+    for record in trace.records:
+        total = record.total_seconds
         sink.complete(
             MODELED_PID,
             tid,
             record.op,
-            "comm",
-            t,
-            record.comm_seconds,
-            args={
-                "superstep": record.index,
-                "phase": record.phase,
-                "nbytes": record.nbytes,
-                "messages": record.messages,
-            },
+            "superstep",
+            clock,
+            total,
+            args={"superstep": record.index, "phase": record.phase},
         )
-    return start_s + total
-
-
-def emit_run_span(
-    sink: TraceSink, makespan_s: float, supersteps: int, name: str = "run"
-) -> None:
-    """The whole-run parent span enclosing every superstep."""
+        t = clock
+        for phase, seconds in record.compute_by_phase.items():
+            sink.complete(
+                MODELED_PID,
+                tid,
+                phase,
+                "compute",
+                t,
+                seconds,
+                args={"superstep": record.index},
+            )
+            t += seconds
+        if record.comm_seconds > 0.0:
+            sink.complete(
+                MODELED_PID,
+                tid,
+                record.op,
+                "comm",
+                t,
+                record.comm_seconds,
+                args={
+                    "superstep": record.index,
+                    "phase": record.phase,
+                    "nbytes": record.nbytes,
+                    "messages": record.messages,
+                },
+            )
+        clock += total
     sink.complete(
         MODELED_PID,
-        sink.modeled_tid,
-        name,
+        tid,
+        "run",
         "run",
         0.0,
-        makespan_s,
-        args={"supersteps": supersteps},
+        trace.makespan,
+        args={"supersteps": len(trace.records)},
     )
-
-
-def trace_to_spans(trace: "Trace", sink: TraceSink) -> TraceSink:
-    """Replay a finished modeled trace into ``sink``.
-
-    Produces exactly the spans live resolver emission would have — same
-    function, same fold — so saved traces and live runs render alike.
-    """
-    clock = 0.0
-    for record in trace.records:
-        clock = emit_superstep_spans(sink, record, clock)
-    emit_run_span(sink, trace.makespan, len(trace.records))
     return sink
 
 
-def measured_to_spans(measured: Any, sink: TraceSink) -> TraceSink:
-    """Project a :class:`~repro.runtime.Measured` block into rank rows.
+def run_to_spans(
+    result: "RunResult", sink: TraceSink, backend: str
+) -> TraceSink:
+    """Project a finished run into ``sink``; returns the sink.
 
-    The block stores per-rank *totals*, not segments, so each rank gets
-    one compute span followed by one wait span — a coarse but honest
-    rendering (the live backend path emits full per-segment detail via
-    :func:`emit_rank_segments` instead).
-    """
-    sink.process(MEASURED_PID, f"measured ({measured.backend} backend)")
-    for rank, compute in enumerate(measured.rank_compute_s):
-        sink.thread(MEASURED_PID, rank, f"rank {rank}")
-        sink.complete(MEASURED_PID, rank, "compute", "compute", 0.0, compute)
-        waits = measured.rank_comm_wait_s
-        if rank < len(waits):
-            sink.complete(
-                MEASURED_PID, rank, "collective wait", "wait",
-                compute, waits[rank],
-            )
-    return sink
-
-
-def emit_rank_segments(
-    sink: TraceSink,
-    segments_by_rank: dict[int, list[tuple]],
-    waits_by_rank: dict[int, list[tuple]],
-    backend: str,
-) -> None:
-    """Emit live per-rank wall-clock spans from worker segment logs.
-
-    ``segments_by_rank[r]`` holds ``(phase, start_s, end_s)`` compute
-    segments and ``waits_by_rank[r]`` holds ``(op, start_s, end_s,
-    sweep_index)`` collective waits, both on the backend's run clock
-    (seconds since ``run()`` started).  Waits of the same sweep are
+    The modeled fold (:func:`trace_to_spans`) first, then one measured
+    row per rank from the result's segments, labelled with ``backend``:
+    compute spans, then ``wait:<op>`` spans.  Waits of the same sweep are
     flow-connected across ranks — the arrows in a viewer show which
-    ranks met at each rendezvous.
+    ranks met at each rendezvous.  A result without segments (a plugin
+    backend that does not run the shared rank loop) gets no measured
+    rows.
     """
+    trace_to_spans(result.trace, sink)
+    if not result.compute_segments:
+        return sink
     sink.process(MEASURED_PID, f"measured ({backend} backend)")
     sweeps: dict[int, list[tuple[int, float]]] = {}
-    for rank in sorted(segments_by_rank):
+    for rank, segments in enumerate(result.compute_segments):
         sink.thread(MEASURED_PID, rank, f"rank {rank}")
-        for phase, t0, t1 in segments_by_rank[rank]:
+        for phase, t0, t1 in segments:
             sink.complete(MEASURED_PID, rank, phase, "compute", t0, t1 - t0)
-        for op, t0, t1, sweep in waits_by_rank.get(rank, []):
+        for op, t0, t1, sweep in result.wait_segments[rank]:
             sink.complete(
                 MEASURED_PID, rank, f"wait:{op}", "wait", t0, t1 - t0,
                 args={"sweep": sweep},
@@ -182,6 +141,7 @@ def emit_rank_segments(
         for i, (rank, t0) in enumerate(members):
             phase = "s" if i == 0 else ("f" if i == last else "t")
             sink.flow(MEASURED_PID, rank, "rendezvous", sweep, t0, phase)
+    return sink
 
 
 def chaos_plan_to_events(
@@ -224,25 +184,3 @@ def chaos_plan_to_events(
                 MODELED_PID, tid, "dropped collective", "chaos", start,
                 args={"step": step, "retries": retries, "plan": plan.name},
             )
-
-
-def stats_to_metrics(stats: dict[str, Any], registry: Any) -> None:
-    """Expose a ``service.stats()``-shaped dict as registry gauges.
-
-    For detached consumers (tests, one-shot exports) that hold a stats
-    snapshot but not the live service — the live daemon registers
-    callback metrics directly and never copies.
-    """
-    def flatten(prefix: str, node: Any) -> Sequence[tuple[str, float]]:
-        if isinstance(node, dict):
-            out: list[tuple[str, float]] = []
-            for key, value in node.items():
-                out.extend(flatten(f"{prefix}_{key}", value))
-            return out
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
-            return [(prefix, float(node))]
-        return []
-
-    for name, value in flatten("repro_stats", stats):
-        gauge = registry.gauge(name, "Snapshot of service stats().")
-        gauge.set(value)

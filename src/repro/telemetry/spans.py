@@ -1,15 +1,15 @@
 """Dependency-free span tracing with explicit clocks.
 
 :class:`TraceSink` is the one collection point for everything the system
-can tell about where time went: modeled superstep/phase spans from the
-:class:`~repro.bsp.engine.SuperstepResolver`, measured per-rank compute
-walls and collective waits from the process/thread backends, job
+can tell about where time went: modeled superstep/phase spans and
+measured per-rank compute walls and collective waits, both projected
+from a finished run result (:mod:`repro.telemetry.adapters`), job
 lifecycle spans from the sort service, and chaos injections as instant
 events.  Emission sites never read a clock through the sink — every
-timestamp is supplied by the caller (the resolver's cumulative modeled
-clock, a backend's ``perf_counter`` offsets, the daemon's run clock), so
-recording is a pure function of what the caller already measured and the
-telemetry-off path allocates nothing.
+timestamp is supplied by the caller (the trace's cumulative modeled
+clock, the rank segments' run-relative offsets, the daemon's run
+clock), so recording is a pure function of what the caller already
+measured.
 
 Events accumulate as Chrome trace-event dicts (``ph``/``ts``/``dur``/
 ``pid``/``tid``/``name``/``cat``/``args``; timestamps in microseconds),
@@ -40,7 +40,7 @@ __all__ = [
     "SERVICE_PID",
 ]
 
-#: Process id of the modeled timeline (SuperstepResolver spans).
+#: Process id of the modeled timeline (superstep spans).
 MODELED_PID = 1
 #: Process id of the measured timeline (per-rank wall-clock spans).
 MEASURED_PID = 2
@@ -71,7 +71,6 @@ class TraceSink:
         #: Thread row for modeled-timeline spans (one per sweep cell).
         self.modeled_tid = 0
         self._named: set[tuple] = set()
-        self._stacks: dict[tuple[int, int], list[dict[str, Any]]] = {}
 
     def __len__(self) -> int:
         return len(self.events)
@@ -158,41 +157,6 @@ class TraceSink:
         if args:
             event["args"] = args
         self.events.append(event)
-
-    def begin(
-        self,
-        pid: int,
-        tid: int,
-        name: str,
-        cat: str,
-        ts_s: float,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """Open a nested span; close it with :meth:`end` (LIFO per row)."""
-        event: dict[str, Any] = {
-            "ph": "X",
-            "pid": pid,
-            "tid": tid,
-            "name": name,
-            "cat": cat,
-            "ts": _us(ts_s),
-            "dur": 0.0,
-        }
-        if args:
-            event["args"] = args
-        self._stacks.setdefault((pid, tid), []).append(event)
-
-    def end(self, pid: int, tid: int, ts_s: float) -> dict[str, Any]:
-        """Close the innermost open span on ``(pid, tid)``; return it."""
-        stack = self._stacks.get((pid, tid))
-        if not stack:
-            raise ValueError(
-                f"TraceSink.end with no open span on pid={pid} tid={tid}"
-            )
-        event = stack.pop()
-        event["dur"] = max(0.0, _us(ts_s) - event["ts"])
-        self.events.append(event)
-        return event
 
     # -------------------------------------------------------------- flow #
     def flow(

@@ -110,13 +110,11 @@ class EngineBackend(Backend):
     description = "BSPEngine.run called directly"
 
     def run(self, program, rank_args, *, machine=None, node_layout=None,
-            trace_sink=None, **shared_kwargs):
+            **shared_kwargs):
         engine = BSPEngine(
             len(rank_args), machine=machine, node_layout=node_layout
         )
-        return engine.run(
-            program, rank_args, trace_sink=trace_sink, **shared_kwargs
-        )
+        return engine.run(program, rank_args, **shared_kwargs)
 
 
 LOOP_P = 16

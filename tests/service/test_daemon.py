@@ -140,6 +140,21 @@ class TestServiceDefaults:
         assert service.default_backend == "chaos:thread"
 
 
+class TestReplyShape:
+    def test_measured_keys_are_the_measured_fields(self):
+        # Rank segments ride on the run result, never in the reply.
+        (reply,), _ = _stream(SortService(), [_job("m", UNIFORM)])
+        assert sorted(reply["measured"]) == [
+            "backend",
+            "chaos",
+            "phase_wall_s",
+            "rank_comm_wait_s",
+            "rank_compute_s",
+            "wall_s",
+            "workers",
+        ]
+
+
 class TestStreamDiscipline:
     def test_replies_in_input_order_across_errors(self):
         service = SortService()

@@ -1,33 +1,37 @@
-"""Adapters between existing metric surfaces and the telemetry plane.
+"""Projections from a finished run into the telemetry plane.
 
-Covers the replay/live parity guarantee (``Trace.to_spans`` equals what
-the resolver emitted during the run), the measured projections, chaos
-instants, and the backend-parity + zero-overhead contracts from the
-backend registry: every backend's *modeled* span subtree is identical,
-and running traced changes nothing about the modeled result.
+Covers the projection guarantee (``Sorter.run(trace_sink=)`` emits
+exactly the projection of the result it returns, and nothing for a run
+that fails), golden traces pinned across backends, the measured totals
+as sums of the rank segments, chaos instants, and the backend-parity +
+zero-overhead contracts: every backend's *modeled* span subtree is
+identical, and running traced changes nothing about the modeled result.
 """
+
+import json
+import pathlib
 
 import pytest
 
 from repro.algorithms import Dataset, Sorter
+from repro.bsp.cost_model import CommStats
+from repro.bsp.engine import RunResult
+from repro.bsp.trace import Trace
 from repro.chaos import FAULT_PLANS
-from repro.errors import ConfigError
+from repro.errors import BSPError, ConfigError
 from repro.experiments import ExperimentRunner, Scenario
-from repro.runtime import Measured
+from repro.runtime import get_backend
 from repro.telemetry import (
     MEASURED_PID,
     MODELED_PID,
-    MetricsRegistry,
     TraceSink,
 )
-from repro.telemetry.adapters import (
-    chaos_plan_to_events,
-    emit_rank_segments,
-    stats_to_metrics,
-)
+from repro.telemetry.adapters import chaos_plan_to_events, run_to_spans
 
 P = 4
 N_PER = 500
+GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "golden"
+BACKENDS = ["simulated", "thread", "process"]
 
 
 def _run(backend="simulated", sink=None, n_per=N_PER):
@@ -44,12 +48,98 @@ def _modeled(events):
     ]
 
 
+def _waits(events):
+    """The measured wait spans as ``(rank, name, sweep)`` triples."""
+    return {
+        (e["tid"], e["name"], e["args"]["sweep"])
+        for e in events
+        if e["pid"] == MEASURED_PID and e.get("cat") == "wait"
+    }
+
+
 class TestReplayParity:
     def test_trace_replay_equals_live_emission(self):
         live = TraceSink()
         run = _run(sink=live)
-        replayed = run.engine_result.trace.to_spans(TraceSink())
-        assert _modeled(replayed.events) == _modeled(live.events)
+        replayed = run_to_spans(run.engine_result, TraceSink(), "simulated")
+        assert live.events == replayed.events
+
+
+class TestGoldenTrace:
+    """One fixed hss run's modeled events and wait spans, pinned on every
+    built-in backend (two workers where the backend uses them)."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_modeled_events_match_golden(self, backend):
+        sink = TraceSink()
+        _run(backend=get_backend(backend, workers=2), sink=sink)
+        modeled = [e for e in sink.events if e["pid"] == MODELED_PID]
+        golden = GOLDEN_DIR / "trace_modeled.json"
+        assert json.dumps(modeled, indent=1) + "\n" == golden.read_text(
+            encoding="utf-8"
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wait_spans_match_golden(self, backend):
+        sink = TraceSink()
+        _run(backend=get_backend(backend, workers=2), sink=sink)
+        golden = json.loads(
+            (GOLDEN_DIR / "trace_waits.json").read_text(encoding="utf-8")
+        )
+        assert len(golden) == 64
+        assert _waits(sink.events) == {tuple(w) for w in golden}
+
+
+class TestMeasuredFromSegments:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_totals_are_sums_of_rank_segments(self, backend):
+        result = _run(backend=get_backend(backend, workers=2)).engine_result
+        measured = result.measured
+        assert len(result.compute_segments) == P
+        phase_max: dict[str, float] = {}
+        for r, segments in enumerate(result.compute_segments):
+            assert measured.rank_compute_s[r] == sum(
+                t1 - t0 for _, t0, t1 in segments
+            )
+            by_phase: dict[str, float] = {}
+            for phase, t0, t1 in segments:
+                by_phase[phase] = by_phase.get(phase, 0.0) + (t1 - t0)
+            for phase, seconds in by_phase.items():
+                phase_max[phase] = max(phase_max.get(phase, 0.0), seconds)
+            assert measured.rank_comm_wait_s[r] == sum(
+                t1 - t0 for _, t0, t1, _ in result.wait_segments[r]
+            )
+        assert measured.phase_wall_s == phase_max
+
+
+class TestFailedRun:
+    def test_failed_run_emits_nothing(self):
+        sink = TraceSink()
+        with pytest.raises(BSPError):
+            _run(backend=get_backend("chaos", plan="kill-rank"), sink=sink)
+        assert sink.events == []
+
+    def test_skipped_sweep_cell_leaves_no_orphan_spans(self):
+        sink = TraceSink()
+        cells = [
+            Scenario(
+                algorithm="hss",
+                workload="uniform",
+                procs=P,
+                keys_per_rank=300,
+                chaos=chaos,
+            )
+            for chaos in ("kill-rank", "")
+        ]
+        doc = ExperimentRunner(jobs=1).run(cells, trace_sink=sink)
+        assert [c.status for c in doc.cells] == ["skipped", "ok"]
+        cats_by_row: dict[int, list[str]] = {}
+        for e in sink.events:
+            if e["pid"] == MODELED_PID and e["ph"] == "X":
+                cats_by_row.setdefault(e["tid"], []).append(e["cat"])
+        assert set(cats_by_row) == {1}
+        for cats in cats_by_row.values():
+            assert cats.count("run") == 1
 
 
 class TestBackendParity:
@@ -98,27 +188,18 @@ class TestZeroOverhead:
 
 
 class TestMeasuredProjection:
-    def test_measured_to_spans_renders_totals(self):
-        measured = Measured(
-            backend="process",
-            workers=2,
-            wall_s=1.0,
-            rank_compute_s=(0.25, 0.5),
-            rank_comm_wait_s=(0.1, 0.2),
-        )
-        sink = measured.to_spans(TraceSink())
-        spans = [e for e in sink.events if e["ph"] == "X"]
-        assert len(spans) == 4  # compute + wait per rank
-        assert {e["pid"] for e in spans} == {MEASURED_PID}
-
     def test_emit_rank_segments_skips_singleton_flows(self):
-        sink = TraceSink()
-        emit_rank_segments(
-            sink,
-            {0: [("local sort", 0.0, 0.1)], 1: []},
-            {0: [("allgather", 0.1, 0.2, 0)]},  # only rank 0 joined
-            backend="thread",
+        result = RunResult(
+            returns=[None, None],
+            trace=Trace(),
+            stats=CommStats(),
+            makespan=0.0,
+            compute_segments=([("local sort", 0.0, 0.1)], []),
+            # Only rank 0 joined sweep 0.
+            wait_segments=([("allgather", 0.1, 0.2, 0)], []),
         )
+        sink = run_to_spans(result, TraceSink(), "thread")
+        assert [e["tid"] for e in sink.events if e.get("cat") == "wait"] == [0]
         assert not [e for e in sink.events if e["ph"] in ("s", "t", "f")]
 
 
@@ -135,6 +216,17 @@ class TestChaosEvents:
             e["args"]["plan"] == "stragglers" for e in instants
         )
 
+    def test_scenario_stragglers_yield_chaos_instants(self):
+        sink = TraceSink()
+        Scenario(
+            algorithm="hss",
+            workload="uniform",
+            procs=P,
+            keys_per_rank=300,
+            chaos="stragglers",
+        ).execute(trace_sink=sink)
+        assert [e for e in sink.events if e.get("cat") == "chaos"]
+
     def test_zero_plan_emits_nothing(self):
         run = _run()
         sink = TraceSink()
@@ -142,19 +234,6 @@ class TestChaosEvents:
             sink, FAULT_PLANS.get("none"), run.engine_result.trace, P
         )
         assert sink.events == []
-
-
-class TestStatsToMetrics:
-    def test_numeric_leaves_become_gauges(self):
-        registry = MetricsRegistry()
-        stats_to_metrics(
-            {"jobs_total": 3, "cache": {"hits": 1, "policy": "lru"}},
-            registry,
-        )
-        snap = registry.snapshot()
-        assert snap["repro_stats_jobs_total"] == 3.0
-        assert snap["repro_stats_cache_hits"] == 1.0
-        assert "repro_stats_cache_policy" not in snap
 
 
 class TestSweepTracing:

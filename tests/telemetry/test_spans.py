@@ -53,37 +53,6 @@ class TestInstantEvents:
         assert event["ts"] == pytest.approx(125_000.0)
 
 
-class TestBeginEnd:
-    def test_begin_end_collapses_to_complete(self):
-        sink = TraceSink()
-        sink.begin(3, 0, "run", "service", 1.0)
-        sink.end(3, 0, 1.5)
-        (event,) = sink.events
-        assert event["ph"] == "X"
-        assert event["dur"] == pytest.approx(0.5e6)
-
-    def test_nesting_is_lifo_per_row(self):
-        sink = TraceSink()
-        sink.begin(3, 0, "outer", "service", 0.0)
-        sink.begin(3, 0, "inner", "service", 0.25)
-        sink.end(3, 0, 0.5)
-        sink.end(3, 0, 1.0)
-        by_name = {e["name"]: e for e in sink.events}
-        assert by_name["inner"]["dur"] == pytest.approx(0.25e6)
-        assert by_name["outer"]["dur"] == pytest.approx(1.0e6)
-
-    def test_unbalanced_end_raises(self):
-        sink = TraceSink()
-        with pytest.raises(ValueError, match="no open span"):
-            sink.end(3, 0, 1.0)
-
-    def test_clock_skew_clamps_to_zero_duration(self):
-        sink = TraceSink()
-        sink.begin(3, 0, "span", "service", 1.0)
-        sink.end(3, 0, 0.5)
-        assert sink.events[0]["dur"] == 0.0
-
-
 class TestMetadata:
     def test_process_and_thread_names_emit_once(self):
         sink = TraceSink()
