@@ -55,7 +55,9 @@ def check_permutation(
         )
     if total_in == 0:
         return
-    all_in = np.sort(np.concatenate([np.asarray(x) for x in inputs if len(x)]))
+    # The concatenation is a fresh array: sort it in place, not a copy.
+    all_in = np.concatenate([np.asarray(x) for x in inputs if len(x)])
+    all_in.sort()
     all_out = np.concatenate([np.asarray(x) for x in outputs if len(x)])
     # Structured dtypes have no ``<``; they always take the sort.
     if all_out.dtype.names is not None or np.any(all_out[1:] < all_out[:-1]):

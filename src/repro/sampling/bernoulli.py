@@ -6,10 +6,19 @@
 Two entry points: :func:`bernoulli_sample` draws from an entire local array,
 :func:`bernoulli_sample_in_intervals` restricts the candidate set ``G`` to the
 union of the current splitter intervals (HSS rounds ≥ 2), which is where the
-sample-size savings of multi-round HSS come from.
+sample-size savings of multi-round HSS come from.  Both reduce to
+:func:`sample_ranges`, the one index-range sampler (the tagged key space of
+§4.3 uses it too).
 
-Both are O(n) vectorized; the interval-restricted variant is
-O(log n · #intervals + |G ∩ local|) by slicing the sorted local array.
+Cost: two array ``searchsorted`` calls find every range, O(#intervals ·
+log n); each non-empty range then costs one ``binomial`` and one ``choice``
+draw, O(sample size) except when ``choice`` takes a large share of a range.
+
+Endpoint dtype rule: endpoints are cast to the key dtype before searching,
+so they must be exactly representable in it (HSS's always are: they are
+keys).  A Python ``int`` searched against ``uint64`` keys would promote to
+float64, copying the whole array per search and misplacing endpoints above
+2**53.
 """
 
 from __future__ import annotations
@@ -22,7 +31,53 @@ __all__ = [
     "bernoulli_sample",
     "bernoulli_sample_in_intervals",
     "expected_total_sample",
+    "sample_ranges",
 ]
+
+
+def _clip(prob: float) -> float:
+    return min(1.0, max(0.0, float(prob)))
+
+
+def sample_ranges(
+    starts: Sequence[int] | np.ndarray,
+    stops: Sequence[int] | np.ndarray,
+    prob: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Bernoulli-sample positions from half-open index ranges.
+
+    Every position in ``[starts[t], stops[t])`` is selected independently
+    with probability ``prob`` (clipped to [0, 1]).  Ranges are drawn in
+    order; each non-empty range costs one ``binomial`` and one ``choice``
+    draw when ``0 < prob < 1`` and none otherwise, so the RNG stream depends
+    only on the range widths.  Returns ``int64`` positions, ascending within
+    each range, ranges concatenated in order.
+    """
+    prob = _clip(prob)
+    picks: list[np.ndarray] = []
+    if prob > 0.0:
+        for start, stop in zip(
+            np.asarray(starts).tolist(), np.asarray(stops).tolist()
+        ):
+            width = stop - start
+            if width <= 0:
+                continue
+            if prob >= 1.0:
+                picks.append(np.arange(start, stop, dtype=np.int64))
+                continue
+            # Drawing the count first (binomial) then positions is
+            # equivalent to ``width`` independent coin flips but touches
+            # O(count) memory instead of O(width).
+            count = rng.binomial(width, prob)
+            if count == 0:
+                continue
+            idx = rng.choice(width, size=count, replace=False)
+            idx.sort()
+            picks.append(idx + start)
+    if not picks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(picks)
 
 
 def bernoulli_sample(
@@ -43,20 +98,7 @@ def bernoulli_sample(
     -------
     The selected keys, in their original relative order.
     """
-    prob = min(1.0, max(0.0, float(prob)))
-    n = len(keys)
-    if n == 0 or prob == 0.0:
-        return keys[:0]
-    if prob >= 1.0:
-        return keys.copy()
-    # Drawing the count first (binomial) then positions is equivalent to n
-    # independent coin flips but touches O(count) memory instead of O(n).
-    count = rng.binomial(n, prob)
-    if count == 0:
-        return keys[:0]
-    idx = rng.choice(n, size=count, replace=False)
-    idx.sort()
-    return keys[idx]
+    return keys[sample_ranges([0], [len(keys)], prob, rng)]
 
 
 def bernoulli_sample_in_intervals(
@@ -67,32 +109,23 @@ def bernoulli_sample_in_intervals(
 ) -> np.ndarray:
     """Bernoulli-sample only keys falling in the union of key intervals.
 
-    ``intervals`` is a sequence of ``(lo, hi)`` *closed* key intervals.
-    Interval endpoints are usually keys whose global rank is already known
-    from a previous histogramming round; including them is harmless (their
-    rank is simply re-derived) and closed semantics keep the first round
-    correct when the endpoints are dtype-extreme sentinels (e.g. 0 for
-    unsigned keys).
+    ``intervals`` is a sequence of ``(lo, hi)`` *closed* key intervals whose
+    endpoints are exactly representable in ``sorted_keys.dtype`` (see the
+    module docstring).  Interval endpoints are usually keys whose global
+    rank is already known from a previous histogramming round; including
+    them is harmless (their rank is simply re-derived) and closed semantics
+    keep the first round correct when the endpoints are dtype-extreme
+    sentinels (e.g. 0 for unsigned keys).
 
     ``sorted_keys`` must be ascending (the HSS local input is sorted before
     splitter determination starts, as in the paper's implementation).
     """
-    prob = min(1.0, max(0.0, float(prob)))
-    if len(sorted_keys) == 0 or prob == 0.0 or not intervals:
-        return sorted_keys[:0]
-    pieces: list[np.ndarray] = []
-    for lo, hi in intervals:
-        start = int(np.searchsorted(sorted_keys, lo, side="left"))
-        stop = int(np.searchsorted(sorted_keys, hi, side="right"))
-        if stop > start:
-            pieces.append(
-                bernoulli_sample(sorted_keys[start:stop], prob, rng)
-            )
-    if not pieces:
-        return sorted_keys[:0]
-    return np.concatenate(pieces)
+    bounds = np.array(intervals, dtype=sorted_keys.dtype).reshape(-1, 2)
+    starts = np.searchsorted(sorted_keys, bounds[:, 0], side="left")
+    stops = np.searchsorted(sorted_keys, bounds[:, 1], side="right")
+    return sorted_keys[sample_ranges(starts, stops, prob, rng)]
 
 
 def expected_total_sample(total_keys: int, prob: float) -> float:
     """Expected overall sample size across all processors: ``|G| · prob``."""
-    return float(total_keys) * min(1.0, max(0.0, float(prob)))
+    return float(total_keys) * _clip(prob)

@@ -1,6 +1,7 @@
 """Tests for key-space adapters (plain and duplicate-tagged)."""
 
 import numpy as np
+import pytest
 
 from repro.core.keyspace import PlainKeySpace, TaggedKeySpace, make_keyspace
 
@@ -117,3 +118,79 @@ class TestTaggedKeySpace:
         assert len(self.ks.sample(empty, 0, None, 1.0, rng)) == 0
         probe = self.tag(5, 1, 0)
         assert self.ks.local_counts(empty, 0, probe)[0] == 0
+
+
+def _reference_tagged_sample(ks, local_sorted, rank, intervals, prob, rng):
+    """The tagged sampler's own per-range loop, before the shared helper."""
+    n = len(local_sorted)
+    if n == 0:
+        return np.empty(0, dtype=ks.key_dtype)
+    if intervals is None:
+        ranges = [(0, n)]
+    else:
+        tagged_pairs = np.array(
+            [lo for lo, _ in intervals] + [hi for _, hi in intervals],
+            dtype=ks.key_dtype,
+        )
+        pos = ks._positions(local_sorted, rank, tagged_pairs)
+        half = len(intervals)
+        ranges = [
+            (int(pos[t]), int(min(n, pos[half + t] + 1))) for t in range(half)
+        ]
+    prob = min(1.0, max(0.0, float(prob)))
+    picks = []
+    for start, stop in ranges:
+        width = stop - start
+        if width <= 0 or prob == 0.0:
+            continue
+        count = rng.binomial(width, prob) if prob < 1.0 else width
+        if count == 0:
+            continue
+        idx = rng.choice(width, size=min(count, width), replace=False) + start
+        idx.sort()
+        picks.append(idx)
+    if not picks:
+        return np.empty(0, dtype=ks.key_dtype)
+    idx = np.concatenate(picks)
+    out = np.empty(len(idx), dtype=ks.key_dtype)
+    out["key"] = local_sorted[idx]
+    out["pe"] = rank
+    out["idx"] = idx
+    return out
+
+
+class TestTaggedSamplerStream:
+    """The tagged sampler draws through ``sample_ranges`` like plain keys."""
+
+    ks = TaggedKeySpace(np.int64)
+    keys = np.sort(np.random.default_rng(7).integers(0, 40, 500))
+    intervals = [
+        ((3, 0, 10), (9, 2, 40)),
+        ((12, 1, 0), (12, 1, 0)),
+        ((20, 4, 0), (31, 0, 90)),
+        ((50, 0, 0), (60, 0, 0)),
+    ]
+
+    @pytest.mark.parametrize("prob", [0.0, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("use_intervals", [False, True])
+    def test_matches_reference_below_prob_one(self, prob, seed, use_intervals):
+        intervals = self.intervals if use_intervals else None
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        out = self.ks.sample(self.keys, 2, intervals, prob, rng_new)
+        ref = _reference_tagged_sample(
+            self.ks, self.keys, 2, intervals, prob, rng_ref
+        )
+        assert out.tobytes() == ref.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_prob_one_same_keys_and_no_draws(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = self.ks.sample(self.keys, 2, self.intervals, 1.0, rng)
+        ref = _reference_tagged_sample(
+            self.ks, self.keys, 2, self.intervals, 1.0, np.random.default_rng(0)
+        )
+        assert out.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == state
