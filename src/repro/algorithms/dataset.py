@@ -5,12 +5,13 @@ shards (one array per simulated rank) plus optional aligned payloads, with
 all dtype/shape validation done at construction instead of being re-rolled
 by every bench, test, example and CLI command.
 
-Payloads are *records*: typed columns aligned row-for-row with the keys
-(see :mod:`repro.records`).  On the wire — through the sort programs, the
-collectives' byte accounting and the shared-memory transport — each rank's
-payload is one structured NumPy array whose fields are the record columns,
-so record bytes are priced and shipped exactly.  The pre-record API (a
-plain array per rank) still works as the single-column degenerate case.
+Payloads are *records*: each rank's payload is one structured NumPy
+array aligned row-for-row with its keys, whose fields are the record
+columns a :class:`~repro.records.RecordSchema` describes.  That array is
+what the sort programs, the collectives' byte accounting and the
+shared-memory transport move, so record bytes are priced and shipped
+exactly.  A plain array per rank is the single-column case (column
+``"payload"``).
 
 Construct one from raw arrays::
 
@@ -21,8 +22,6 @@ generated deterministically from the workload RNG stream::
 
     ds = Dataset.from_workload("changa-dwarf", p=64, n_per=15_625, seed=0,
                                payloads={"mass": "f8", "id": "u4"})
-
-or from pre-built record batches via :meth:`from_records`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.records import RecordBatch, RecordSchema
+from repro.records import RecordSchema
 
 __all__ = ["Dataset"]
 
@@ -73,7 +72,6 @@ def _resolve_payload_schema(
         schema = payloads
     else:
         schema = RecordSchema.from_mapping(payloads)
-    schema.payload_dtype()  # fixed-width check, before any generation
     return RecordSchema(columns=schema.columns, key_dtype=np.dtype(key_dtype))
 
 
@@ -124,8 +122,8 @@ class Dataset:
     """Per-rank key shards plus optional aligned payloads, validated once.
 
     Use the classmethod constructors (:meth:`from_arrays`,
-    :meth:`from_workload`, :meth:`from_records`) rather than the raw
-    dataclass constructor — they perform the dtype/shape validation.
+    :meth:`from_workload`) rather than the raw dataclass constructor —
+    they perform the dtype/shape validation.
 
     Examples
     --------
@@ -202,39 +200,6 @@ class Dataset:
         return cls(
             shards=shards,
             payloads=checked_payloads,
-            workload=workload,
-            schema=schema,
-        )
-
-    @classmethod
-    def from_records(
-        cls,
-        batches: Sequence[RecordBatch],
-        *,
-        workload: str | None = None,
-    ) -> "Dataset":
-        """Wrap per-rank :class:`~repro.records.RecordBatch` shards.
-
-        All batches must share one fixed-width schema (variable-width
-        columns are supported by batch *operations* but cannot ship on the
-        sort path yet — :class:`~repro.errors.ConfigError`).
-        """
-        if not batches:
-            raise ConfigError("need at least one rank's records")
-        schema = batches[0].schema
-        for r, b in enumerate(batches):
-            if b.schema != schema:
-                raise ConfigError(
-                    f"rank {r} batch schema {b.schema.compact()!r} != "
-                    f"rank 0 schema {schema.compact()!r}"
-                )
-        if not schema.columns:
-            return cls.from_arrays(
-                [b.keys for b in batches], workload=workload
-            )
-        return cls.from_arrays(
-            [b.keys for b in batches],
-            [b.payload_array() for b in batches],
             workload=workload,
             schema=schema,
         )
@@ -336,35 +301,21 @@ class Dataset:
     def record_schema(self) -> RecordSchema | None:
         """Schema of the payload columns, derived if not stored.
 
-        A structured payload dtype yields one column per field; a plain
-        fixed-width payload dtype yields the single legacy ``"payload"``
-        column; key-only datasets have no schema (object-dtype payloads
-        are rejected at construction).
+        See :meth:`~repro.records.RecordSchema.from_payload_dtype`;
+        key-only datasets have no schema.
         """
         if self.schema is not None:
             return self.schema
         if self.payloads is None:
             return None
-        return RecordBatch.from_payload_array(
-            self.shards[0][: len(self.payloads[0])], self.payloads[0]
-        ).schema
+        return RecordSchema.from_payload_dtype(
+            self.payloads[0].dtype, key_dtype=self.key_dtype
+        )
 
     def record_nbytes(self) -> int | None:
         """Exact bytes per row (key + payload columns), or None if unschematized."""
         schema = self.record_schema
         return None if schema is None else schema.record_nbytes()
-
-    def batches(self) -> list[RecordBatch]:
-        """Per-rank :class:`~repro.records.RecordBatch` views.
-
-        Key-only datasets yield zero-column batches.
-        """
-        if self.payloads is None:
-            return [RecordBatch.from_columns(k, {}) for k in self.shards]
-        return [
-            RecordBatch.from_payload_array(k, v)
-            for k, v in zip(self.shards, self.payloads)
-        ]
 
     def rank_args(self) -> list[tuple]:
         """Per-rank positional args for a BSP program: ``(keys[, payload])``."""

@@ -10,7 +10,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.bsp.engine import RunResult
     from repro.core.hss import SplitterStats
-    from repro.records import RecordBatch, RecordSchema
+    from repro.records import RecordSchema
     from repro.runtime import Measured
 
 __all__ = ["SortRun"]
@@ -82,21 +82,6 @@ class SortRun:
     def imbalance(self) -> float:
         loads = np.array([len(s) for s in self.shards], dtype=np.float64)
         return float(loads.max() / loads.mean()) if loads.sum() else 1.0
-
-    def record_batches(self) -> "list[RecordBatch]":
-        """Sorted output as per-rank :class:`~repro.records.RecordBatch`.
-
-        Key-only runs yield zero-column batches; payload-carrying runs
-        split the structured payload back into the schema's typed columns.
-        """
-        from repro.records import RecordBatch
-
-        if self.payloads is None:
-            return [RecordBatch.from_columns(k, {}) for k in self.shards]
-        return [
-            RecordBatch.from_payload_array(k, v)
-            for k, v in zip(self.shards, self.payloads)
-        ]
 
     def breakdown(self):
         return self.engine_result.breakdown()

@@ -57,14 +57,6 @@ class DoECell:
     #: Algorithm sampling seed (derived from the DoE seed).
     sort_seed: int
 
-    def payload_columns(self) -> dict[str, str] | None:
-        """The schema as a ``{column: dtype}`` mapping (``None`` = key-only)."""
-        if not self.schema:
-            return None
-        return dict(
-            part.split(":", 1) for part in self.schema.split(",")
-        )
-
     def describe(self) -> dict[str, Any]:
         """Flat JSON form (provenance blocks, the ``--dry-run`` table)."""
         return {

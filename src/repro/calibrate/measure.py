@@ -92,13 +92,14 @@ def _basis_machine(**constants: float):
 
 def _run_cell(cell: DoECell, machine, backend):
     from repro.algorithms import REGISTRY, Dataset, Sorter
+    from repro.records import parse_schema
 
     dataset = Dataset.from_workload(
         cell.workload,
         p=cell.procs,
         n_per=cell.keys_per_rank,
         seed=cell.workload_seed,
-        payloads=cell.payload_columns(),
+        payloads=parse_schema(cell.schema) if cell.schema else None,
     )
     kwargs = (
         {"strict": False} if cell.algorithm.startswith("hss") else {}

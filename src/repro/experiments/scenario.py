@@ -98,7 +98,7 @@ class Scenario:
             # cells instead of dying.
             from repro.records import parse_schema
 
-            parse_schema(self.payloads).payload_dtype()
+            parse_schema(self.payloads)
 
     # ------------------------------------------------------------------ #
     @property

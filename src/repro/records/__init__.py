@@ -1,25 +1,24 @@
-"""The columnar record layer: typed keys-plus-payload-columns batches.
+"""Record schemas: typed payload columns riding along with the keys.
 
 The paper analyzes sorting over *keys*, but every deployment it targets
-(ChaNGa particle exchange, HPC shuffle phases) moves *records* — keys plus
-typed payload columns.  This package is the data plane for that:
+(ChaNGa particle exchange, HPC shuffle phases) moves *records* — a key
+plus a fixed-width payload (mass, velocity, id).  The sort path ships
+each rank's payload as one structured NumPy array aligned row-for-row
+with its keys; a :class:`RecordSchema` describes that array:
 
-* :class:`RecordSchema` / :class:`ColumnSpec` — named, typed column
-  layouts (fixed-width NumPy dtypes now; ``bytes``/``str`` variable-width
-  columns via offsets arrays), with a compact ``"mass:f8,id:u4"`` string
-  form used by ``repro sweep --payloads`` grids.
-* :class:`RecordBatch` — an immutable columnar batch with
-  ``take``/``slice``/``concat``/``sort_by_key``, exact per-row byte
-  accounting, and a pickle-free ``to_bytes``/``from_bytes`` wire form.
+* :class:`ColumnSpec` — one named, fixed-width column (a NumPy dtype
+  string);
+* :class:`RecordSchema` — the key dtype plus ordered columns, packing
+  into the structured :meth:`~RecordSchema.payload_dtype` and pricing
+  :meth:`~RecordSchema.record_nbytes` bytes per row;
+* :func:`parse_schema` — the compact ``"mass:f8,id:u4"`` form used by
+  ``repro sort --payloads`` and ``repro sweep --payloads`` grids.
 
-:class:`~repro.algorithms.Dataset` builds per-rank batches from workload
-generators, ships fixed-width schemas through the sort programs as one
-structured payload array per rank (so the BSP byte accounting prices real
-record bytes), and :class:`~repro.algorithms.SortRun` hands sorted batches
-back via ``record_batches()``.
+:class:`~repro.algorithms.Dataset` generates payload columns from a
+schema, and :class:`~repro.algorithms.SortRun` hands the sorted payload
+arrays back (``run.payloads[r]["mass"]``) with the same ``schema``.
 """
 
-from repro.records.batch import RecordBatch
 from repro.records.schema import ColumnSpec, RecordSchema, parse_schema
 
-__all__ = ["ColumnSpec", "RecordBatch", "RecordSchema", "parse_schema"]
+__all__ = ["ColumnSpec", "RecordSchema", "parse_schema"]

@@ -1,11 +1,10 @@
 """Typed record schemas: the contract between keys and payload columns.
 
 A :class:`RecordSchema` names the key dtype plus N typed payload columns.
-Fixed-width columns are plain NumPy dtypes (``"f8"``, ``"u4"``, a
-structured dtype string, ...); variable-width columns are declared with
-the sentinel specs ``"bytes"`` or ``"str"`` and are stored in a
-:class:`~repro.records.RecordBatch` as an ``int64`` offsets column over a
-``uint8`` data buffer.
+Every column is a fixed-width NumPy dtype (``"f8"``, ``"u4"``, ...), so
+a schema packs into one structured dtype (:meth:`RecordSchema.payload_dtype`)
+— the per-rank payload array :class:`~repro.algorithms.Dataset` and
+:class:`~repro.algorithms.SortRun` carry.
 
 Schemas are value objects: dtype strings are normalized through
 ``np.dtype(...).str`` at construction, so ``"f8"`` and ``"<f8"`` build
@@ -25,14 +24,8 @@ from repro.errors import ConfigError
 
 __all__ = ["ColumnSpec", "RecordSchema", "parse_schema"]
 
-#: Variable-width column kinds (offsets + byte-buffer storage).
-VAR_WIDTH_SPECS = ("bytes", "str")
 
-#: Bytes charged per row for a variable-width column's offsets entry.
-OFFSET_ENTRY_BYTES = 8
-
-
-def _normalize_dtype(spec: str, *, allow_structured: bool = False):
+def _normalize_dtype(spec: Any, *, allow_structured: bool = False):
     try:
         dt = np.dtype(spec)
     except TypeError as exc:
@@ -40,8 +33,14 @@ def _normalize_dtype(spec: str, *, allow_structured: bool = False):
     if dt.hasobject:
         raise ConfigError(
             f"column dtype {spec!r} contains Python objects; record "
-            f"columns must be fixed-width (or the 'bytes'/'str' "
-            f"variable-width kinds)"
+            f"columns must be fixed-width"
+        )
+    if dt.itemsize == 0:
+        # np.dtype("bytes") is |S0 and np.dtype("str") is <U0: a column
+        # no value fits in.
+        raise ConfigError(
+            f"column dtype {spec!r} has zero width; record columns must "
+            f"be fixed-width (e.g. 'f8', 'u4')"
         )
     if dt.names is not None:
         if not allow_structured:
@@ -56,11 +55,7 @@ def _normalize_dtype(spec: str, *, allow_structured: bool = False):
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One named, typed payload column.
-
-    ``spec`` is a NumPy dtype string for fixed-width columns, or one of
-    the variable-width kinds ``"bytes"`` / ``"str"``.
-    """
+    """One named payload column with a fixed-width NumPy dtype string."""
 
     name: str
     spec: Any
@@ -75,31 +70,27 @@ class ColumnSpec:
             raise ConfigError(
                 "column name 'key' is reserved for the key column"
             )
-        if self.spec not in VAR_WIDTH_SPECS:
-            object.__setattr__(self, "spec", _normalize_dtype(self.spec))
-
-    @property
-    def is_var_width(self) -> bool:
-        return self.spec in VAR_WIDTH_SPECS
+        object.__setattr__(self, "spec", _normalize_dtype(self.spec))
 
     @property
     def dtype(self) -> np.dtype:
-        """NumPy dtype of a fixed-width column (ConfigError if var-width)."""
-        if self.is_var_width:
-            raise ConfigError(
-                f"column {self.name!r} is variable-width ({self.spec}); "
-                f"it has no fixed NumPy dtype"
-            )
         return np.dtype(self.spec)
-
-    def spec_str(self) -> str:
-        """The compact spec token (dtype string or var-width kind)."""
-        return self.spec if self.is_var_width else np.dtype(self.spec).str
 
 
 @dataclass(frozen=True)
 class RecordSchema:
-    """Key dtype plus an ordered tuple of payload columns."""
+    """Key dtype plus an ordered tuple of payload columns.
+
+    Examples
+    --------
+    >>> schema = parse_schema("mass:f8,id:u4")
+    >>> schema.compact()
+    'mass:<f8,id:<u4'
+    >>> parse_schema(schema.compact()) == schema
+    True
+    >>> schema.payload_dtype()
+    dtype([('mass', '<f8'), ('id', '<u4')])
+    """
 
     columns: tuple[ColumnSpec, ...] = ()
     key_dtype: str = "<i8"
@@ -125,6 +116,24 @@ class RecordSchema:
         specs = tuple(ColumnSpec(n, s) for n, s in columns.items())
         return cls(columns=specs, key_dtype=key_dtype)
 
+    @classmethod
+    def from_payload_dtype(
+        cls, dtype: Any, *, key_dtype: Any
+    ) -> "RecordSchema":
+        """The schema a per-rank payload array of ``dtype`` carries.
+
+        A structured dtype yields one column per field; a plain dtype
+        yields the single column ``"payload"``.
+        """
+        dtype = np.dtype(dtype)
+        if dtype.names is None:
+            specs = (ColumnSpec("payload", dtype.str),)
+        else:
+            specs = tuple(
+                ColumnSpec(name, dtype[name].str) for name in dtype.names
+            )
+        return cls(columns=specs, key_dtype=key_dtype)
+
     # -------------------------------------------------------------- view #
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -142,60 +151,25 @@ class RecordSchema:
     def np_key_dtype(self) -> np.dtype:
         return np.dtype(self.key_dtype)
 
-    @property
-    def fixed_width(self) -> bool:
-        """True when every column is fixed-width (shippable on the sort path)."""
-        return all(not c.is_var_width for c in self.columns)
-
     def payload_dtype(self) -> np.dtype:
         """Structured dtype packing all payload columns into one record.
 
         This is the dtype :class:`~repro.algorithms.Dataset` ships per-rank
         payloads as, so the existing argsort/concat/alltoall machinery (and
         the cost model's ``itemsize`` accounting) sees full record widths.
-        Variable-width columns cannot be packed: :class:`ConfigError`.
         """
-        if not self.fixed_width:
-            var = [c.name for c in self.columns if c.is_var_width]
-            raise ConfigError(
-                f"variable-width column(s) {var} cannot ship on the sort "
-                f"path yet; RecordBatch operations support them, the "
-                f"Dataset/Sorter plumbing is fixed-width only"
-            )
         return np.dtype([(c.name, c.dtype) for c in self.columns])
 
     def record_nbytes(self) -> int:
-        """Exact bytes per row for fixed-width schemas (key + columns)."""
+        """Exact bytes per row (key + columns)."""
         return self.np_key_dtype.itemsize + sum(
-            c.dtype.itemsize for c in self.columns if not c.is_var_width
-        ) + OFFSET_ENTRY_BYTES * sum(c.is_var_width for c in self.columns)
+            c.dtype.itemsize for c in self.columns
+        )
 
     # --------------------------------------------------------- serialize #
     def compact(self) -> str:
-        """One-line form ``name:spec,name:spec`` (CLI / sweep grids)."""
-        return ",".join(f"{c.name}:{c.spec_str()}" for c in self.columns)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "key_dtype": np.dtype(self.key_dtype).str
-            if np.dtype(self.key_dtype).names is None
-            else np.dtype(self.key_dtype).descr,
-            "columns": [
-                {"name": c.name, "spec": c.spec_str()} for c in self.columns
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RecordSchema":
-        key = data.get("key_dtype", "<i8")
-        if isinstance(key, list):  # structured key dtype descr
-            key = np.dtype([tuple(f) for f in key])
-        return cls(
-            columns=tuple(
-                ColumnSpec(c["name"], c["spec"]) for c in data["columns"]
-            ),
-            key_dtype=key,
-        )
+        """One-line form ``name:dtype,name:dtype`` (CLI / sweep grids)."""
+        return ",".join(f"{c.name}:{c.spec}" for c in self.columns)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -212,7 +186,7 @@ def parse_schema(text: str, *, key_dtype: str = "<i8") -> RecordSchema:
         if not sep or not spec.strip():
             raise ConfigError(
                 f"bad column token {token!r}; expected 'name:dtype' "
-                f"(e.g. 'mass:f8') or 'name:bytes' / 'name:str'"
+                f"(e.g. 'mass:f8')"
             )
         columns.append(ColumnSpec(name.strip(), spec.strip()))
     if not columns:

@@ -8,7 +8,8 @@ Endpoints:
 
 - ``POST /sort`` — body is one job JSON object (same schema as a stdin
   JSONL line); the response body is the job's reply.  HTTP 200 for
-  ``status: "ok"`` replies, 400 for structured error replies.
+  ``status: "ok"`` replies, 400 for structured error replies (including
+  a ``Content-Length`` above :data:`MAX_BODY_BYTES`, refused unread).
 - ``GET /healthz`` — liveness: ``{"status": "ok", ...}`` with package
   and job-schema version info.
 - ``GET /stats`` — service + splitter-cache counters, plus the metrics
@@ -35,6 +36,11 @@ from repro.service.jobs import JOB_SCHEMA_VERSION, JobError, error_reply
 __all__ = ["make_server"]
 
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
+
+#: Largest ``POST /sort`` body read.  A job body is a scenario
+#: description of a few hundred bytes and never carries data; a larger
+#: ``Content-Length`` is refused before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 def make_server(
@@ -114,12 +120,16 @@ def make_server(
             except ValueError:
                 length = -1
             if length < 0:
-                self._send(
-                    400,
-                    error_reply(
-                        None, JobError(f"bad Content-Length {raw!r}")
-                    ),
+                error = JobError(f"bad Content-Length {raw!r}")
+            elif length > MAX_BODY_BYTES:
+                error = JobError(
+                    f"Content-Length {length} exceeds the "
+                    f"{MAX_BODY_BYTES}-byte job body limit"
                 )
+            else:
+                error = None
+            if error is not None:
+                self._send(400, error_reply(None, error))
                 return
             body = self.rfile.read(length).decode("utf-8", errors="replace")
             with lock:

@@ -134,25 +134,6 @@ class TestRecordPayloads:
                 "uniform", p=2, n_per=10, payloads={"blob": "O"}
             )
 
-    def test_from_records_round_trip(self):
-        ds = Dataset.from_workload(
-            "uniform", p=3, n_per=20, seed=2,
-            payloads={"mass": "f8", "id": "u4"},
-        )
-        again = Dataset.from_records(ds.batches(), workload=ds.workload)
-        assert again.record_schema == ds.record_schema
-        for a, b in zip(ds.shards, again.shards):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(ds.payloads, again.payloads):
-            np.testing.assert_array_equal(a, b)
-
-    def test_from_records_key_only(self):
-        ds = Dataset.from_workload("uniform", p=2, n_per=15, seed=0)
-        again = Dataset.from_records(ds.batches())
-        assert not again.has_payloads
-        for a, b in zip(ds.shards, again.shards):
-            np.testing.assert_array_equal(a, b)
-
     def test_schema_derived_from_legacy_payload(self, small_shards):
         ds = Dataset.from_arrays(small_shards).with_index_payloads()
         assert ds.record_schema.column_names == ("payload",)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.calibrate import DOE_PROFILES, design_cells, render_doe_table
 from repro.errors import ConfigError
+from repro.records import parse_schema
 
 
 class TestDesignCells:
@@ -51,8 +52,7 @@ class TestDesignCells:
         key_only = [c for c in cells if not c.schema]
         records = [c for c in cells if c.schema]
         assert key_only and records
-        assert key_only[0].payload_columns() is None
-        assert records[0].payload_columns() == {"mass": "f8", "id": "u4"}
+        assert parse_schema(records[0].schema).column_names == ("mass", "id")
 
 
 class TestRenderTable:

@@ -1,4 +1,4 @@
-"""RecordSchema: normalization, validation, serialization round trips."""
+"""RecordSchema: normalization, validation, compact-form round trips."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,24 @@ import pytest
 from repro.errors import ConfigError
 from repro.records import ColumnSpec, RecordSchema, parse_schema
 
+FIXED_DTYPES = ["?", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f4", "f8"]
+
 
 class TestColumnSpec:
     def test_normalizes_dtype(self):
         spec = ColumnSpec("mass", "f8")
         assert spec.dtype == np.dtype("<f8")
-        assert not spec.is_var_width
+        assert spec.spec == "<f8"
 
-    def test_var_width_specs(self):
-        assert ColumnSpec("tag", "bytes").is_var_width
-        assert ColumnSpec("label", "str").is_var_width
+    @pytest.mark.parametrize("spec", ["bytes", "str", "S", "U", "V"])
+    def test_rejects_zero_width_dtype(self, spec):
+        # np.dtype normalizes each of these to a zero-width dtype (|S0,
+        # <U0, |V0) that no value fits in.
+        with pytest.raises(ConfigError, match="zero width"):
+            ColumnSpec("tag", spec)
+
+    def test_accepts_sized_bytes_column(self):
+        assert ColumnSpec("tag", "S8").dtype.itemsize == 8
 
     def test_rejects_key_name(self):
         with pytest.raises(ConfigError, match="key"):
@@ -51,41 +59,47 @@ class TestRecordSchema:
         assert dt.names == ("mass", "id")
         assert dt.itemsize == 12
 
-    def test_payload_dtype_rejects_var_width(self):
-        schema = RecordSchema(columns=(ColumnSpec("tag", "bytes"),))
-        with pytest.raises(ConfigError, match="sort path"):
-            schema.payload_dtype()
+    def test_from_payload_dtype_structured(self):
+        dt = np.dtype([("mass", "<f8"), ("id", "<u4")])
+        schema = RecordSchema.from_payload_dtype(dt, key_dtype=np.uint64)
+        assert schema.column_names == ("mass", "id")
+        assert schema.key_dtype == "<u8"
+        assert schema.payload_dtype() == dt
+        assert schema == parse_schema("mass:f8,id:u4", key_dtype="u8")
+
+    def test_from_payload_dtype_plain(self):
+        schema = RecordSchema.from_payload_dtype(
+            np.dtype("i8"), key_dtype="f4"
+        )
+        assert schema.column_names == ("payload",)
+        assert schema.column("payload").dtype == np.dtype("<i8")
+        assert schema.record_nbytes() == 4 + 8
+
+    def test_from_payload_dtype_structured_key(self):
+        key_dtype = np.dtype([("k", "<i8"), ("pe", "<i4"), ("idx", "<i4")])
+        schema = RecordSchema.from_payload_dtype(
+            np.dtype([("mass", "<f8")]), key_dtype=key_dtype
+        )
+        assert schema.np_key_dtype == key_dtype
+        assert schema.record_nbytes() == 16 + 8
 
     def test_record_nbytes(self):
         schema = RecordSchema.from_mapping({"mass": "f8", "id": "u4"})
         assert schema.record_nbytes() == 8 + 8 + 4  # i8 key + columns
 
-    def test_record_nbytes_var_width_counts_offsets(self):
-        schema = RecordSchema(columns=(ColumnSpec("tag", "bytes"),))
-        assert schema.record_nbytes() == 8 + 8  # key + offset entry
-
     def test_compact_round_trip(self):
         schema = RecordSchema.from_mapping({"mass": "f8", "id": "u4"})
         assert parse_schema(schema.compact()) == schema
 
-    def test_to_dict_round_trip(self):
-        schema = RecordSchema.from_mapping(
-            {"mass": "f8", "id": "u4", "tag": "bytes"}
-        )
-        assert RecordSchema.from_dict(schema.to_dict()) == schema
-
-    def test_to_dict_round_trip_structured_key(self):
-        key_dtype = np.dtype([("k", "<i8"), ("pe", "<i4"), ("idx", "<i4")])
-        schema = RecordSchema.from_mapping({"mass": "f8"}, key_dtype=key_dtype)
-        restored = RecordSchema.from_dict(schema.to_dict())
-        assert restored == schema
-        assert restored.np_key_dtype == key_dtype
-
-    def test_fixed_width_flag(self):
-        assert RecordSchema.from_mapping({"a": "f8"}).fixed_width
-        assert not RecordSchema(
-            columns=(ColumnSpec("t", "str"),)
-        ).fixed_width
+    @pytest.mark.parametrize("dtype", FIXED_DTYPES)
+    def test_every_fixed_dtype_round_trips(self, dtype):
+        """Both spellings — compact text, payload dtype — lose nothing."""
+        schema = RecordSchema.from_mapping({"col": dtype})
+        assert parse_schema(schema.compact()) == schema
+        assert RecordSchema.from_payload_dtype(
+            schema.payload_dtype(), key_dtype=schema.key_dtype
+        ) == schema
+        assert schema.record_nbytes() == 8 + np.dtype(dtype).itemsize
 
 
 class TestParseSchema:
@@ -97,6 +111,10 @@ class TestParseSchema:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_schema("no-colon-here")
+
+    def test_parse_rejects_zero_width_column(self):
+        with pytest.raises(ConfigError, match="'bytes'"):
+            parse_schema("mass:f8,tag:bytes")
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ConfigError):

@@ -190,8 +190,6 @@ def test_record_payload_parity(algorithm):
         )
     assert sim.engine_result.stats == proc.engine_result.stats
     assert sim.makespan == proc.makespan
-    for a, b in zip(sim.record_batches(), proc.record_batches()):
-        assert a.equals(b)
 
 
 def test_payload_round_trip_identical():

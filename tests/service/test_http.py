@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.service import SortService
-from repro.service.http import make_server
+from repro.service.http import MAX_BODY_BYTES, make_server
 
 JOB = {
     "id": "h1",
@@ -117,7 +117,9 @@ class TestEndpoints:
         assert reply["status"] == "error"
         assert reply["error"]["type"] == "JobError"
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "length", ["abc", "-1", str(MAX_BODY_BYTES + 1), str(10**12)]
+    )
     def test_bad_content_length_is_400_with_structured_error(
         self, server, length
     ):

@@ -147,6 +147,17 @@ class TestSortCommand:
         # The pre-check names the payload-capable alternatives.
         assert "hss" in err and "sample-regular" in err
 
+    @pytest.mark.parametrize("spec", ["bytes", "S0"])
+    def test_zero_width_payload_column_exits_2(self, capsys, spec):
+        code = main(
+            ["sort", "--algorithm", "sample-regular", "-p", "4", "-n", "100",
+             "--payloads", f"tag:{spec}"]
+        )
+        assert code == 2
+        assert f"column dtype '{spec}' has zero width" in (
+            capsys.readouterr().err
+        )
+
     def test_catalog_workload_beyond_distributions(self, capsys):
         code = main(
             ["sort", "--algorithm", "hss", "--workload", "hotspot",

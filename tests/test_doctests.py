@@ -16,6 +16,7 @@ import repro.machines
 import repro.machines.registry
 import repro.machines.spec
 import repro.machines.topologies
+import repro.records.schema
 import repro.runtime
 import repro.runtime.base
 import repro.telemetry.metrics
@@ -36,6 +37,7 @@ MODULES = [
     repro.machines.registry,
     repro.machines.spec,
     repro.machines.topologies,
+    repro.records.schema,
     repro.runtime,
     repro.runtime.base,
     repro.telemetry.metrics,
