@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.records import RecordSchema
+from repro.records.schema import GENERATED_KINDS
 
 __all__ = ["Dataset"]
 
@@ -88,7 +89,7 @@ def _generate_column(dtype: np.dtype, n: int, rng: np.random.Generator):
         return rng.random(n).astype(dtype)
     raise ConfigError(
         f"cannot generate payload column of dtype {dtype}; supported "
-        f"kinds: bool, int, uint, float"
+        f"kinds: {', '.join(GENERATED_KINDS.values())}"
     )
 
 

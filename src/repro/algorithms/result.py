@@ -7,6 +7,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.metrics import load_imbalance
+
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.bsp.engine import RunResult
     from repro.core.hss import SplitterStats
@@ -80,8 +82,7 @@ class SortRun:
 
     @property
     def imbalance(self) -> float:
-        loads = np.array([len(s) for s in self.shards], dtype=np.float64)
-        return float(loads.max() / loads.mean()) if loads.sum() else 1.0
+        return load_imbalance(self.shards)
 
     def breakdown(self):
         return self.engine_result.breakdown()

@@ -117,20 +117,6 @@ class AlgorithmSpec:
         factory = self.make_config if self.make_config is not None else self.config_cls
         return factory(**kwargs)
 
-    def legacy_config(self, *, eps: float = 0.05, seed: int = 0, **kwargs: Any):
-        """Config for ``Scenario`` cells (sweeps, ``repro sort``, serve jobs).
-
-        ``eps``/``seed`` are accepted for *every* algorithm (the historical
-        uniform signature) and silently dropped when the algorithm's config
-        has no such knob; all other keys are validated strictly.
-        """
-        valid = self.config_keys()
-        if "eps" in valid:
-            kwargs.setdefault("eps", eps)
-        if "seed" in valid:
-            kwargs.setdefault("seed", seed)
-        return self.build_config(**kwargs)
-
     def check_config(self, config: Any) -> Any:
         """Validate a pre-built config instance's type and pinned fields."""
         if not isinstance(config, self.config_cls):

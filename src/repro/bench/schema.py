@@ -27,13 +27,13 @@ check — the parallel runner's serial-equivalence gate in CI is built on it.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from repro._version import __version__
+from repro.utils import document
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,19 +54,26 @@ SCHEMA_VERSION = 1
 _METRIC_TYPES = (int, float, bool)
 
 
+#: Host-dependent keys, by nesting level.  Everything else is a pure
+#: function of (code, tier parameters, seed).
+_VOLATILE = document.Volatile(
+    ("created_unix", "provenance", "wall_s"),
+    {
+        "suites": document.Volatile(
+            ("wall_s", "worker"), {"cases": document.Volatile(("wall_s",))}
+        )
+    },
+)
+
+
 class SchemaError(ValueError):
     """A document (or dict) does not conform to the bench JSON schema."""
 
 
 def _scalar(value: Any) -> Any:
     """Coerce numpy scalars to plain JSON types; pass everything else through."""
-    if isinstance(value, _METRIC_TYPES + (str,)) or value is None:
-        return value
-    for attr in ("item",):  # numpy scalar / 0-d array protocol
-        item = getattr(value, attr, None)
-        if callable(item):
-            return item()
-    return value
+    item = getattr(value, "item", None)  # numpy scalar / 0-d array protocol
+    return item() if callable(item) else value
 
 
 def _scalar_map(mapping: Mapping[str, Any]) -> dict[str, Any]:
@@ -116,7 +123,6 @@ class CaseResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseResult":
-        _require(data, "case", ("name", "metrics"))
         return cls(
             name=data["name"],
             params=dict(data.get("params", {})),
@@ -172,7 +178,6 @@ class SuiteRun:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SuiteRun":
-        _require(data, "suite run", ("suite", "tier", "cases"))
         return cls(
             suite=data["suite"],
             tier=data["tier"],
@@ -185,8 +190,11 @@ class SuiteRun:
 
 
 @dataclass
-class BenchDocument:
+class BenchDocument(document.JsonDocument):
     """A full ``repro bench`` run: provenance plus one entry per suite."""
+
+    error_cls = SchemaError
+    volatile = _VOLATILE
 
     tier: str
     suites: list[SuiteRun] = field(default_factory=list)
@@ -230,18 +238,6 @@ class BenchDocument:
             "suites": [run.to_dict() for run in self.suites],
         }
 
-    def modeled_dict(self) -> dict[str, Any]:
-        """The deterministic projection of this document.
-
-        Equal for any two runs of the same code at the same tier — serial or
-        parallel, laptop or CI — which makes "the parallel runner changed
-        nothing" a plain equality assertion.
-        """
-        return strip_volatile(self.to_dict())
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BenchDocument":
         errors = validate_document(data)
@@ -256,79 +252,19 @@ class BenchDocument:
             wall_s=float(data.get("wall_s", 0.0)),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "BenchDocument":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def save(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "BenchDocument":
-        from pathlib import Path
-
-        return cls.from_json(Path(path).read_text())
-
-
-#: Host-dependent document keys, by nesting level.  Everything else is a
-#: pure function of (code, tier parameters, seed).
-_VOLATILE_DOCUMENT_KEYS = ("created_unix", "provenance", "wall_s")
-_VOLATILE_SUITE_KEYS = ("wall_s", "worker")
-_VOLATILE_CASE_KEYS = ("wall_s",)
-
 
 def strip_volatile(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Drop the fields allowed to differ between identical runs.
-
-    Takes and returns plain dicts (the ``to_dict`` / JSON shape) so callers
-    can diff documents loaded straight from disk without constructing
-    :class:`BenchDocument` objects.
-    """
-    doc = {k: v for k, v in data.items() if k not in _VOLATILE_DOCUMENT_KEYS}
-    suites = []
-    for run in doc.get("suites", []):
-        run = {k: v for k, v in run.items() if k not in _VOLATILE_SUITE_KEYS}
-        run["cases"] = [
-            {k: v for k, v in case.items() if k not in _VOLATILE_CASE_KEYS}
-            for case in run.get("cases", [])
-        ]
-        suites.append(run)
-    doc["suites"] = suites
-    return doc
-
-
-# --------------------------------------------------------------------- #
-# Validation (hand-rolled: no jsonschema dependency in the image).
-# --------------------------------------------------------------------- #
-def _require(
-    data: Mapping[str, Any], what: str, keys: Sequence[str]
-) -> None:
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise SchemaError(f"{what} missing required keys {missing}")
+    """Drop the fields allowed to differ between identical runs."""
+    return document.strip_volatile(data, _VOLATILE)
 
 
 def validate_document(data: Any) -> list[str]:
     """Return a list of human-readable schema violations (empty = valid)."""
-    errors: list[str] = []
-    if not isinstance(data, Mapping):
-        return [f"document must be a JSON object, got {type(data).__name__}"]
-    for key in ("schema_version", "tier", "suites"):
-        if key not in data:
-            errors.append(f"document missing required key {key!r}")
-    if errors:
+    errors, complete = document.check_header(
+        data, "document", ("schema_version", "tier", "suites"), SCHEMA_VERSION
+    )
+    if not complete:
         return errors
-    if data["schema_version"] != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {data['schema_version']!r} != "
-            f"supported {SCHEMA_VERSION}"
-        )
     if not isinstance(data["tier"], str):
         errors.append("tier must be a string")
     if not isinstance(data["suites"], list):
@@ -339,9 +275,7 @@ def validate_document(data: Any) -> list[str]:
         if not isinstance(run, Mapping):
             errors.append(f"{where} must be an object")
             continue
-        for key in ("suite", "tier", "cases"):
-            if key not in run:
-                errors.append(f"{where} missing required key {key!r}")
+        errors += document.missing_keys(run, where, ("suite", "tier", "cases"))
         if "suite" in run:
             if run["suite"] in seen_suites:
                 errors.append(f"{where}: duplicate suite {run['suite']!r}")
@@ -359,9 +293,7 @@ def validate_document(data: Any) -> list[str]:
             if not isinstance(case, Mapping):
                 errors.append(f"{cwhere} must be an object")
                 continue
-            for key in ("name", "metrics"):
-                if key not in case:
-                    errors.append(f"{cwhere} missing required key {key!r}")
+            errors += document.missing_keys(case, cwhere, ("name", "metrics"))
             name = case.get("name")
             if name in seen_cases:
                 errors.append(f"{cwhere}: duplicate case name {name!r}")

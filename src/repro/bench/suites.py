@@ -147,53 +147,49 @@ _SHOOTOUT_ALGORITHMS = [
     runtime_params={"backend": "simulated"},
 )
 def _run_shootout(params: Mapping[str, Any]) -> list[CaseResult]:
-    from repro.algorithms import REGISTRY, Dataset, Sorter
+    """Every listed algorithm on each workload, one :class:`Scenario` cell
+    each; records-carrying when the tier names a payload ``schema``."""
+    from repro.algorithms import Dataset
+    from repro.experiments import Scenario
+    from repro.records import parse_schema
 
     p = params["procs"]
     n_per = params["keys_per_rank"]
-    eps = params["eps"]
-    machine = _suite_machine(params)
+    schema = params.get("schema")
+    extra = {"schema": schema} if schema else {}
     cases = []
     for workload in params["workloads"]:
         dataset = Dataset.from_workload(
-            workload, p=p, n_per=n_per, seed=params["workload_seed"]
+            workload, p=p, n_per=n_per, seed=params["workload_seed"],
+            payloads=parse_schema(schema) if schema else None,
         )
         for name in params["algorithms"]:
             # Fixed-round HSS variants give their balance guarantee only
             # w.h.p.; at small p the Theorem 3.2.2 failure budget is a few
             # percent, so run them best-effort and *report* imbalance.
-            kwargs = {"strict": False} if name.startswith("hss-") else {}
-            config = REGISTRY.get(name).legacy_config(
-                eps=eps, seed=params["sort_seed"], **kwargs
-            )
-            run = Sorter(
-                name,
-                machine=machine,
-                config=config,
+            knobs = {"strict": False} if name.startswith("hss-") else {}
+            # layout="flat" is the tiers' cores_per_node=1 override.
+            cell = Scenario(
+                algorithm=name, workload=workload, machine=params["machine"],
+                procs=p, keys_per_rank=n_per, eps=params["eps"],
+                seed=params["sort_seed"], layout="flat",
                 backend=_suite_backend(params),
-                verify=False,
-            ).run(dataset)
-            metrics: dict[str, Any] = {
-                "makespan_s": run.makespan,
-                "net_bytes": run.engine_result.stats.bytes,
-                "net_messages": run.engine_result.stats.messages,
-                "imbalance": run.imbalance,
-            }
-            if run.splitter_stats is not None:
-                metrics["rounds"] = run.splitter_stats.num_rounds
-                metrics["total_sample"] = run.splitter_stats.total_sample
+            )
+            _, result = cell.execute(dataset=dataset, knobs=knobs)
             cases.append(
                 _case(
                     f"{workload}/{name}",
                     {"workload": workload, "algorithm": name, "procs": p,
-                     "keys_per_rank": n_per},
-                    metrics,
+                     "keys_per_rank": n_per, **extra},
+                    result["metrics"],
                 )
             )
     return cases
 
 
-def _render_shootout(cases: Sequence[CaseResult], params: Mapping[str, Any]) -> str:
+def _shootout_tables(
+    cases: Sequence[CaseResult], params: Mapping[str, Any]
+) -> str:
     by = _by_name(cases)
     names = params["algorithms"]
     blocks = []
@@ -212,11 +208,15 @@ def _render_shootout(cases: Sequence[CaseResult], params: Mapping[str, Any]) -> 
         blocks.append(
             format_series_table("algorithm", names, rows, title=f"workload: {w}")
         )
+    return "\n\n".join(blocks)
+
+
+def _render_shootout(cases: Sequence[CaseResult], params: Mapping[str, Any]) -> str:
     head = (
         f"Shootout — p={params['procs']}, N/p={params['keys_per_rank']}, "
         f"eps={params['eps']}, Mira-like (flat)"
     )
-    return head + "\n\n" + "\n\n".join(blocks)
+    return head + "\n\n" + _shootout_tables(cases, params)
 
 
 # ===================================================================== #
@@ -236,7 +236,19 @@ _RECORD_ALGORITHMS = [
 _RECORD_SCHEMA = "mass:f8,vx:f4,vy:f4,vz:f4,id:u4"
 
 
-@register(
+def _render_shootout_records(
+    cases: Sequence[CaseResult], params: Mapping[str, Any]
+) -> str:
+    record_bytes = cases[0].metrics["record_bytes"]
+    head = (
+        f"Shootout (records) — p={params['procs']}, "
+        f"N/p={params['keys_per_rank']}, eps={params['eps']}, "
+        f"{record_bytes}-byte records ({params['schema']}), Mira-like (flat)"
+    )
+    return head + "\n\n" + _shootout_tables(cases, params)
+
+
+register(
     "shootout_records",
     description="Payload-capable algorithms carrying 32-byte records: "
     "makespan, bytes, imbalance",
@@ -267,85 +279,9 @@ _RECORD_SCHEMA = "mass:f8,vx:f4,vy:f4,vz:f4,id:u4"
             "sort_seed": 13,
         },
     },
-    render=lambda cases, params: _render_shootout_records(cases, params),
+    render=_render_shootout_records,
     runtime_params={"backend": "simulated"},
-)
-def _run_shootout_records(params: Mapping[str, Any]) -> list[CaseResult]:
-    from repro.algorithms import REGISTRY, Dataset, Sorter
-    from repro.records import parse_schema
-
-    p = params["procs"]
-    n_per = params["keys_per_rank"]
-    eps = params["eps"]
-    machine = _suite_machine(params)
-    schema = parse_schema(params["schema"])
-    cases = []
-    for workload in params["workloads"]:
-        dataset = Dataset.from_workload(
-            workload, p=p, n_per=n_per, seed=params["workload_seed"],
-            payloads=schema,
-        )
-        for name in params["algorithms"]:
-            kwargs = {"strict": False} if name.startswith("hss-") else {}
-            config = REGISTRY.get(name).legacy_config(
-                eps=eps, seed=params["sort_seed"], **kwargs
-            )
-            run = Sorter(
-                name,
-                machine=machine,
-                config=config,
-                backend=_suite_backend(params),
-                verify=False,
-            ).run(dataset)
-            metrics: dict[str, Any] = {
-                "makespan_s": run.makespan,
-                "net_bytes": run.engine_result.stats.bytes,
-                "net_messages": run.engine_result.stats.messages,
-                "imbalance": run.imbalance,
-                "record_bytes": dataset.record_nbytes(),
-            }
-            if run.splitter_stats is not None:
-                metrics["rounds"] = run.splitter_stats.num_rounds
-                metrics["total_sample"] = run.splitter_stats.total_sample
-            cases.append(
-                _case(
-                    f"{workload}/{name}",
-                    {"workload": workload, "algorithm": name, "procs": p,
-                     "keys_per_rank": n_per, "schema": params["schema"]},
-                    metrics,
-                )
-            )
-    return cases
-
-
-def _render_shootout_records(
-    cases: Sequence[CaseResult], params: Mapping[str, Any]
-) -> str:
-    by = _by_name(cases)
-    names = params["algorithms"]
-    blocks = []
-    for w in params["workloads"]:
-        rows = {
-            "makespan (ms)": [
-                round(by[f"{w}/{n}"].metrics["makespan_s"] * 1e3, 3) for n in names
-            ],
-            "net bytes (MB)": [
-                round(by[f"{w}/{n}"].metrics["net_bytes"] / 1e6, 2) for n in names
-            ],
-            "imbalance": [
-                round(by[f"{w}/{n}"].metrics["imbalance"], 3) for n in names
-            ],
-        }
-        blocks.append(
-            format_series_table("algorithm", names, rows, title=f"workload: {w}")
-        )
-    record_bytes = next(iter(by.values())).metrics["record_bytes"]
-    head = (
-        f"Shootout (records) — p={params['procs']}, "
-        f"N/p={params['keys_per_rank']}, eps={params['eps']}, "
-        f"{record_bytes}-byte records ({params['schema']}), Mira-like (flat)"
-    )
-    return head + "\n\n" + "\n\n".join(blocks)
+)(_run_shootout)
 
 
 # ===================================================================== #
@@ -903,7 +839,6 @@ def _render_table_6_1(cases: Sequence[CaseResult], params: Mapping[str, Any]) ->
 )
 def _run_ablation_approx(params: Mapping[str, Any]) -> list[CaseResult]:
     from repro.algorithms import Dataset, Sorter
-    from repro.core.config import HSSConfig
     from repro.sampling.representative import representative_sample_size
 
     p = params["procs"]
@@ -917,14 +852,13 @@ def _run_ablation_approx(params: Mapping[str, Any]) -> list[CaseResult]:
         inputs = Dataset.from_arrays(
             [rng.integers(0, 2**60, n_per) for _ in range(p)]
         )
-        cfg = HSSConfig(
-            eps=eps, approximate_histograms=approx, seed=params["seed"]
-        )
         run = Sorter(
             "hss",
-            config=cfg,
             machine=machine,
             backend=_suite_backend(params),
+            eps=eps,
+            approximate_histograms=approx,
+            seed=params["seed"],
         ).run(inputs)
         cases.append(
             _case(
@@ -986,9 +920,7 @@ def _render_ablation_approx(
 )
 def _run_ablation_duplicates(params: Mapping[str, Any]) -> list[CaseResult]:
     from repro.algorithms import Dataset, Sorter
-    from repro.core.config import HSSConfig
     from repro.errors import VerificationError
-    from repro.metrics import load_imbalance
 
     p = params["procs"]
     n_per = params["keys_per_rank"]
@@ -1004,34 +936,20 @@ def _run_ablation_duplicates(params: Mapping[str, Any]) -> list[CaseResult]:
                 seed=params["workload_seed"],
                 hot_fraction=hot,
             )
-            cfg = HSSConfig(eps=eps, tag_duplicates=tagged, seed=params["seed"])
+            knobs = {"eps": eps, "tag_duplicates": tagged,
+                     "seed": params["seed"]}
+            options = {"machine": machine, "backend": _suite_backend(params)}
             strict_failed = False
             try:
-                run = Sorter(
-                    "hss",
-                    config=cfg,
-                    machine=machine,
-                    backend=_suite_backend(params),
-                ).run(dataset)
-                imbalance = run.imbalance
+                run = Sorter("hss", **options, **knobs).run(dataset)
             except VerificationError:
                 # Without tagging the hot key cannot be split across
                 # processors; measure the degradation best-effort.
                 strict_failed = True
-                relaxed = HSSConfig(
-                    eps=eps,
-                    tag_duplicates=tagged,
-                    seed=params["seed"],
-                    strict=False,
-                )
-                raw = Sorter(
-                    "hss",
-                    config=relaxed,
-                    machine=machine,
-                    backend=_suite_backend(params),
-                    verify=False,
+                run = Sorter(
+                    "hss", verify=False, strict=False, **options, **knobs
                 ).run(dataset)
-                imbalance = load_imbalance(raw.shards)
+            imbalance = run.imbalance
             label = "tagged" if tagged else "untagged"
             cases.append(
                 _case(
@@ -1096,43 +1014,25 @@ def _render_ablation_duplicates(
     render=lambda cases, params: _render_ablation_node(cases, params),
 )
 def _run_ablation_node(params: Mapping[str, Any]) -> list[CaseResult]:
-    from repro.bsp import BSPEngine
-    from repro.core.config import HSSConfig
-    from repro.core.hss import hss_sort_program
-    from repro.core.node_sort import combined_eps, hss_node_sort_program
-    from repro.metrics import verify_sorted_output
+    from repro.algorithms import Dataset, Sorter
 
     p = params["procs"]
     n_per = params["keys_per_rank"]
-    eps = params["eps"]
-    within = params["within_node_eps"]
     machine = _suite_machine(params)
 
     cases = []
-    for mode, node_level in (("core-level", False), ("node-level", True)):
+    for mode, name in (("core-level", "hss"), ("node-level", "hss-node")):
         rng = np.random.default_rng(params["input_seed"])
-        inputs = [rng.integers(0, 2**60, n_per) for _ in range(p)]
-        engine = BSPEngine(p, machine=machine)
-        if node_level:
-            cfg = HSSConfig(
-                eps=eps, within_node_eps=within, node_level=True,
-                seed=params["seed"],
-            )
-            res = engine.run(
-                hss_node_sort_program, rank_args=[(x,) for x in inputs], cfg=cfg
-            )
-            outs = [r[0].keys for r in res.returns]
-            verify_sorted_output(inputs, outs, combined_eps(eps, within))
-        else:
-            cfg = HSSConfig(eps=eps, seed=params["seed"])
-            res = engine.run(
-                hss_sort_program,
-                rank_args=[(x, None) for x in inputs],
-                cfg=cfg,
-            )
-            outs = [r[0].keys for r in res.returns]
-            verify_sorted_output(inputs, outs, eps)
-        stats = res.returns[0][1]
+        inputs = Dataset.from_arrays(
+            [rng.integers(0, 2**60, n_per) for _ in range(p)]
+        )
+        # Flat HSS ignores within_node_eps; hss-node's output is verified
+        # against the combined two-level budget.
+        run = Sorter(
+            name, machine=machine, eps=params["eps"], seed=params["seed"],
+            within_node_eps=params["within_node_eps"],
+        ).run(inputs)
+        stats = run.stats
         cases.append(
             _case(
                 mode,
@@ -1142,10 +1042,10 @@ def _run_ablation_node(params: Mapping[str, Any]) -> list[CaseResult]:
                     "splitters": stats.nparts - 1,
                     "nparts": stats.nparts,
                     "total_sample": stats.total_sample,
-                    "net_messages": res.stats.messages,
-                    "net_bytes": res.stats.bytes,
-                    "makespan_s": res.makespan,
-                    "histogramming_s": res.breakdown().total("histogramming"),
+                    "net_messages": run.engine_result.stats.messages,
+                    "net_bytes": run.engine_result.stats.bytes,
+                    "makespan_s": run.makespan,
+                    "histogramming_s": run.breakdown().total("histogramming"),
                 },
             )
         )

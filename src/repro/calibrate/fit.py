@@ -262,8 +262,9 @@ def total_abs_error(
     total = 0.0
     for meas in measurements:
         twin = modeled[meas.cell.name]
-        phases = set(meas.phase_wall_s) | set(twin.phase_wall_s)
-        for phase in phases:
+        # Sorted: a set's order follows PYTHONHASHSEED, and the float sum
+        # must not.
+        for phase in sorted(set(meas.phase_wall_s) | set(twin.phase_wall_s)):
             total += abs(
                 meas.phase_wall_s.get(phase, 0.0)
                 - twin.phase_wall_s.get(phase, 0.0)

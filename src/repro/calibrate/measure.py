@@ -91,7 +91,7 @@ def _basis_machine(**constants: float):
 
 
 def _run_cell(cell: DoECell, machine, backend):
-    from repro.algorithms import REGISTRY, Dataset, Sorter
+    from repro.algorithms import Dataset, Sorter
     from repro.records import parse_schema
 
     dataset = Dataset.from_workload(
@@ -101,18 +101,15 @@ def _run_cell(cell: DoECell, machine, backend):
         seed=cell.workload_seed,
         payloads=parse_schema(cell.schema) if cell.schema else None,
     )
-    kwargs = (
-        {"strict": False} if cell.algorithm.startswith("hss") else {}
-    )
-    config = REGISTRY.get(cell.algorithm).legacy_config(
-        eps=cell.eps, seed=cell.sort_seed, **kwargs
-    )
+    strict = {"strict": False} if cell.algorithm.startswith("hss") else {}
     return Sorter(
         cell.algorithm,
         machine=machine,
-        config=config,
         backend=backend,
         verify=False,
+        eps=cell.eps,
+        seed=cell.sort_seed,
+        **strict,
     ).run(dataset)
 
 

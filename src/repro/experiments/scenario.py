@@ -5,7 +5,9 @@ plugin registries (algorithms, workloads, machines) plus scalar knobs — so
 it serializes to a flat JSON object and validates *eagerly* at
 construction, before any simulation runs.  :meth:`Scenario.run` executes
 the cell through the standard :class:`~repro.algorithms.Sorter` plumbing
-and returns the same modeled metrics the benchmark suites record.
+and returns the modeled metrics the benchmark suites record.  ``eps`` and
+``seed`` are axes of every cell; an algorithm without that knob (bitonic,
+radix) ignores them.
 
 Examples
 --------
@@ -132,8 +134,8 @@ class Scenario:
         """Execute the cell; returns ``{scenario, machine, metrics}``.
 
         Runs through ``Dataset.from_workload`` + ``Sorter`` — exactly the
-        benchmark suites' plumbing — with verification off (imbalance is a
-        *measured* metric here, not an assertion).
+        shootout benchmark suites' call — with verification off (imbalance
+        is a *measured* metric here, not an assertion).
         """
         return self.execute(trace_sink=trace_sink)[1]
 
@@ -189,7 +191,9 @@ class Scenario:
         :class:`~repro.telemetry.TraceSink` collecting span telemetry.
         ``workers`` sizes the backend (the inner one under chaos), and
         ``knobs`` adds algorithm config keys beyond ``eps``/``seed``
-        (``repro sort --tag-duplicates``).  Neither is part of the cell.
+        (``repro sort --tag-duplicates``, ``strict=False``) or overrides
+        them; an unknown key raises :class:`~repro.errors.ConfigError`.
+        Neither is part of the cell.
         """
         from repro.algorithms import REGISTRY, Sorter
         from repro.machines import machine_summary
@@ -198,9 +202,12 @@ class Scenario:
         machine = self.resolved_machine()
         if dataset is None:
             dataset = self.build_dataset()
-        config = REGISTRY.get(self.algorithm).legacy_config(
-            eps=self.eps, seed=self.seed, **(knobs or {})
-        )
+        # eps and seed are axes of every cell; an algorithm without that
+        # knob (bitonic, radix) ignores them.
+        valid = REGISTRY.get(self.algorithm).config_keys()
+        axes = {"eps": self.eps, "seed": self.seed}
+        config = {k: v for k, v in axes.items() if k in valid}
+        config.update(knobs or {})
         options = {} if workers is None else {"workers": workers}
         if self.chaos:
             base, _, variant = self.backend.partition(":")
@@ -211,9 +218,9 @@ class Scenario:
         run = Sorter(
             self.algorithm,
             machine=machine,
-            config=config,
             backend=backend,
             verify=False,
+            **config,
         ).run(
             dataset,
             initial_intervals=initial_intervals,

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.bench.schema import machine_provenance
 from repro.experiments.scenario import Scenario
+from repro.utils import document
 
 __all__ = [
     "EXPERIMENT_SCHEMA_VERSION",
@@ -37,6 +38,12 @@ EXPERIMENT_SCHEMA_VERSION = 1
 #: part of the deterministic payload, since which cells are runnable is a
 #: property of the grid, not the host.
 CELL_STATUSES = ("ok", "skipped")
+
+#: Host-dependent keys, by nesting level.
+_VOLATILE = document.Volatile(
+    ("created_unix", "provenance", "wall_s"),
+    {"cells": document.Volatile(("wall_s", "worker"))},
+)
 
 
 class ExperimentSchemaError(ValueError):
@@ -61,21 +68,10 @@ class CellResult:
         return Scenario.from_dict(self.scenario).name
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": dict(self.scenario),
-            "status": self.status,
-            "metrics": dict(self.metrics),
-            "machine": dict(self.machine),
-            "reason": self.reason,
-            "wall_s": self.wall_s,
-            "worker": dict(self.worker),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        missing = [k for k in ("scenario", "status") if k not in data]
-        if missing:
-            raise ExperimentSchemaError(f"cell missing required keys {missing}")
         return cls(
             scenario=dict(data["scenario"]),
             status=data["status"],
@@ -88,8 +84,11 @@ class CellResult:
 
 
 @dataclass
-class ExperimentDocument:
+class ExperimentDocument(document.JsonDocument):
     """A full ``repro sweep`` run: grid axes plus one entry per cell."""
+
+    error_cls = ExperimentSchemaError
+    volatile = _VOLATILE
 
     grid: dict[str, Any] = field(default_factory=dict)
     cells: list[CellResult] = field(default_factory=list)
@@ -123,13 +122,6 @@ class ExperimentDocument:
             "cells": [cell.to_dict() for cell in self.cells],
         }
 
-    def modeled_dict(self) -> dict[str, Any]:
-        """The deterministic projection (see module docstring)."""
-        return strip_volatile_experiment(self.to_dict())
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentDocument":
         errors = validate_experiment(data)
@@ -144,55 +136,20 @@ class ExperimentDocument:
             wall_s=float(data.get("wall_s", 0.0)),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentDocument":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentSchemaError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def save(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ExperimentDocument":
-        from pathlib import Path
-
-        return cls.from_json(Path(path).read_text())
-
-
-_VOLATILE_DOCUMENT_KEYS = ("created_unix", "provenance", "wall_s")
-_VOLATILE_CELL_KEYS = ("wall_s", "worker")
-
 
 def strip_volatile_experiment(data: Mapping[str, Any]) -> dict[str, Any]:
     """Drop the fields allowed to differ between identical sweeps."""
-    doc = {k: v for k, v in data.items() if k not in _VOLATILE_DOCUMENT_KEYS}
-    doc["cells"] = [
-        {k: v for k, v in cell.items() if k not in _VOLATILE_CELL_KEYS}
-        for cell in doc.get("cells", [])
-    ]
-    return doc
+    return document.strip_volatile(data, _VOLATILE)
 
 
 def validate_experiment(data: Any) -> list[str]:
     """Return a list of human-readable schema violations (empty = valid)."""
-    errors: list[str] = []
-    if not isinstance(data, Mapping):
-        return [f"document must be a JSON object, got {type(data).__name__}"]
-    for key in ("schema_version", "grid", "cells"):
-        if key not in data:
-            errors.append(f"document missing required key {key!r}")
-    if errors:
+    errors, complete = document.check_header(
+        data, "document", ("schema_version", "grid", "cells"),
+        EXPERIMENT_SCHEMA_VERSION,
+    )
+    if not complete:
         return errors
-    if data["schema_version"] != EXPERIMENT_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {data['schema_version']!r} != "
-            f"supported {EXPERIMENT_SCHEMA_VERSION}"
-        )
     if not isinstance(data["grid"], Mapping):
         errors.append("grid must be an object")
     if not isinstance(data["cells"], list):
@@ -203,9 +160,7 @@ def validate_experiment(data: Any) -> list[str]:
         if not isinstance(cell, Mapping):
             errors.append(f"{where} must be an object")
             continue
-        for key in ("scenario", "status"):
-            if key not in cell:
-                errors.append(f"{where} missing required key {key!r}")
+        errors += document.missing_keys(cell, where, ("scenario", "status"))
         status = cell.get("status")
         if status is not None and status not in CELL_STATUSES:
             errors.append(

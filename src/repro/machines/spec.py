@@ -33,6 +33,7 @@ from typing import Any, Mapping
 from repro.bsp.machine import MachineModel
 from repro.errors import ConfigError
 from repro.machines.topologies import make_topology
+from repro.utils.document import load_json
 
 __all__ = ["MachineSpec"]
 
@@ -218,8 +219,4 @@ class MachineSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "MachineSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"machine spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(text, ConfigError, "machine spec"))

@@ -24,6 +24,10 @@ from repro.errors import ConfigError
 
 __all__ = ["ColumnSpec", "RecordSchema", "parse_schema"]
 
+#: Column kinds a workload can fill, so the kinds :func:`parse_schema`
+#: accepts.  Caller-supplied arrays may hold any fixed-width column.
+GENERATED_KINDS = {"b": "bool", "i": "int", "u": "uint", "f": "float"}
+
 
 def _normalize_dtype(spec: Any, *, allow_structured: bool = False):
     try:
@@ -176,7 +180,8 @@ class RecordSchema:
 
 
 def parse_schema(text: str, *, key_dtype: str = "<i8") -> RecordSchema:
-    """Parse the compact ``"mass:f8,id:u4"`` form into a schema."""
+    """Parse the compact ``"mass:f8,id:u4"`` form into a schema whose
+    columns a workload can fill (one :data:`GENERATED_KINDS` scalar each)."""
     columns = []
     for token in text.split(","):
         token = token.strip()
@@ -188,7 +193,15 @@ def parse_schema(text: str, *, key_dtype: str = "<i8") -> RecordSchema:
                 f"bad column token {token!r}; expected 'name:dtype' "
                 f"(e.g. 'mass:f8')"
             )
-        columns.append(ColumnSpec(name.strip(), spec.strip()))
+        name, spec = name.strip(), spec.strip()
+        columns.append(ColumnSpec(name, spec))
+        dtype = np.dtype(spec)
+        if dtype.subdtype is not None or dtype.kind not in GENERATED_KINDS:
+            raise ConfigError(
+                f"column {name!r} dtype {spec!r} cannot be generated; "
+                f"supported kinds: {', '.join(GENERATED_KINDS.values())} "
+                f"(one scalar per row)"
+            )
     if not columns:
         raise ConfigError(f"payload schema {text!r} names no columns")
     return RecordSchema(columns=tuple(columns), key_dtype=key_dtype)

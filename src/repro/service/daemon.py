@@ -39,6 +39,7 @@ from repro.service.jobs import (
     error_reply,
 )
 from repro.telemetry import SERVICE_PID, MetricsRegistry
+from repro.utils.document import load_json
 
 #: Jobs-per-batch histogram bounds (batching caps at ``batch_max``).
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
@@ -188,10 +189,7 @@ class SortService:
     # ----------------------------------------------------------- parsing #
     def parse_line(self, line: str) -> SortJob:
         """Parse one JSONL job line, applying the service defaults."""
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JobError(f"not valid JSON: {exc}") from exc
+        data = load_json(line, JobError)
         if isinstance(data, dict) and isinstance(data.get("scenario"), dict):
             scenario = dict(data["scenario"])
             if self.default_machine is not None:
@@ -453,8 +451,8 @@ class SortService:
 def _best_effort_id(line: str) -> str | None:
     """Recover a job id from a line that failed validation, if any."""
     try:
-        data = json.loads(line)
-    except json.JSONDecodeError:
+        data = load_json(line, JobError)
+    except JobError:
         return None
     if isinstance(data, dict):
         job_id = data.get("id")

@@ -9,7 +9,9 @@ Endpoints:
 - ``POST /sort`` — body is one job JSON object (same schema as a stdin
   JSONL line); the response body is the job's reply.  HTTP 200 for
   ``status: "ok"`` replies, 400 for structured error replies (including
-  a ``Content-Length`` above :data:`MAX_BODY_BYTES`, refused unread).
+  a ``Content-Length`` above :data:`MAX_BODY_BYTES`, refused unread, and
+  a body still short of its ``Content-Length`` after
+  :data:`READ_TIMEOUT_S`).
 - ``GET /healthz`` — liveness: ``{"status": "ok", ...}`` with package
   and job-schema version info.
 - ``GET /stats`` — service + splitter-cache counters, plus the metrics
@@ -42,6 +44,10 @@ _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 #: ``Content-Length`` is refused before any of the body is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a handler waits on a silent client.  A body shorter than its
+#: ``Content-Length`` then gets a 400 instead of holding the handler.
+READ_TIMEOUT_S = 10.0
+
 
 def make_server(
     service: SortService,
@@ -63,6 +69,8 @@ def make_server(
     lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
+        timeout = READ_TIMEOUT_S
+
         # Quiet by default: the JSONL replies are the product, not the
         # access log.
         def log_message(self, format: str, *args: object) -> None:
@@ -131,7 +139,20 @@ def make_server(
             if error is not None:
                 self._send(400, error_reply(None, error))
                 return
-            body = self.rfile.read(length).decode("utf-8", errors="replace")
+            received = b""
+            try:
+                while len(received) < length and (
+                    chunk := self.rfile.read1(length - len(received))
+                ):
+                    received += chunk
+            except TimeoutError:
+                error = JobError(
+                    f"request body timed out after {self.timeout:g} s: "
+                    f"received {len(received)} of {length} bytes"
+                )
+                self._send(400, error_reply(None, error))
+                return
+            body = received.decode("utf-8", errors="replace")
             with lock:
                 reply = service.handle_line(body)
             self._send(200 if reply.get("status") == "ok" else 400, reply)

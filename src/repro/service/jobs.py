@@ -26,12 +26,12 @@ stream agree exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
 from repro.experiments.scenario import Scenario
+from repro.utils import document
 
 __all__ = [
     "JOB_SCHEMA_VERSION",
@@ -51,7 +51,7 @@ JOB_SCHEMA_VERSION = 1
 REPLY_STATUSES = ("ok", "error")
 
 #: Reply fields allowed to differ between identical job streams.
-_VOLATILE_REPLY_KEYS = ("wall_s", "measured")
+_VOLATILE_REPLY = document.Volatile(("wall_s", "measured"))
 
 _JOB_KEYS = ("id", "scenario", "schema_version")
 
@@ -87,9 +87,9 @@ class SortJob:
 
 def validate_job(data: Any) -> list[str]:
     """Return a list of human-readable job violations (empty = valid)."""
-    if not isinstance(data, Mapping):
-        return [f"job must be a JSON object, got {type(data).__name__}"]
-    errors: list[str] = []
+    errors = document.not_object(data, "job")
+    if errors:
+        return errors
     unknown = sorted(set(data) - set(_JOB_KEYS))
     if unknown:
         errors.append(
@@ -100,11 +100,9 @@ def validate_job(data: Any) -> list[str]:
         errors.append("job missing required key 'id'")
     elif not isinstance(job_id, str) or not job_id or "\n" in job_id:
         errors.append(f"job id must be a non-empty string, got {job_id!r}")
-    version = data.get("schema_version", JOB_SCHEMA_VERSION)
-    if version != JOB_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {version!r} != supported {JOB_SCHEMA_VERSION}"
-        )
+    errors += document.version_errors(
+        data.get("schema_version", JOB_SCHEMA_VERSION), JOB_SCHEMA_VERSION
+    )
     scenario = data.get("scenario")
     if scenario is None:
         errors.append("job missing required key 'scenario'")
@@ -122,11 +120,7 @@ def validate_job(data: Any) -> list[str]:
 
 def parse_job_line(line: str) -> SortJob:
     """Parse one JSONL line into a :class:`SortJob` (:class:`JobError`)."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JobError(f"not valid JSON: {exc}") from exc
-    return SortJob.from_dict(data)
+    return SortJob.from_dict(document.load_json(line, JobError))
 
 
 def error_reply(job_id: str | None, exc: BaseException) -> dict[str, Any]:
@@ -144,26 +138,16 @@ def error_reply(job_id: str | None, exc: BaseException) -> dict[str, Any]:
 
 def strip_volatile_reply(reply: Mapping[str, Any]) -> dict[str, Any]:
     """Drop the fields allowed to differ between identical job streams."""
-    return {
-        k: v for k, v in reply.items() if k not in _VOLATILE_REPLY_KEYS
-    }
+    return document.strip_volatile(reply, _VOLATILE_REPLY)
 
 
 def validate_reply(data: Any) -> list[str]:
     """Return a list of human-readable reply violations (empty = valid)."""
-    if not isinstance(data, Mapping):
-        return [f"reply must be a JSON object, got {type(data).__name__}"]
-    errors: list[str] = []
-    for key in ("schema_version", "id", "status"):
-        if key not in data:
-            errors.append(f"reply missing required key {key!r}")
-    if errors:
+    errors, complete = document.check_header(
+        data, "reply", ("schema_version", "id", "status"), JOB_SCHEMA_VERSION
+    )
+    if not complete:
         return errors
-    if data["schema_version"] != JOB_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {data['schema_version']!r} != "
-            f"supported {JOB_SCHEMA_VERSION}"
-        )
     status = data["status"]
     if status not in REPLY_STATUSES:
         errors.append(f"status {status!r} not in {list(REPLY_STATUSES)}")

@@ -65,14 +65,6 @@ class TestSpecConfigValidation:
         assert isinstance(cfg, spec.config_cls)
         assert cfg.probes_per_splitter == 5
 
-    def test_legacy_config_drops_eps_seed_when_inapplicable(self):
-        cfg = REGISTRY["bitonic"].legacy_config(eps=0.3, seed=4)
-        assert isinstance(cfg, REGISTRY["bitonic"].config_cls)
-
-    def test_legacy_config_still_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            REGISTRY["bitonic"].legacy_config(eps=0.3, wrong=1)
-
     def test_excluded_keys_are_not_accepted(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             REGISTRY["hss"].build_config(schedule=None)

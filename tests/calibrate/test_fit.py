@@ -212,3 +212,34 @@ class TestModeledMeasurements:
                 sum(c for c, _ in twin.compute.values()),
                 rtol=0.1,
             )
+
+
+def test_total_abs_error_is_independent_of_hash_seed():
+    """The phase sum runs in one order whatever ``PYTHONHASHSEED`` is, so
+    two processes report the same float (CI compares them byte for byte).
+    Seeds 0 and 3 summed the quick-tier phases in different orders when
+    the loop walked a set."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    script = (
+        "from repro.bench.runner import run_suite\n"
+        "run = run_suite('calibration_quality', 'quick')\n"
+        "print([repr(c.metrics['total_abs_error_s']) for c in run.cases])\n"
+    )
+    outputs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

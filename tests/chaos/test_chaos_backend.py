@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import REGISTRY, Dataset, Sorter
+from repro.experiments import Scenario
 from repro.chaos import FaultPlan, make_fault_plan
 from repro.errors import (
     BSPError,
@@ -28,7 +29,6 @@ from repro.errors import (
 from repro.runtime import (
     BACKENDS,
     ChaosBackend,
-    ProcessBackend,
     SimulatedBackend,
     get_backend,
 )
@@ -44,13 +44,22 @@ GRID = [
 ]
 
 
-def _run(algorithm: str, workload: str, backend) -> object:
+def _run(
+    algorithm: str,
+    workload: str,
+    backend: str = "simulated",
+    *,
+    chaos: str = "",
+    workers: int | None = None,
+) -> object:
+    """One cell; a ``chaos`` plan name wraps ``backend`` in the chaos backend."""
+    cell = Scenario(
+        algorithm=algorithm, workload=workload, procs=P, keys_per_rank=N_PER,
+        eps=0.2, seed=3, layout="node", backend=backend, chaos=chaos,
+    )
     dataset = Dataset.from_workload(workload, p=P, n_per=N_PER, seed=11)
-    kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
-    return Sorter(
-        algorithm, config=config, backend=backend, verify=False
-    ).run(dataset)
+    knobs = {"strict": False} if algorithm.startswith("hss-") else {}
+    return cell.execute(dataset=dataset, knobs=knobs, workers=workers)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -60,10 +69,8 @@ def _run(algorithm: str, workload: str, backend) -> object:
     "algorithm,workload", GRID, ids=[f"{a}-{w}" for a, w in GRID]
 )
 def test_zero_fault_plan_is_bit_identical(algorithm, workload):
-    plain = _run(algorithm, workload, SimulatedBackend())
-    chaos = _run(
-        algorithm, workload, ChaosBackend(inner="simulated", plan="none")
-    )
+    plain = _run(algorithm, workload)
+    chaos = _run(algorithm, workload, chaos="none")
     for rank, (a, b) in enumerate(zip(plain.shards, chaos.shards)):
         np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} shard")
     assert plain.engine_result.stats == chaos.engine_result.stats
@@ -123,7 +130,7 @@ def test_zero_fault_error_paths_identical(program, exc_type):
 @pytest.mark.parametrize("plan", ["stragglers", "dropped-collectives", "mayhem"])
 def test_same_seed_reproduces_metrics_and_output(plan):
     runs = [
-        _run("hss", "uniform", ChaosBackend(inner="simulated", plan=plan))
+        _run("hss", "uniform", chaos=plan)
         for _ in range(2)
     ]
     a, b = (r.engine_result.measured.chaos for r in runs)
@@ -134,14 +141,15 @@ def test_same_seed_reproduces_metrics_and_output(plan):
 
 
 def test_different_seed_changes_fault_schedule():
+    dataset = Dataset.from_workload("uniform", p=P, n_per=N_PER, seed=11)
     metrics = [
-        _run(
-            "hss", "uniform",
-            ChaosBackend(
+        Sorter(
+            "hss", eps=0.2, seed=3, verify=False,
+            backend=ChaosBackend(
                 inner="simulated",
                 plan=make_fault_plan("stragglers", seed=seed),
             ),
-        ).engine_result.measured.chaos
+        ).run(dataset).engine_result.measured.chaos
         for seed in (0, 1)
     ]
     assert metrics[0]["seed"] != metrics[1]["seed"]
@@ -152,10 +160,8 @@ def test_different_seed_changes_fault_schedule():
 
 
 def test_faults_never_corrupt_output():
-    plain = _run("hss", "uniform", SimulatedBackend())
-    chaos = _run(
-        "hss", "uniform", ChaosBackend(inner="simulated", plan="mayhem")
-    )
+    plain = _run("hss", "uniform")
+    chaos = _run("hss", "uniform", chaos="mayhem")
     # Faults perturb time and traffic, never the sort itself.
     for a, b in zip(plain.shards, chaos.shards):
         np.testing.assert_array_equal(a, b)
@@ -172,10 +178,7 @@ def test_faults_never_corrupt_output():
 # --------------------------------------------------------------------- #
 def test_kill_trips_deadlock_with_provenance():
     with pytest.raises(DeadlockError) as info:
-        _run(
-            "hss", "uniform",
-            ChaosBackend(inner="simulated", plan="kill-rank"),
-        )
+        _run("hss", "uniform", chaos="kill-rank")
     exc = info.value
     message = str(exc)
     assert "superstep" in message and "not SPMD" in message
@@ -191,10 +194,7 @@ def test_kill_detection_identical_across_backends():
     details = []
     for inner in ("simulated", "process"):
         with pytest.raises(DeadlockError) as info:
-            _run(
-                "hss", "uniform",
-                ChaosBackend(inner=inner, plan="kill-rank", workers=2),
-            )
+            _run("hss", "uniform", inner, chaos="kill-rank", workers=2)
         details.append((str(info.value), info.value.chaos))
     assert details[0] == details[1]
 
@@ -204,13 +204,8 @@ def test_kill_detection_identical_across_backends():
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("plan", ["stragglers", "mayhem"])
 def test_chaos_metrics_backend_independent(plan):
-    sim = _run(
-        "hss", "uniform", ChaosBackend(inner="simulated", plan=plan)
-    )
-    proc = _run(
-        "hss", "uniform",
-        ChaosBackend(inner="process", plan=plan, workers=2),
-    )
+    sim = _run("hss", "uniform", chaos=plan)
+    proc = _run("hss", "uniform", "process", chaos=plan, workers=2)
     sim_info = dict(sim.engine_result.measured.chaos)
     proc_info = dict(proc.engine_result.measured.chaos)
     assert sim.engine_result.measured.backend == "chaos:simulated"
@@ -223,11 +218,8 @@ def test_chaos_metrics_backend_independent(plan):
 
 
 def test_drop_retries_price_extra_traffic():
-    plain = _run("hss", "uniform", SimulatedBackend())
-    chaos = _run(
-        "hss", "uniform",
-        ChaosBackend(inner="simulated", plan="dropped-collectives"),
-    )
+    plain = _run("hss", "uniform")
+    chaos = _run("hss", "uniform", chaos="dropped-collectives")
     info = chaos.engine_result.measured.chaos
     assert info["retries"] > 0
     assert info["delay_injected_s"] == 0.0

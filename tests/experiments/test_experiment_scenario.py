@@ -148,3 +148,31 @@ class TestExecuteOptions:
         )
         with pytest.raises(ConfigError, match="unknown config key"):
             cell.execute(knobs={"tag_duplicates": True})
+
+    def test_eps_and_seed_are_ignored_without_that_knob(self):
+        """Every cell carries eps/seed; bitonic has neither knob."""
+        cell = Scenario(
+            algorithm="bitonic", workload="uniform", procs=4,
+            keys_per_rank=100, eps=0.3, seed=4,
+        )
+        run, result = cell.execute()
+        assert run.algorithm == "bitonic"
+        assert result["scenario"]["eps"] == 0.3
+
+    def test_unknown_knob_is_rejected(self):
+        cell = Scenario(
+            algorithm="bitonic", workload="uniform", procs=4,
+            keys_per_rank=100, eps=0.3,
+        )
+        with pytest.raises(ConfigError, match="unknown config key"):
+            cell.execute(knobs={"wrong": 1})
+
+    def test_knobs_override_the_cell_axes(self):
+        loose = Scenario(
+            algorithm="hss", workload="uniform", procs=4, keys_per_rank=200,
+            eps=0.3,
+        )
+        tight = loose.replace(eps=0.05)
+        overridden = loose.execute(knobs={"eps": 0.05})[1]["metrics"]
+        assert overridden == tight.run()["metrics"]
+        assert overridden != loose.run()["metrics"]

@@ -23,7 +23,13 @@ class TestColumnSpec:
             ColumnSpec("tag", spec)
 
     def test_accepts_sized_bytes_column(self):
+        # Caller-supplied arrays may carry any fixed-width column; only
+        # the compact form (parse_schema) is limited to generated kinds.
         assert ColumnSpec("tag", "S8").dtype.itemsize == 8
+        schema = RecordSchema.from_payload_dtype(
+            np.dtype([("tag", "S8")]), key_dtype="<i8"
+        )
+        assert schema.column("tag").dtype == np.dtype("S8")
 
     def test_rejects_key_name(self):
         with pytest.raises(ConfigError, match="key"):
@@ -115,6 +121,11 @@ class TestParseSchema:
     def test_parse_rejects_zero_width_column(self):
         with pytest.raises(ConfigError, match="'bytes'"):
             parse_schema("mass:f8,tag:bytes")
+
+    @pytest.mark.parametrize("spec", ["S8", "3f8", "M8[s]", "c16", "V8"])
+    def test_parse_rejects_columns_no_workload_fills(self, spec):
+        with pytest.raises(ConfigError, match="cannot be generated"):
+            parse_schema(f"mass:f8,tag:{spec}")
 
     def test_parse_rejects_empty(self):
         with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms import REGISTRY, Dataset, Sorter
 from repro.bsp.engine import BSPEngine, RunResult
 from repro.errors import BSPError, CollectiveMismatchError, DeadlockError
+from repro.experiments import Scenario
 from repro.runtime import (
     Backend,
     ProcessBackend,
@@ -37,15 +38,24 @@ GRID = [
 ]
 
 
-def _run(algorithm: str, workload: str, backend) -> object:
-    dataset = Dataset.from_workload(workload, p=P, n_per=N_PER, seed=11)
+def _run(
+    algorithm: str,
+    workload: str,
+    backend: str = "simulated",
+    workers: int | None = None,
+    payloads: dict | None = None,
+) -> object:
+    cell = Scenario(
+        algorithm=algorithm, workload=workload, procs=P, keys_per_rank=N_PER,
+        eps=0.2, seed=3, layout="node", backend=backend,
+    )
+    dataset = Dataset.from_workload(
+        workload, p=P, n_per=N_PER, seed=11, payloads=payloads
+    )
     # Fixed-round HSS variants guarantee balance only w.h.p.; at this tiny
     # scale run them best-effort, as the shootout suite does.
-    kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
-    return Sorter(
-        algorithm, config=config, backend=backend, verify=False
-    ).run(dataset)
+    knobs = {"strict": False} if algorithm.startswith("hss-") else {}
+    return cell.execute(dataset=dataset, knobs=knobs, workers=workers)[0]
 
 
 def _assert_stats_equal(a, b) -> None:
@@ -68,8 +78,8 @@ def _assert_stats_equal(a, b) -> None:
     "algorithm,workload", GRID, ids=[f"{a}-{w}" for a, w in GRID]
 )
 def test_process_backend_bit_identical(algorithm, workload):
-    sim = _run(algorithm, workload, SimulatedBackend())
-    proc = _run(algorithm, workload, ProcessBackend(workers=2))
+    sim = _run(algorithm, workload)
+    proc = _run(algorithm, workload, "process", workers=2)
 
     for rank, (a, b) in enumerate(zip(sim.shards, proc.shards)):
         np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} shard")
@@ -87,8 +97,8 @@ def test_process_backend_bit_identical(algorithm, workload):
     "algorithm,workload", GRID, ids=[f"{a}-{w}" for a, w in GRID]
 )
 def test_thread_backend_bit_identical(algorithm, workload):
-    sim = _run(algorithm, workload, SimulatedBackend())
-    thr = _run(algorithm, workload, ThreadBackend(workers=2))
+    sim = _run(algorithm, workload)
+    thr = _run(algorithm, workload, "thread", workers=2)
 
     for rank, (a, b) in enumerate(zip(sim.shards, thr.shards)):
         np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} shard")
@@ -167,17 +177,8 @@ RECORD_COLUMNS = {"mass": "f8", "vx": "f4", "id": "u4"}
 @pytest.mark.parametrize("algorithm", PAYLOAD_ALGORITHMS)
 def test_record_payload_parity(algorithm):
     """Typed payload columns arrive bit-identical from both backends."""
-    dataset = Dataset.from_workload(
-        "uniform", p=P, n_per=N_PER, seed=11, payloads=RECORD_COLUMNS
-    )
-    kwargs = {"strict": False} if algorithm.startswith("hss-") else {}
-    config = REGISTRY.get(algorithm).legacy_config(eps=0.2, seed=3, **kwargs)
-    sim, proc = (
-        Sorter(
-            algorithm, config=config, backend=backend, verify=False
-        ).run(dataset)
-        for backend in (SimulatedBackend(), ProcessBackend(workers=2))
-    )
+    sim = _run(algorithm, "uniform", payloads=RECORD_COLUMNS)
+    proc = _run(algorithm, "uniform", "process", 2, payloads=RECORD_COLUMNS)
     assert sim.payloads[0].dtype.names == tuple(RECORD_COLUMNS)
     for rank in range(P):
         np.testing.assert_array_equal(
@@ -213,8 +214,8 @@ def test_payload_round_trip_identical():
 @pytest.mark.parametrize("workers", [1, 3, 4])
 @pytest.mark.parametrize("backend_cls", [ProcessBackend, ThreadBackend])
 def test_worker_multiplexing_is_invisible(backend_cls, workers):
-    baseline = _run("hss", "uniform", SimulatedBackend())
-    run = _run("hss", "uniform", backend_cls(workers=workers))
+    baseline = _run("hss", "uniform")
+    run = _run("hss", "uniform", backend_cls.name, workers)
     for a, b in zip(baseline.shards, run.shards):
         np.testing.assert_array_equal(a, b)
     assert baseline.engine_result.stats == run.engine_result.stats

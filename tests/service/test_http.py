@@ -138,6 +138,37 @@ class TestEndpoints:
         assert reply["error"]["type"] == "JobError"
         assert length in reply["error"]["message"]
 
+    def test_short_body_times_out_with_structured_error(self, monkeypatch):
+        """A body shorter than its Content-Length gets a 400 once the read
+        timeout passes, instead of blocking the handler."""
+        from repro.service import http
+
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.2)
+        srv = make_server(SortService(), port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            # The client timeout turns a handler that never answers into
+            # a failure rather than a hang.
+            with socket.create_connection(
+                srv.server_address[:2], timeout=5
+            ) as sock:
+                sock.sendall(
+                    b"POST /sort HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: 100\r\n\r\n" + b'{"id":'
+                )
+                response = sock.makefile("rb").read()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        reply = json.loads(body)
+        assert reply["status"] == "error"
+        assert reply["error"]["type"] == "JobError"
+        assert "received 6 of 100 bytes" in reply["error"]["message"]
+
     def test_unknown_paths_404(self, server):
         assert _get(server, "/nope")[0] == 404
         assert _post(server, "/nope", b"{}")[0] == 404

@@ -147,16 +147,22 @@ class TestSortCommand:
         # The pre-check names the payload-capable alternatives.
         assert "hss" in err and "sample-regular" in err
 
-    @pytest.mark.parametrize("spec", ["bytes", "S0"])
+    @pytest.mark.parametrize(
+        "spec", ["bytes", "S0", "S8", "3f8", "M8[s]", "c16"]
+    )
     def test_zero_width_payload_column_exits_2(self, capsys, spec):
+        """Zero-width columns, and columns no workload can fill, fail at
+        schema parse, before any data is generated."""
         code = main(
             ["sort", "--algorithm", "sample-regular", "-p", "4", "-n", "100",
              "--payloads", f"tag:{spec}"]
         )
         assert code == 2
-        assert f"column dtype '{spec}' has zero width" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        if spec in ("bytes", "S0"):
+            assert f"column dtype '{spec}' has zero width" in err
+        else:
+            assert f"column 'tag' dtype '{spec}' cannot be generated" in err
 
     def test_catalog_workload_beyond_distributions(self, capsys):
         code = main(
