@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.bench.registry import register
 from repro.bench.schema import CaseResult
+from repro.errors import ConfigError
 from repro.perf.report import format_series_table, format_stacked_table
 
 __all__: list[str] = []  # suites are reached through the registry
@@ -55,6 +56,26 @@ def _suite_backend(params: Mapping[str, Any]) -> str:
     contract), so the gate still applies.
     """
     return params.get("backend", "simulated")
+
+
+def _suite_cell(params: Mapping[str, Any], **axes: Any):
+    """A :class:`~repro.experiments.Scenario` on the tier's machine, scale,
+    ``eps`` and backend.  Its layout spells the tier's ``machine_overrides``
+    (flat: ``cores_per_node=1``; node: none), so the machine the runner
+    records is the one that priced the cell."""
+    from repro.experiments import Scenario
+
+    overrides = params.get("machine_overrides") or {}
+    layout = {(): "node", (("cores_per_node", 1),): "flat"}.get(
+        tuple(overrides.items())
+    )
+    if layout is None:
+        raise ConfigError(f"machine_overrides {overrides} is no Scenario layout")
+    return Scenario(
+        machine=params["machine"], procs=params["procs"],
+        keys_per_rank=params["keys_per_rank"], eps=params["eps"],
+        layout=layout, backend=_suite_backend(params), **axes,
+    )
 
 
 def _by_name(cases: Sequence[CaseResult]) -> dict[str, CaseResult]:
@@ -150,7 +171,6 @@ def _run_shootout(params: Mapping[str, Any]) -> list[CaseResult]:
     """Every listed algorithm on each workload, one :class:`Scenario` cell
     each; records-carrying when the tier names a payload ``schema``."""
     from repro.algorithms import Dataset
-    from repro.experiments import Scenario
     from repro.records import parse_schema
 
     p = params["procs"]
@@ -168,12 +188,9 @@ def _run_shootout(params: Mapping[str, Any]) -> list[CaseResult]:
             # w.h.p.; at small p the Theorem 3.2.2 failure budget is a few
             # percent, so run them best-effort and *report* imbalance.
             knobs = {"strict": False} if name.startswith("hss-") else {}
-            # layout="flat" is the tiers' cores_per_node=1 override.
-            cell = Scenario(
-                algorithm=name, workload=workload, machine=params["machine"],
-                procs=p, keys_per_rank=n_per, eps=params["eps"],
-                seed=params["sort_seed"], layout="flat",
-                backend=_suite_backend(params),
+            cell = _suite_cell(
+                params, algorithm=name, workload=workload,
+                seed=params["sort_seed"],
             )
             _, result = cell.execute(dataset=dataset, knobs=knobs)
             cases.append(
@@ -1308,19 +1325,11 @@ def _run_service_latency(params: Mapping[str, Any]) -> list[CaseResult]:
     replies: dict[tuple[str, int], Mapping[str, Any]] = {}
     for rep in range(params["repeats"]):
         for workload in params["workloads"]:
-            job = {
-                "id": f"{workload}-{rep}",
-                "scenario": {
-                    "algorithm": params["algorithm"],
-                    "workload": workload,
-                    "machine": params["machine"],
-                    "procs": params["procs"],
-                    "keys_per_rank": params["keys_per_rank"],
-                    "eps": params["eps"],
-                    "seed": params["seed"],
-                    "backend": _suite_backend(params),
-                },
-            }
+            cell = _suite_cell(
+                params, algorithm=params["algorithm"], workload=workload,
+                seed=params["seed"],
+            )
+            job = {"id": f"{workload}-{rep}", "scenario": cell.to_dict()}
             reply = service.handle_line(json.dumps(job))
             if reply["status"] != "ok":
                 raise RuntimeError(
@@ -1463,19 +1472,11 @@ def _run_chaos_resilience(params: Mapping[str, Any]) -> list[CaseResult]:
     failure-*detection* latency, as opposed to the degradation metrics.
     """
     from repro.errors import DeadlockError
-    from repro.experiments import Scenario
 
-    def scenario(workload: str, plan: str) -> Scenario:
-        return Scenario(
-            algorithm=params["algorithm"],
-            workload=workload,
-            machine=params["machine"],
-            procs=params["procs"],
-            keys_per_rank=params["keys_per_rank"],
-            eps=params["eps"],
-            seed=params["seed"],
-            backend=_suite_backend(params),
-            chaos=plan,
+    def scenario(workload: str, plan: str):
+        return _suite_cell(
+            params, algorithm=params["algorithm"], workload=workload,
+            seed=params["seed"], chaos=plan,
         )
 
     cases = []

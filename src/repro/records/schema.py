@@ -195,8 +195,8 @@ def parse_schema(text: str, *, key_dtype: str = "<i8") -> RecordSchema:
             )
         name, spec = name.strip(), spec.strip()
         columns.append(ColumnSpec(name, spec))
-        dtype = np.dtype(spec)
-        if dtype.subdtype is not None or dtype.kind not in GENERATED_KINDS:
+        # ColumnSpec flattens subarrays ("3f8" -> "|V24", kind "V").
+        if columns[-1].dtype.kind not in GENERATED_KINDS:
             raise ConfigError(
                 f"column {name!r} dtype {spec!r} cannot be generated; "
                 f"supported kinds: {', '.join(GENERATED_KINDS.values())} "

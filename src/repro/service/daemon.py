@@ -451,8 +451,8 @@ class SortService:
 def _best_effort_id(line: str) -> str | None:
     """Recover a job id from a line that failed validation, if any."""
     try:
-        data = load_json(line, JobError)
-    except JobError:
+        data = json.loads(line)
+    except json.JSONDecodeError:
         return None
     if isinstance(data, dict):
         job_id = data.get("id")

@@ -11,6 +11,7 @@ from repro.bench.runner import (
     run_suite,
     run_suites,
 )
+from repro.bench.registry import SUITES
 from repro.bench.schema import strip_volatile, validate_document
 from repro.errors import ConfigError
 
@@ -55,6 +56,30 @@ class TestDocument:
         assert doc.suite_names() == ["shootout"]
         assert doc.suite("shootout").tier == "quick"
         assert doc.algorithms() == {"hss", "sample-regular"}
+
+    @pytest.mark.parametrize("overrides", [{"cores_per_node": 1}, {}])
+    def test_recorded_machine_is_the_one_that_priced_the_cells(
+        self, overrides
+    ):
+        from repro.bench.suites import _suite_cell
+        from repro.machines import machine_summary
+
+        params = {**SUITES["shootout"].params_for("quick", None),
+                  "machine_overrides": overrides}
+        cell = _suite_cell(params, algorithm="hss", workload="uniform")
+        recorded = run_suite(
+            "shootout", "quick",
+            overrides={**TINY_SHOOTOUT, "machine_overrides": overrides},
+        ).machine
+        assert machine_summary(cell.resolved_machine()) == recorded
+
+    def test_override_without_a_scenario_layout_is_rejected(self):
+        with pytest.raises(ConfigError, match="no Scenario layout"):
+            run_suite(
+                "shootout", "quick",
+                overrides={**TINY_SHOOTOUT,
+                           "machine_overrides": {"cores_per_node": 4}},
+            )
 
     def test_progress_callback_invoked(self):
         lines = []

@@ -9,9 +9,18 @@ from repro.experiments import Scenario
 from repro.metrics import verify_sorted_output
 
 
-def _cell(name: str, **axes) -> Scenario:
-    """A cell on the default (multicore) machine, input supplied per run."""
-    return Scenario(algorithm=name, workload="uniform", layout="node", **axes)
+def _sort(name: str, inputs, **axes):
+    """Run ``inputs`` through a cell on the default (multicore) machine and
+    verify the output against the algorithm's own balance budget."""
+    run = Scenario(
+        algorithm=name, workload="uniform", layout="node", **axes
+    ).execute(dataset=Dataset.from_arrays(inputs))[0]
+    spec = REGISTRY[name]
+    config = spec.build_config(
+        **{k: v for k, v in axes.items() if k in spec.config_keys()}
+    )
+    verify_sorted_output(inputs, run.shards, spec.verify_eps(config))
+    return run
 
 
 class TestRegistry:
@@ -37,13 +46,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_every_algorithm_sorts(self, name, rng):
         inputs = [rng.integers(0, 10**7, 600) for _ in range(8)]
-        run = _cell(name, eps=0.1, seed=5).execute(
-            dataset=Dataset.from_arrays(inputs)
-        )[0]
-        # eps=0.1; every balanced algorithm's budget (hss-node's two-level
-        # one included) is within 0.2.
-        balanced = REGISTRY[name].balanced
-        verify_sorted_output(inputs, run.shards, 0.2 if balanced else None)
+        run = _sort(name, inputs, eps=0.1, seed=5)
         assert run.algorithm == name
 
     def test_splitter_stats_only_for_histogramming_algorithms(self, rng):
@@ -88,7 +91,5 @@ class TestCrossAlgorithmAgreement:
         inputs = [rng.integers(0, 10**7, 500) for _ in range(8)]
         reference = np.sort(np.concatenate(inputs))
         for name in ("hss", "scanning", "sample-regular", "histogram", "radix"):
-            run = _cell(name, eps=0.1, seed=2).execute(
-                dataset=Dataset.from_arrays(inputs)
-            )[0]
+            run = _sort(name, inputs, eps=0.1, seed=2)
             assert np.array_equal(np.concatenate(run.shards), reference), name
