@@ -125,22 +125,11 @@ def radix_sort_program(
             # Stable partition by digit: counting sort order.
             order = np.argsort(digits, kind="stable")
             work = work[order]
-            digits = digits[order]
             ctx.charge_sort(len(work), key_bytes=dtype.itemsize)
-            bounds = np.searchsorted(digits, np.arange(nbuckets + 1))
-            parts = [
-                work[bounds[d]: bounds[d + 1]] for d in range(nbuckets)
-            ]
-            # Digit d goes to rank d (nbuckets <= p); pad with empties.
-            parts.extend(
-                np.empty(0, dtype=work.dtype) for _ in range(p - nbuckets)
-            )
-            received = yield from ctx.alltoall(parts)
-            work = (
-                np.concatenate([r for r in received if len(r)])
-                if any(len(r) for r in received)
-                else work[:0]
-            )
+            # Digit d goes to rank d (nbuckets <= p); ranks past the last
+            # digit receive nothing.
+            counts = np.bincount(digits.astype(np.intp), minlength=p)
+            (work,) = yield from ctx.alltoallv(counts, work)
             ctx.charge_bytes(len(work) * dtype.itemsize)
             shift += bits_per_pass
 

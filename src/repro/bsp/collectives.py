@@ -15,22 +15,24 @@ scatter        ``payloads[root][i]``
 reduce         combined value at root, ``None`` elsewhere
 allreduce      combined value everywhere
 scan           inclusive prefix combination of payloads ``0..i``
-alltoall       ``[payloads[j][i] for j in range(p)]``
+alltoallv      per array, the runs every rank addressed to ``i``
 exchange       partner's payload (pairwise, partners must be symmetric)
 =============  ======================================================
 
 Reductions support ``'sum'``, ``'min'``, ``'max'`` and operate elementwise on
 NumPy arrays or directly on scalars.  Payload sizes are measured with
-:func:`sizeof`, which understands NumPy arrays, scalars, strings, bytes and
-(recursively) containers.  ``sizeof`` is on the engine's superstep hot path
-(every collective sizes every rank's payload), so it dispatches through a
-per-type cache with vectorized fast paths for the payload shapes the sort
-programs actually send — ndarrays, scalars, and flat homogeneous sequences
-of either; :func:`sizeof_reference` keeps the plain recursive walk as the
-semantic ground truth the fast path is tested against.  An :class:`ArrayRef`
-(a transport's descriptor for an array kept out of band) sizes as the array
-it stands for, so a sweep resolved over refs prices byte for byte like one
-resolved over the arrays.
+:func:`sizeof`, one recursive walk that understands NumPy arrays, scalars,
+strings, bytes and containers.
+
+``alltoallv`` is MPI_Alltoallv with the control and data channels split:
+each rank's payload is ``(counts, arrays)`` — ``p`` per-destination row
+counts plus aligned 1-D arrays whose rows are already grouped by
+destination.  The resolver reads only the counts and the arrays' lengths
+and item sizes: it checks the ``p × p`` counts matrix, prices it as
+``counts × row bytes``, and routes each run as a slice (an ndarray view,
+or an :class:`ArrayRef` sub-ref on a transport that keeps arrays out of
+band).  An :class:`ArrayRef` sizes as the array it stands for, so a sweep
+resolved over refs prices byte for byte like one resolved over the arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "ArrayRef",
     "VALUE_OPS",
     "sizeof",
-    "sizeof_reference",
     "resolve",
     "ResolvedCollective",
     "REDUCERS",
@@ -83,18 +84,27 @@ class ArrayRef:
             raise TypeError("len() of unsized ArrayRef")
         return self.shape[0]
 
+    def __getitem__(self, run: slice) -> "ArrayRef":
+        """The ref of the contiguous run ``array[start:stop]`` (1-D only)."""
+        start, stop, step = run.indices(self.shape[0])
+        if step != 1 or len(self.shape) != 1:
+            raise TypeError("ArrayRef takes only contiguous 1-D slices")
+        return ArrayRef(
+            self.segment,
+            self.offset + start * self.dtype.itemsize,
+            (max(0, stop - start),),
+            self.dtype,
+        )
 
-def sizeof_reference(obj: Any) -> int:
-    """Approximate wire size of a payload in bytes (recursive reference).
 
-    NumPy arrays report their exact buffer size; Python scalars count as 8
-    bytes (their natural wire encoding); containers sum their elements.  The
+def sizeof(obj: Any) -> int:
+    """Approximate wire size of a payload in bytes.
+
+    NumPy arrays report their exact buffer size, and an :class:`ArrayRef`
+    the size of the array it stands for; Python scalars count as 8 bytes
+    (their natural wire encoding); containers sum their elements.  The
     goal is faithful *relative* accounting for the cost model, not Python
     object-graph memory measurement.
-
-    This is the original, obviously-correct recursive walk.  :func:`sizeof`
-    is the production entry point and must agree with it on every payload;
-    ``tests/bsp/test_sizeof.py`` enforces the equivalence.
     """
     if obj is None:
         return 0
@@ -111,141 +121,13 @@ def sizeof_reference(obj: Any) -> int:
     if isinstance(obj, str):
         return len(obj.encode())
     if isinstance(obj, dict):
-        return sum(sizeof_reference(k) + sizeof_reference(v) for k, v in obj.items())
+        return sum(sizeof(k) + sizeof(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(sizeof_reference(x) for x in obj)
+        return sum(sizeof(x) for x in obj)
     # Dataclass-ish objects: count their public attributes.
     if hasattr(obj, "__dict__"):
-        return sum(sizeof_reference(v) for v in vars(obj).values())
+        return sum(sizeof(v) for v in vars(obj).values())
     return 8
-
-
-# ------------------------------------------------------------------ #
-# Fast-path sizeof: per-type dispatch cache + flat-sequence batching.
-# ------------------------------------------------------------------ #
-_SCALAR_TYPES = frozenset((bool, int, float, complex))
-
-
-def _sizeof_none(obj: Any) -> int:
-    return 0
-
-
-def _sizeof_ndarray(obj: np.ndarray) -> int:
-    return int(obj.nbytes)
-
-
-def _sizeof_scalar(obj: Any) -> int:
-    return 8
-
-
-def _sizeof_void(obj: np.void) -> int:
-    return int(obj.nbytes)
-
-
-def _sizeof_buffer(obj: Any) -> int:
-    return len(obj)
-
-
-def _sizeof_str(obj: str) -> int:
-    return len(obj.encode())
-
-
-def _sizeof_dict(obj: dict) -> int:
-    return sum(sizeof(k) + sizeof(v) for k, v in obj.items())
-
-
-def _sizeof_flat_sequence(obj: Any) -> int:
-    """Size a list/tuple/set, batching the homogeneous flat shapes.
-
-    The sort programs overwhelmingly send flat sequences — per-destination
-    ndarray rows for ``alltoall``, splitter/count vectors as Python lists.
-    When every element is the same scalar type the answer is ``8 * len``;
-    when every element is an ndarray the buffer sizes sum without any
-    per-element dispatch.  Mixed/nested sequences fall back to the generic
-    per-element walk.
-    """
-    if not obj:
-        return 0
-    kinds = {type(x) for x in obj}
-    if len(kinds) == 1:
-        kind = next(iter(kinds))
-        if kind in _SCALAR_TYPES:
-            return 8 * len(obj)
-        if kind is np.ndarray or kind is ArrayRef:
-            return int(sum(x.nbytes for x in obj))
-        if issubclass(kind, np.void):
-            return int(sum(x.nbytes for x in obj))
-        if issubclass(kind, np.generic):
-            return 8 * len(obj)
-    return sum(sizeof(x) for x in obj)
-
-
-#: Exact-type dispatch table.  Seeded with the builtin payload types; other
-#: types are resolved once through the isinstance ladder of
-#: :func:`sizeof_reference` and then memoized, so repeated payloads of the
-#: same type (the common case inside a superstep sweep) never re-walk it.
-_SIZEOF_DISPATCH: dict[type, Callable[[Any], int]] = {
-    type(None): _sizeof_none,
-    np.ndarray: _sizeof_ndarray,
-    ArrayRef: _sizeof_ndarray,
-    np.void: _sizeof_void,
-    bool: _sizeof_scalar,
-    int: _sizeof_scalar,
-    float: _sizeof_scalar,
-    complex: _sizeof_scalar,
-    bytes: _sizeof_buffer,
-    bytearray: _sizeof_buffer,
-    memoryview: _sizeof_buffer,
-    str: _sizeof_str,
-    dict: _sizeof_dict,
-    list: _sizeof_flat_sequence,
-    tuple: _sizeof_flat_sequence,
-    set: _sizeof_flat_sequence,
-    frozenset: _sizeof_flat_sequence,
-}
-
-
-def _resolve_handler(kind: type) -> Callable[[Any], int]:
-    """Mirror ``sizeof_reference``'s isinstance ladder, once per type."""
-    if issubclass(kind, np.ndarray):
-        return _sizeof_ndarray
-    if issubclass(kind, np.void):
-        return _sizeof_void
-    if issubclass(kind, (bool, int, float, complex, np.generic)):
-        return _sizeof_scalar
-    if issubclass(kind, (bytes, bytearray, memoryview)):
-        return _sizeof_buffer
-    if issubclass(kind, str):
-        return _sizeof_str
-    if issubclass(kind, dict):
-        return _sizeof_dict
-    if issubclass(kind, (list, tuple, set, frozenset)):
-        return _sizeof_flat_sequence
-    return _sizeof_attrs_or_opaque
-
-
-def _sizeof_attrs_or_opaque(obj: Any) -> int:
-    # Dataclass-ish objects count their attributes; instances without a
-    # __dict__ (pure-__slots__ classes, opaque extension types) count as one
-    # 8-byte word, matching sizeof_reference's terminal case.
-    try:
-        attrs = vars(obj)
-    except TypeError:
-        return 8
-    return sum(sizeof(v) for v in attrs.values())
-
-
-def sizeof(obj: Any) -> int:
-    """Approximate wire size of a payload in bytes (cached fast path).
-
-    Semantics are exactly those of :func:`sizeof_reference`; the dispatch
-    cache and the flat-sequence batching only change the constant factor.
-    """
-    handler = _SIZEOF_DISPATCH.get(type(obj))
-    if handler is None:
-        handler = _resolve_handler(type(obj))
-        _SIZEOF_DISPATCH[type(obj)] = handler
-    return handler(obj)
 
 
 def _reduce_pair(a: Any, b: Any, op: str) -> Any:
@@ -302,6 +184,52 @@ class ResolvedCollective:
 VALUE_OPS = frozenset({"reduce", "allreduce", "scan"})
 
 
+def _resolve_alltoallv(payloads: list[Any]) -> ResolvedCollective:
+    """Check, price and route one ``alltoallv`` (see the module docstring)."""
+    p = len(payloads)
+    width = len(payloads[0][1])
+    for r, (counts, arrays) in enumerate(payloads):
+        shapes = [a.shape for a in arrays]
+        aligned = len(arrays) == width and len(set(shapes)) == 1
+        if len(counts) != p:
+            problem = f"{len(counts)} counts for {p} ranks"
+        elif not aligned or len(shapes[0]) != 1:
+            need = max(width, 1)
+            problem = f"need {need} aligned 1-D arrays, got shapes {shapes}"
+        elif min(counts) < 0:
+            problem = f"negative count in {list(counts)}"
+        elif sum(counts) != shapes[0][0]:
+            problem = (
+                f"counts sum to {sum(counts)} but the arrays hold "
+                f"{shapes[0][0]} rows"
+            )
+        else:
+            continue
+        raise BSPError(f"alltoallv at rank {r}: {problem}")
+    matrix = np.array([counts for counts, _ in payloads], dtype=np.int64)
+    row_bytes = np.array(
+        [sum(a.dtype.itemsize for a in arrays) for _, arrays in payloads]
+    )
+    # Row sums of the byte matrix are send volumes, column sums receive
+    # volumes.
+    nbytes = matrix * row_bytes[:, None]
+    send, recv = nbytes.sum(axis=1), nbytes.sum(axis=0)
+    bounds = np.zeros((p, p + 1), dtype=np.int64)
+    np.cumsum(matrix, axis=1, out=bounds[:, 1:])
+    rows = list(enumerate(bounds.tolist()))
+    columns = [[arrays[k] for _, arrays in payloads] for k in range(width)]
+    results = [
+        tuple(
+            [column[src][row[dst]: row[dst + 1]] for src, row in rows]
+            for column in columns
+        )
+        for dst in range(p)
+    ]
+    return ResolvedCollective(
+        results, int((send + recv).max()), int(send.sum())
+    )
+
+
 def resolve(
     op: str,
     payloads: list[Any],
@@ -331,23 +259,8 @@ def resolve(
         chunk_total = sum(sizeof(c) for c in chunks)
         return ResolvedCollective(list(chunks), chunk_total, chunk_total)
 
-    if op in ("alltoall", "alltoallv"):
-        for r, row in enumerate(payloads):
-            if row is None or len(row) != p:
-                raise BSPError(
-                    f"alltoall payload at rank {r} must be a length-{p} "
-                    f"sequence of per-destination items"
-                )
-        results = [[payloads[src][dst] for src in range(p)] for dst in range(p)]
-        # Size every (src, dst) element exactly once: row sums are the send
-        # volumes, column sums the receive volumes.
-        elem_bytes = np.array(
-            [[sizeof(x) for x in row] for row in payloads], dtype=np.int64
-        )
-        send_bytes = elem_bytes.sum(axis=1)
-        recv_bytes = elem_bytes.sum(axis=0)
-        vmax = int((send_bytes + recv_bytes).max()) if p else 0
-        return ResolvedCollective(results, vmax, int(send_bytes.sum()))
+    if op == "alltoallv":
+        return _resolve_alltoallv(payloads)
 
     # The remaining ops all charge by per-rank payload sizes.
     sizes = [sizeof(x) for x in payloads]

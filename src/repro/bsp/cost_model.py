@@ -201,7 +201,7 @@ class CostModel:
             compute = S * m.gamma_byte * lg
             return CollectiveCost(comm, compute, int(S) * (e - 1), e - 1, e, "tree")
 
-        if op in ("alltoall", "alltoallv"):
+        if op == "alltoallv":
             c = 1.0 if scope == "node" else m.topology.alltoall_contention(e)
             pairwise = a * max(1, e - 1) + S * b * c
             bruck = a * math.ceil(_log2p(e)) + (S / 2.0) * b * _log2p(e) * c

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Generator, Mapping, Sequence
 
+import numpy as np
+
 from repro.bsp import collectives as coll
 from repro.bsp.cost_model import CommStats, CostModel
 from repro.bsp.machine import MachineModel
@@ -258,18 +260,27 @@ class Context:
         result = yield _Call("scan", value, reduce_op=op, group=self._group)
         return result
 
-    def alltoall(
-        self, values: Sequence[Any], node_combining: bool = False
-    ) -> Generator[Any, Any, list[Any]]:
-        """Personalized all-to-all: ``values[j]`` goes to rank ``j``.
+    def alltoallv(
+        self,
+        counts: Sequence[int],
+        *arrays: np.ndarray,
+        node_combining: bool = False,
+    ) -> Generator[Any, Any, tuple[np.ndarray, ...]]:
+        """Personalized all-to-all of contiguous runs (MPI_Alltoallv).
 
-        With ``node_combining=True`` the superstep is *priced* as if per-node
-        message combining (§6.1.1) were applied; data semantics are identical.
+        ``arrays`` are one or more aligned 1-D arrays whose rows are
+        grouped by destination: run ``j`` — the next ``counts[j]`` rows of
+        every array — goes to rank ``j``.  Returns one array per sent
+        array: the runs this rank received, in source-rank order.  With
+        ``node_combining=True`` the superstep is *priced* as if per-node
+        message combining (§6.1.1) were applied; data semantics are
+        identical.
         """
-        result = yield _Call(
-            "alltoallv", values, node_combining=node_combining, group=self._group
+        payload = (tuple(np.asarray(counts, dtype=np.int64).tolist()), arrays)
+        runs = yield _Call(
+            "alltoallv", payload, node_combining=node_combining, group=self._group
         )
-        return result
+        return tuple(np.concatenate(column) for column in runs)
 
     def exchange(self, partner: int, value: Any) -> Generator[Any, Any, Any]:
         """Symmetric pairwise exchange with ``partner`` (for bitonic sort)."""

@@ -2,10 +2,13 @@
 sample sort and histogram sort — §2.2 step 3).
 
 Once splitters are known, every rank cuts its sorted local array into ``p``
-contiguous runs (binary search per splitter), sends run ``i`` to rank ``i``
-in one personalized all-to-all, and merges the ``p`` sorted runs it
-receives.  Keys may carry a fixed-size payload (the Mira experiments use
-8-byte keys + 4-byte payloads); payloads are permuted along with their keys.
+contiguous runs (binary search per splitter) and sends run ``i`` to rank
+``i`` in one ``alltoallv``: the sorted shard itself plus ``p`` run lengths,
+never a list of per-destination pieces.  Each rank receives one buffer per
+array, its runs concatenated in source-rank order, and merges it with one
+sort.  Keys may carry a fixed-size payload (the Mira experiments use 8-byte
+keys + 4-byte payloads); the payload travels as a second aligned array and
+is permuted along with its keys.
 
 Cost charging follows §5.1: partitioning is ``(p−1)`` binary searches plus a
 linear pass of memory traffic; the merge is ``(N_recv)·log p`` comparisons.
@@ -44,12 +47,6 @@ class Shard:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def slice(self, start: int, stop: int) -> "Shard":
-        return Shard(
-            self.keys[start:stop],
-            None if self.payload is None else self.payload[start:stop],
-        )
 
 
 def _sort_keys(keys: np.ndarray, *, inplace: bool = False) -> np.ndarray:
@@ -95,44 +92,18 @@ def locally_sorted_shard(
 def partition_by_splitters(
     shard: Shard,
     positions: np.ndarray,
-) -> list[Shard]:
-    """Cut a sorted shard into ``len(positions)+1`` contiguous bucket runs.
+) -> np.ndarray:
+    """Run lengths cutting a sorted shard into ``len(positions)+1`` buckets.
 
     ``positions`` are the pre-computed boundary indices (from the key-space
-    adapter's ``bucket_positions``); they must be non-decreasing.
+    adapter's ``bucket_positions``); they must be non-decreasing.  Run
+    ``i`` is ``shard[bounds[i]:bounds[i+1]]`` with ``bounds`` the
+    positions framed by ``0`` and ``len(shard)``.
     """
-    n = len(shard)
-    bounds = np.empty(len(positions) + 2, dtype=np.int64)
-    bounds[0] = 0
-    bounds[1:-1] = positions
-    bounds[-1] = n
-    if np.any(np.diff(bounds) < 0):
+    counts = np.diff(positions, prepend=0, append=len(shard))
+    if np.any(counts < 0):
         raise ValueError("bucket boundary positions must be non-decreasing")
-    return [
-        shard.slice(int(bounds[i]), int(bounds[i + 1]))
-        for i in range(len(bounds) - 1)
-    ]
-
-
-def _merge_runs(runs: list[Shard], key_dtype: np.dtype) -> Shard:
-    """Merge ``p`` sorted runs.
-
-    Implemented as concatenate + sort, the vectorized stand-in for a
-    ``p``-way merge.  Bare keys go through :func:`_sort_keys`; with a
-    payload, a stable argsort keeps equal keys in run order (rank order,
-    then each run's own order).  The simulated cost is charged separately
-    as ``total·log₂(ways)`` by the caller, whatever kernel does the work.
-    """
-    nonempty = [r for r in runs if len(r)]
-    if not nonempty:
-        return Shard(np.empty(0, dtype=key_dtype))
-    keys = np.concatenate([r.keys for r in nonempty])
-    have_payload = nonempty[0].payload is not None
-    if have_payload:
-        payload = np.concatenate([r.payload for r in nonempty])
-        order = np.argsort(keys, kind="stable")
-        return Shard(keys[order], payload[order])
-    return Shard(_sort_keys(keys, inplace=True))
+    return counts
 
 
 def exchange_and_merge(
@@ -168,27 +139,27 @@ def exchange_and_merge(
         raise ValueError(
             f"expected {p - 1} boundary positions, got {len(positions)}"
         )
+    arrays = [a for a in (shard.keys, shard.payload) if a is not None]
     if key_bytes is None:
-        key_bytes = shard.keys.dtype.itemsize + (
-            shard.payload.dtype.itemsize if shard.payload is not None else 0
-        )
+        key_bytes = sum(a.dtype.itemsize for a in arrays)
 
     # Bucketize: p−1 binary searches (already done by the caller to get
     # `positions`) plus one linear pass of copies.
-    outgoing = partition_by_splitters(shard, positions)
+    counts = partition_by_splitters(shard, positions)
     ctx.charge_binary_searches(p - 1, max(1, len(shard)))
     ctx.charge_bytes(len(shard) * key_bytes)
 
-    payload_rows = [
-        (run.keys, run.payload) if run.payload is not None else run.keys
-        for run in outgoing
-    ]
-    received = yield from ctx.alltoall(payload_rows, node_combining=node_combining)
-
-    if outgoing[0].payload is not None:
-        runs = [Shard(k, v) for (k, v) in received]
+    keys, *payload = yield from ctx.alltoallv(
+        counts, *arrays, node_combining=node_combining
+    )
+    if payload:
+        # A stable argsort keeps equal keys in source-rank order, then in
+        # each run's own order.
+        order = np.argsort(keys, kind="stable")
+        merged = Shard(keys[order], payload[0][order])
     else:
-        runs = [Shard(k) for k in received]
-    merged = _merge_runs(runs, shard.keys.dtype)
+        merged = Shard(_sort_keys(keys, inplace=True))
+    # Concatenate + sort is the vectorized stand-in for a p-way merge; the
+    # simulated cost is charged as one, whatever kernel does the work.
     ctx.charge_merge(len(merged), p, key_bytes=key_bytes)
     return merged

@@ -373,6 +373,12 @@ def hss_sort_program(
             node_combining=cfg.node_level,
         )
 
+    check_strict(cfg, stats)
+    return merged, stats
+
+
+def check_strict(cfg: HSSConfig, stats: SplitterStats) -> None:
+    """Raise if ``cfg.strict`` and the splitters missed their tolerance."""
     if cfg.strict and not stats.all_finalized and not stats.satisfies_tolerance():
         raise VerificationError(
             f"splitter determination ended after {stats.num_rounds} rounds "
@@ -380,7 +386,6 @@ def hss_sort_program(
             f"(set HSSConfig(strict=False) for best-effort output, or "
             f"tag_duplicates=True if the input has heavy duplicates)"
         )
-    return merged, stats
 
 
 # --------------------------------------------------------------------- #

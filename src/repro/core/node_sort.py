@@ -36,6 +36,7 @@ from repro.core.hss import (
     HSS_PHASE_EXCHANGE,
     HSS_PHASE_HISTOGRAM,
     HSS_PHASE_LOCAL_SORT,
+    check_strict,
     hss_splitter_program,
 )
 from repro.core.keyspace import make_keyspace
@@ -53,41 +54,49 @@ def combined_eps(eps: float, within_node_eps: float) -> float:
     return (1.0 + eps) * (1.0 + within_node_eps) - 1.0
 
 
-def node_sample_sort(node_ctx, keys: np.ndarray, eps: float) -> Generator:
+def node_sample_sort(
+    node_ctx, keys: np.ndarray, eps: float, keyspace
+) -> Generator:
     """Sample sort with regular sampling inside one node (§6.1.2, step 3).
 
     Runs over a node communicator; all collectives are shared-memory priced.
     ``keys`` must already be sorted (they arrive merged from the global
-    exchange).  Returns this core's final slice.
+    exchange).  ``keyspace`` is the run's key-space adapter: a tagged one
+    (§4.3) tags the sample with its ``(core, index)``, so equal keys split
+    across cores too.  Returns this core's final slice.
     """
     c = node_ctx.nprocs
     if c == 1:
         return keys
     s = max(1, math.ceil(c / eps))
     sample = regular_sample(keys, s)
+    if keyspace.tagged:
+        tagged = np.empty(len(sample), dtype=keyspace.key_dtype)
+        tagged["key"] = sample
+        tagged["pe"] = node_ctx.rank
+        tagged["idx"] = regular_sample(np.arange(len(keys)), s)
+        sample = tagged
     gathered = yield from node_ctx.gather(sample, root=0)
     if node_ctx.rank == 0:
-        combined = np.sort(np.concatenate([g for g in gathered if len(g)]))
+        combined = np.sort(np.concatenate(gathered))
         node_ctx.charge_sort(len(combined), key_bytes=keys.dtype.itemsize)
         m = len(combined)
-        s_eff = max(1, m // c)
-        idx = np.clip(
-            np.arange(1, c, dtype=np.int64) * s_eff - c // 2 - 1, 0, m - 1
-        )
-        splitters = combined[idx]
+        if m:
+            s_eff = max(1, m // c)
+            idx = np.clip(
+                np.arange(1, c, dtype=np.int64) * s_eff - c // 2 - 1, 0, m - 1
+            )
+            splitters = combined[idx]
+        else:
+            # The whole node holds no keys: any splitters leave it empty.
+            splitters = np.zeros(c - 1, dtype=combined.dtype)
     else:
         splitters = None
     splitters = yield from node_ctx.bcast(splitters, root=0)
-    positions = np.searchsorted(keys, splitters, side="left")
+    positions = keyspace.bucket_positions(keys, node_ctx.rank, splitters)
     node_ctx.charge_binary_searches(c - 1, max(1, len(keys)))
-    bounds = np.concatenate(([0], positions, [len(keys)]))
-    parts = [keys[bounds[i]: bounds[i + 1]] for i in range(c)]
-    received = yield from node_ctx.alltoall(parts)
-    merged = (
-        np.concatenate([r for r in received if len(r)])
-        if any(len(r) for r in received)
-        else keys[:0]
-    )
+    counts = np.diff(positions, prepend=0, append=len(keys))
+    (merged,) = yield from node_ctx.alltoallv(counts, keys)
     _sort_keys(merged, inplace=True)
     node_ctx.charge_merge(len(merged), c, key_bytes=keys.dtype.itemsize)
     return merged
@@ -143,33 +152,31 @@ def hss_node_sort_program(
 
     # --- global exchange: node buckets, combined per node ----------------
     with ctx.phase(HSS_PHASE_EXCHANGE):
-        bounds = np.concatenate(([0], node_positions, [len(keys)]))
-        parts: list[np.ndarray] = [keys[:0]] * ctx.nprocs
-        for b in range(nnodes):
-            bucket = keys[bounds[b]: bounds[b + 1]]
-            dest_ranks = list(layout.ranks_on_node(b))
-            # Deal the bucket round-robin across the node's cores; the
-            # within-node pass re-balances exactly, so only rough evenness
-            # matters here.
-            pieces = np.array_split(bucket, len(dest_ranks))
-            for piece, dest in zip(pieces, dest_ranks):
-                parts[dest] = piece
+        # Deal each node's bucket across its cores as evenly as
+        # np.array_split would; the within-node pass re-balances exactly,
+        # so only rough evenness matters here.
+        counts = np.zeros(ctx.nprocs, dtype=np.int64)
+        buckets = np.diff(node_positions, prepend=0, append=len(keys))
+        for b, size in enumerate(buckets.tolist()):
+            ranks = layout.ranks_on_node(b)
+            share, extra = divmod(size, len(ranks))
+            counts[ranks.start: ranks.stop] = share
+            counts[ranks.start: ranks.start + extra] += 1
         ctx.charge_binary_searches(nnodes - 1, max(1, len(keys)))
         ctx.charge_bytes(len(keys) * keys.dtype.itemsize)
-        received = yield from ctx.alltoall(parts, node_combining=True)
-        mine = (
-            np.concatenate([r for r in received if len(r)])
-            if any(len(r) for r in received)
-            else keys[:0]
-        )
+        (mine,) = yield from ctx.alltoallv(counts, keys, node_combining=True)
         _sort_keys(mine, inplace=True)
         ctx.charge_merge(len(mine), ctx.nprocs, key_bytes=keys.dtype.itemsize)
 
     # --- within-node redistribution (shared memory only) -----------------
     with ctx.phase(HSS_PHASE_WITHIN_NODE):
         node_ctx = ctx.node_comm()
-        final = yield from node_sample_sort(node_ctx, mine, cfg.within_node_eps)
+        final = yield from node_sample_sort(
+            node_ctx, mine, cfg.within_node_eps, keyspace
+        )
 
+    if stats is not None:
+        check_strict(cfg, stats)
     return Shard(final), stats
 
 

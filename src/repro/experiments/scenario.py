@@ -92,6 +92,7 @@ class Scenario:
             raise ConfigError(
                 f"keys_per_rank must be >= 1, got {self.keys_per_rank}"
             )
+        schema = None
         if self.payloads and self.payloads != "workload":
             # Syntax-eager: a malformed compact schema fails the whole
             # grid expansion.  Feasibility (does the workload declare a
@@ -100,7 +101,9 @@ class Scenario:
             # cells instead of dying.
             from repro.records import parse_schema
 
-            parse_schema(self.payloads)
+            schema = parse_schema(self.payloads)
+        # Parsed once per cell; kept beside the fields, not as one.
+        object.__setattr__(self, "_schema", schema)
 
     # ------------------------------------------------------------------ #
     @property
@@ -163,9 +166,7 @@ class Scenario:
                 )
             payloads = True
         elif self.payloads:
-            from repro.records import parse_schema
-
-            payloads = parse_schema(self.payloads)
+            payloads = self._schema
         return Dataset.from_workload(
             self.workload, p=self.procs, n_per=self.keys_per_rank,
             seed=self.seed, payloads=payloads,

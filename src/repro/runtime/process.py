@@ -25,9 +25,12 @@ rank's final ``RankDone`` and land on the returned result.
 The broker routes descriptors, not bytes.  Each worker writes a batch's
 arrays into one segment it creates, and the pipe carries the batch with
 :class:`~repro.bsp.collectives.ArrayRef` descriptors in their place.  The
-resolver routes those refs unread (``sizeof`` counts a ref as its array),
-so a receiver copies an exchanged key straight from the sender's segment:
-data moves once.  The broker copies out only what it reads — the payloads
+resolver routes those refs unread (``sizeof`` counts a ref as its array).
+An ``alltoallv`` payload is ``(counts, arrays)``: the counts are plain
+ints in the pickled skeleton, so the broker prices and checks the
+exchange from them and routes each run as an ``ArrayRef`` sub-slice
+(``ref[lo:hi]``) of the sender's array.  A receiver copies its runs
+straight from the senders' segments: data moves once.  The broker copies out only what it reads — the payloads
 of :data:`~repro.bsp.collectives.VALUE_OPS` and finished or failed ranks'
 messages — and ships arrays it computes (reduction results) in a segment
 of its own.  It unlinks the segments a sweep's results name once every
@@ -161,13 +164,14 @@ def _assign_ranks(nprocs: int, workers: int) -> list[list[int]]:
 def _reads_payload(call: _Call) -> bool:
     """Whether the broker must copy ``call``'s payload bytes to resolve it.
 
-    Reductions compute with values; scatter and alltoallv index into a
-    payload sequence, which the ref of one bare array cannot stand in
-    for.  Every other payload is routed as the refs it arrived as.
+    Reductions compute with values; scatter indexes into a payload
+    sequence, which the ref of one bare array cannot stand in for.  Every
+    other payload is routed as the refs it arrived as — ``alltoallv``
+    included: its counts ride in the pickled skeleton, and its runs are
+    :class:`~repro.bsp.collectives.ArrayRef` sub-slices.
     """
     return call.op in VALUE_OPS or (
-        call.op in ("scatter", "alltoallv")
-        and isinstance(call.payload, ArrayRef)
+        call.op == "scatter" and isinstance(call.payload, ArrayRef)
     )
 
 

@@ -69,13 +69,10 @@ class SortJob:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SortJob":
-        errors = validate_job(data)
+        errors, scenario = _check_job(data)
         if errors:
             raise JobError("; ".join(errors))
-        return cls(
-            id=str(data["id"]),
-            scenario=Scenario.from_dict(data["scenario"]),
-        )
+        return cls(id=str(data["id"]), scenario=scenario)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -87,9 +84,14 @@ class SortJob:
 
 def validate_job(data: Any) -> list[str]:
     """Return a list of human-readable job violations (empty = valid)."""
+    return _check_job(data)[0]
+
+
+def _check_job(data: Any) -> tuple[list[str], Scenario | None]:
+    """A job's violations, plus its :class:`Scenario` when that one built."""
     errors = document.not_object(data, "job")
     if errors:
-        return errors
+        return errors, None
     unknown = sorted(set(data) - set(_JOB_KEYS))
     if unknown:
         errors.append(
@@ -103,19 +105,20 @@ def validate_job(data: Any) -> list[str]:
     errors += document.version_errors(
         data.get("schema_version", JOB_SCHEMA_VERSION), JOB_SCHEMA_VERSION
     )
-    scenario = data.get("scenario")
-    if scenario is None:
+    fields = data.get("scenario")
+    scenario = None
+    if fields is None:
         errors.append("job missing required key 'scenario'")
-    elif not isinstance(scenario, Mapping):
+    elif not isinstance(fields, Mapping):
         errors.append(
-            f"scenario must be an object, got {type(scenario).__name__}"
+            f"scenario must be an object, got {type(fields).__name__}"
         )
     else:
         try:
-            Scenario.from_dict(scenario)
+            scenario = Scenario.from_dict(fields)
         except ConfigError as exc:
             errors.append(f"scenario: {exc}")
-    return errors
+    return errors, scenario
 
 
 def parse_job_line(line: str) -> SortJob:

@@ -222,7 +222,7 @@ class TestResolvedFallbacks:
             ("reduce", dict(max_bytes=1024, total_bytes=1024)),
             ("gather", dict(max_bytes=512, total_bytes=512 * 64,
                             scope="node", group_size=16)),
-            ("alltoall", dict(max_bytes=2048, total_bytes=2048 * 16,
+            ("alltoallv", dict(max_bytes=2048, total_bytes=2048 * 16,
                               scope="node", group_size=16)),
             ("barrier", dict(max_bytes=0, total_bytes=0,
                              scope="node", group_size=16)),

@@ -115,10 +115,9 @@ class TestCollectiveSemantics:
 
     def test_alltoall(self):
         def program(ctx):
-            out = yield from ctx.alltoall(
-                [ctx.rank * 10 + dst for dst in range(ctx.nprocs)]
-            )
-            return out
+            rows = np.array([ctx.rank * 10 + dst for dst in range(ctx.nprocs)])
+            (out,) = yield from ctx.alltoallv([1] * ctx.nprocs, rows)
+            return out.tolist()
 
         res = run(BSPEngine(3), program)
         assert res.returns[1] == [1, 11, 21]

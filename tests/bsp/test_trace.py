@@ -148,8 +148,9 @@ class TestEngineTraceAccounting:
         import numpy as np
 
         def exchange_heavy(ctx, chunk):
-            parts = [chunk] * ctx.nprocs
-            yield from ctx.alltoall(parts)
+            # The same chunk to every rank.
+            counts = [len(chunk)] * ctx.nprocs
+            yield from ctx.alltoallv(counts, np.tile(chunk, ctx.nprocs))
             return None
 
         def run_on(topology, params):

@@ -6,7 +6,6 @@ import pytest
 from repro.bsp import BSPEngine
 from repro.core.data_movement import (
     Shard,
-    _merge_runs,
     _sort_keys,
     exchange_and_merge,
     locally_sorted_shard,
@@ -81,61 +80,76 @@ class TestSortKernel:
 
     @pytest.mark.parametrize("dtype", KEY_DTYPES)
     def test_merge_runs_matches_oracle(self, dtype):
+        """exchange_and_merge's merge sorts what arrives like the oracle.
+
+        Five ranks (one of them empty) send every key to rank 1 in runs of
+        ragged length, empty runs included; rank 1 merges what arrives.
+        """
         keys = _keys(dtype)
-        cuts = [0, 0, 100, 101, 300, len(keys), len(keys)]
-        runs = [
-            Shard(np.sort(keys[a:b], kind="stable"))
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
-        merged = _merge_runs(runs, keys.dtype)
-        assert merged.payload is None
-        _assert_sorted_like_oracle(merged.keys, keys)
+        cuts = [0, 0, 100, 101, 300, len(keys)]
+
+        def program(ctx, keys):
+            shard = locally_sorted_shard(ctx, keys)
+            n = len(shard)
+            # Runs 0, 2, 3 and 4 are empty; run 1 holds the whole shard.
+            positions = np.array([0, n, n, n])
+            merged = yield from exchange_and_merge(ctx, shard, positions)
+            return merged
+
+        rank_args = [(keys[a:b],) for a, b in zip(cuts[:-1], cuts[1:])]
+        merged = BSPEngine(5).run(program, rank_args=rank_args).returns
+        assert [len(m) for m in merged] == [0, len(keys), 0, 0, 0]
+        assert merged[1].payload is None
+        _assert_sorted_like_oracle(merged[1].keys, keys)
 
     def test_payloads_keep_equal_keys_in_input_order(self):
         keys = _keys("int64")
         index = np.arange(len(keys))
 
         def program(ctx, keys, payload):
-            yield from ctx.barrier()
-            return locally_sorted_shard(ctx, keys, payload)
+            shard = locally_sorted_shard(ctx, keys, payload)
+            # Everything to rank 0, which merges the two sorted runs.
+            merged = yield from exchange_and_merge(
+                ctx, shard, np.array([len(shard)])
+            )
+            return merged
 
-        halves = BSPEngine(2).run(
+        merged, empty = BSPEngine(2).run(
             program,
             rank_args=[(keys[:200], index[:200]), (keys[200:], index[200:])],
         ).returns
-        merged = _merge_runs(halves, keys.dtype)
         np.testing.assert_array_equal(
             merged.payload, np.argsort(keys, kind="stable")
         )
+        assert len(empty) == len(empty.payload) == 0
 
 
 class TestShard:
-    def test_len_and_slice(self):
-        s = Shard(np.arange(10), np.arange(10) * 2)
-        piece = s.slice(2, 5)
-        assert len(piece) == 3
-        assert np.array_equal(piece.payload, [4, 6, 8])
+    def test_len(self):
+        assert len(Shard(np.arange(10), np.arange(10) * 2)) == 10
 
     def test_payload_length_checked(self):
         with pytest.raises(ValueError):
             Shard(np.arange(5), np.arange(4))
 
     def test_no_payload(self):
-        s = Shard(np.arange(3))
-        assert s.slice(0, 2).payload is None
+        assert Shard(np.arange(3)).payload is None
 
 
 class TestPartition:
     def test_positions_cut(self):
         shard = Shard(np.arange(10))
-        parts = partition_by_splitters(shard, np.array([3, 7]))
-        assert [len(x) for x in parts] == [3, 4, 3]
-        assert np.array_equal(parts[1].keys, [3, 4, 5, 6])
+        counts = partition_by_splitters(shard, np.array([3, 7]))
+        assert counts.tolist() == [3, 4, 3]
 
     def test_empty_buckets(self):
         shard = Shard(np.arange(4))
-        parts = partition_by_splitters(shard, np.array([0, 0, 4]))
-        assert [len(x) for x in parts] == [0, 0, 4, 0]
+        counts = partition_by_splitters(shard, np.array([0, 0, 4]))
+        assert counts.tolist() == [0, 0, 4, 0]
+
+    def test_positions_past_the_shard_rejected(self):
+        with pytest.raises(ValueError):
+            partition_by_splitters(Shard(np.arange(5)), np.array([3, 6]))
 
     def test_decreasing_positions_rejected(self):
         with pytest.raises(ValueError):

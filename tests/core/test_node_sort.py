@@ -9,7 +9,7 @@ from repro.core.node_sort import (
     combined_eps,
     hss_node_sort_program,
 )
-from repro.errors import BSPError
+from repro.errors import BSPError, VerificationError
 from repro.metrics import verify_sorted_output
 
 LAPTOP = get_machine("laptop")
@@ -67,6 +67,50 @@ class TestNodeSortCorrectness:
                 rank_args=[(x,) for x in inputs],
                 cfg=HSSConfig(node_level=True),
             )
+
+
+class TestDuplicateHeavyNodes:
+    """Constant keys: a whole node receives no keys from the node split."""
+
+    CELL = ["sort", "--algorithm", "hss-node", "--workload", "constant",
+            "-p", "16", "-n", "97"]
+
+    def test_cli_cell_fails_verification_like_hss(self, capsys):
+        from repro.cli import main
+
+        # On laptop (2 nodes x 8 cores) node 0 gets nothing; strict
+        # splitting then reports the missed tolerance, exactly as hss
+        # does on this input, never a numpy error.
+        for algorithm in ("hss-node", "hss"):
+            argv = [*self.CELL]
+            argv[2] = algorithm
+            with pytest.raises(VerificationError, match="max rank error"):
+                main(argv)
+
+    def test_best_effort_leaves_the_empty_node_empty(self):
+        from repro.experiments import Scenario
+
+        cell = Scenario(
+            algorithm="hss-node", workload="constant", procs=16,
+            keys_per_rank=97, layout="node",
+        )
+        dataset = cell.build_dataset()
+        run, _ = cell.execute(dataset=dataset, knobs={"strict": False})
+        verify_sorted_output(dataset.shards, run.shards)
+        assert [len(s) for s in run.shards[:8]] == [0] * 8
+
+    def test_tagging_balances_equal_keys_within_nodes(self):
+        from repro.experiments import Scenario
+
+        cell = Scenario(
+            algorithm="hss-node", workload="constant", procs=16,
+            keys_per_rank=1000, layout="node",
+        )
+        dataset = cell.build_dataset()
+        run, _ = cell.execute(dataset=dataset, knobs={"tag_duplicates": True})
+        verify_sorted_output(
+            dataset.shards, run.shards, combined_eps(0.05, 0.05)
+        )
 
 
 class TestNodeSortBenefits:

@@ -81,8 +81,9 @@ class TestIdentities:
         matrix = rng.integers(0, 100, (p, p))
 
         def program(ctx):
-            once = yield from ctx.alltoall(list(matrix[ctx.rank]))
-            twice = yield from ctx.alltoall(list(once))
+            ones = [1] * ctx.nprocs
+            (once,) = yield from ctx.alltoallv(ones, matrix[ctx.rank])
+            (twice,) = yield from ctx.alltoallv(ones, once)
             return twice
 
         res = BSPEngine(p).run(program)

@@ -241,6 +241,24 @@ def _early_return_program(ctx, keys):
     return keys
 
 
+def _malformed_alltoallv_program(ctx, keys, fault):
+    # Every rank sends all of its keys (and a copy) to rank 0; rank 1
+    # gets one thing wrong.
+    counts = [len(keys)] + [0] * (ctx.nprocs - 1)
+    arrays = [keys, keys.copy()]
+    if ctx.rank == 1:
+        if fault == "length":
+            counts.append(0)
+        elif fault == "negative":
+            counts[:2] = [len(keys) + 1, -1]
+        elif fault == "sum":
+            counts[0] += 1
+        elif fault == "unequal":
+            arrays[1] = keys[:-1]
+    yield from ctx.alltoallv(counts, *arrays)
+    return keys
+
+
 def _bad_yield_program(ctx, keys):
     yield "not a collective"
     return keys
@@ -254,7 +272,7 @@ def _rank_args():
     return [(np.arange(10),) for _ in range(P)]
 
 
-def _both_raise(program, exc_type):
+def _both_raise(program, exc_type, **kwargs):
     """Run on every backend; return the exception objects in order."""
     raised = []
     for backend in (
@@ -263,7 +281,7 @@ def _both_raise(program, exc_type):
         ThreadBackend(workers=2),
     ):
         with pytest.raises(exc_type) as info:
-            backend.run(program, _rank_args())
+            backend.run(program, _rank_args(), **kwargs)
         raised.append(info.value)
     return raised
 
@@ -298,6 +316,23 @@ def test_collective_mismatch_identical():
         assert (sim.superstep, sim.ranks) == (other.superstep, other.ranks)
     assert sim.superstep is not None
     assert sim.ranks
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("length", "rank 1: 5 counts for 4 ranks"),
+        ("negative", "rank 1: negative count in [11, -1, 0, 0]"),
+        ("sum", "rank 1: counts sum to 11 but the arrays hold 10 rows"),
+        ("unequal", "rank 1: need 2 aligned 1-D arrays, got shapes"),
+    ],
+)
+def test_malformed_alltoallv_identical(fault, message):
+    sim, proc, thr = _both_raise(
+        _malformed_alltoallv_program, BSPError, fault=fault
+    )
+    assert str(sim) == str(proc) == str(thr)
+    assert str(sim).startswith(f"alltoallv at {message}")
 
 
 def test_deadlock_identical():

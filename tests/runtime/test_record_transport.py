@@ -113,11 +113,16 @@ def test_payload_columns_never_pickled(no_array_pickling):
 # --------------------------------------------------------------------- #
 # Data moves once.                                                      #
 # --------------------------------------------------------------------- #
-def _alltoall_then_allreduce(ctx, keys, payload):
-    rows = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
-    received = yield from ctx.alltoall(rows)
+def _even_counts(n: int, p: int) -> np.ndarray:
+    """Run lengths cutting ``n`` rows into ``p`` near-equal runs."""
+    return np.diff(np.linspace(0, n, p + 1).astype(np.int64))
+
+
+def _alltoallv_then_allreduce(ctx, keys, payload):
+    counts = _even_counts(len(keys), ctx.nprocs)
+    received = yield from ctx.alltoallv(counts, keys, payload)
     count = yield from ctx.allreduce(np.array([len(keys)]))
-    return np.concatenate(received), count
+    return received, count
 
 
 def test_broker_maps_no_segment_for_a_routing_collective(monkeypatch):
@@ -138,29 +143,34 @@ def test_broker_maps_no_segment_for_a_routing_collective(monkeypatch):
     monkeypatch.setattr(shm, "map_segment", counting_map)
     monkeypatch.setattr(SuperstepResolver, "resolve_sweep", counting_sweep)
     rank_args = _payload_dataset(n_per=64).rank_args()
-    run = ProcessBackend(workers=2).run(_alltoall_then_allreduce, rank_args)
-    # Mapped while collecting each sweep: nothing for the alltoall, one
+    run = ProcessBackend(workers=2).run(_alltoallv_then_allreduce, rank_args)
+    # Mapped while collecting each sweep: nothing for the alltoallv (its
+    # counts ride in the skeleton, its runs are ArrayRef sub-slices), one
     # segment per worker for the allreduce the broker must add up.
     assert maps_at_sweep == [("alltoallv", 0), ("allreduce", 2)]
-    baseline = SimulatedBackend().run(_alltoall_then_allreduce, rank_args)
-    for (keys, count), (want_keys, want_count) in zip(
+    baseline = SimulatedBackend().run(_alltoallv_then_allreduce, rank_args)
+    for (received, count), (want_received, want_count) in zip(
         run.returns, baseline.returns
     ):
-        np.testing.assert_array_equal(keys, want_keys)
+        for got, want in zip(received, want_received, strict=True):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(count, want_count)
     assert run.stats == baseline.stats
 
 
 def _bare_array_routing(ctx, keys, payload):
     grid = np.arange(ctx.nprocs * 3).reshape(ctx.nprocs, 3) + 100 * ctx.rank
-    rows = yield from ctx.alltoall(grid)
+    (rows,) = yield from ctx.alltoallv([3] * ctx.nprocs, grid.ravel())
     chunk = yield from ctx.scatter(grid if ctx.rank == 0 else None)
     splitters = yield from ctx.bcast(grid[0] if ctx.rank == 0 else None)
     return np.concatenate([np.ravel(rows), chunk, splitters])
 
 
 def test_collectives_indexing_a_bare_array_match_simulator():
-    """scatter/alltoall index into a 2-D array payload: the broker reads it."""
+    """scatter indexes into a 2-D array payload: the broker reads it.
+
+    alltoallv routes the same grid's flattened rows as sub-refs unread.
+    """
     rank_args = _payload_dataset(n_per=8).rank_args()
     run = ProcessBackend(workers=2).run(_bare_array_routing, rank_args)
     baseline = SimulatedBackend().run(_bare_array_routing, rank_args)
@@ -173,12 +183,11 @@ def test_collectives_indexing_a_bare_array_match_simulator():
 # Crash hygiene.                                                        #
 # --------------------------------------------------------------------- #
 def _crashing_program(ctx, keys, payload, exchanges):
-    # Each alltoall ships real arrays both ways, so named segments exist:
+    # Each alltoallv ships real arrays both ways, so named segments exist:
     # after one, peers hold refs into the crashing worker's segment; after
     # two, the first sweep's segments are already reclaimed.
     for _ in range(exchanges):
-        parts = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
-        yield from ctx.alltoall(parts)
+        yield from ctx.alltoallv(_even_counts(len(keys), ctx.nprocs), keys)
     if ctx.rank == 1:
         os._exit(1)  # no atexit, no finally: the hard-crash case
     yield from ctx.barrier()

@@ -42,6 +42,29 @@ class TestJobRoundTrip:
         assert d["machine"] == "laptop"
         assert d["backend"] == "simulated"
 
+    def test_a_job_builds_its_scenario_and_schema_once(self, monkeypatch):
+        import repro.records
+        from repro.experiments import Scenario
+
+        calls = {"scenario": 0, "schema": 0}
+        build, parse = Scenario.from_dict.__func__, repro.records.parse_schema
+
+        def counting_build(cls, data):
+            calls["scenario"] += 1
+            return build(cls, data)
+
+        def counting_parse(*args, **kwargs):
+            calls["schema"] += 1
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "from_dict", classmethod(counting_build))
+        monkeypatch.setattr(repro.records, "parse_schema", counting_parse)
+        scenario = {**GOOD["scenario"], "payloads": "mass:f8,id:u4"}
+        job = parse_job_line(json.dumps({**GOOD, "scenario": scenario}))
+        dataset = job.scenario.build_dataset()
+        assert dataset.record_schema.column_names == ("mass", "id")
+        assert calls == {"scenario": 1, "schema": 1}
+
     def test_explicit_schema_version_accepted(self):
         job = SortJob.from_dict(
             {**GOOD, "schema_version": JOB_SCHEMA_VERSION}
