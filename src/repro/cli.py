@@ -571,12 +571,14 @@ def _write_trace(sink, path: str) -> bool:
 def _cmd_sort(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.errors import BSPError, ConfigError
+    from repro.errors import BSPError, ConfigError, VerificationError
     from repro.experiments import Scenario
 
     # ConfigError covers unknown names, bad sizes, bad config keys and
     # capability violations (CapabilityError subclasses it): usage
-    # errors, exit 2 with the message — never a traceback.
+    # errors, exit 2 with the message — never a traceback.  A failed
+    # verification, in the run (hss's strict check) or after it, is the
+    # run's result: exit 1 with the message.
     trace_sink = _make_trace_sink(args)
     try:
         scenario = Scenario(
@@ -604,6 +606,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except BSPError as exc:
         if not args.chaos:
             raise
@@ -618,7 +623,11 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         return 2
     from repro.metrics import verify_sorted_output
 
-    verify_sorted_output(dataset.shards, run.shards)
+    try:
+        verify_sorted_output(dataset.shards, run.shards)
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     if args.payloads == "index":
         # Tracer payloads are global input positions: output key i must
         # equal the input key its payload points at, on every rank.

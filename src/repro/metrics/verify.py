@@ -37,15 +37,15 @@ def check_globally_sorted(shards: Sequence[np.ndarray]) -> None:
         last = shard[-1]
 
 
-def check_permutation(
-    inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
-) -> None:
-    """Raise unless outputs are exactly the input multiset of keys.
+_NOT_A_PERMUTATION = "output keys are not a permutation of the input"
 
-    The concatenated outputs are sorted only when a linear scan finds them
-    out of order; after :func:`check_globally_sorted` they never are, so
-    the usual path sorts the inputs alone.  The verdict is the same either
-    way: any NaN fails, as ``array_equal`` never matches NaN.
+
+def _sorted_inputs(
+    inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
+) -> np.ndarray | None:
+    """All input keys in one sorted array; ``None`` when there are none.
+
+    Raises first if the outputs hold a different number of keys.
     """
     total_in = sum(len(x) for x in inputs)
     total_out = sum(len(x) for x in outputs)
@@ -54,16 +54,31 @@ def check_permutation(
             f"key count changed: {total_in} in, {total_out} out"
         )
     if total_in == 0:
-        return
+        return None
     # The concatenation is a fresh array: sort it in place, not a copy.
     all_in = np.concatenate([np.asarray(x) for x in inputs if len(x)])
     all_in.sort()
+    return all_in
+
+
+def check_permutation(
+    inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
+) -> None:
+    """Raise unless outputs are exactly the input multiset of keys.
+
+    The concatenated outputs are sorted only when a linear scan finds them
+    out of order.  The verdict is the same either way: any NaN fails, as
+    ``array_equal`` never matches NaN.
+    """
+    all_in = _sorted_inputs(inputs, outputs)
+    if all_in is None:
+        return
     all_out = np.concatenate([np.asarray(x) for x in outputs if len(x)])
     # Structured dtypes have no ``<``; they always take the sort.
     if all_out.dtype.names is not None or np.any(all_out[1:] < all_out[:-1]):
         all_out = np.sort(all_out)
     if not np.array_equal(all_in, all_out):
-        raise VerificationError("output keys are not a permutation of the input")
+        raise VerificationError(_NOT_A_PERMUTATION)
 
 
 def load_imbalance(shards: Sequence[np.ndarray]) -> float:
@@ -94,8 +109,21 @@ def verify_sorted_output(
     outputs: Sequence[np.ndarray],
     eps: float | None = None,
 ) -> None:
-    """All three §2.1 checks in one call (eps=None skips load balance)."""
+    """All three §2.1 checks in one call (eps=None skips load balance).
+
+    Once :func:`check_globally_sorted` passes, the outputs in rank order
+    are the sorted inputs, so each shard is compared with its slice of
+    them where it lies: no concatenation, no second scan for order.  The
+    verdicts are :func:`check_permutation`'s.
+    """
     check_globally_sorted(outputs)
-    check_permutation(inputs, outputs)
+    all_in = _sorted_inputs(inputs, outputs)
+    if all_in is not None:
+        lo = 0
+        for shard in outputs:
+            hi = lo + len(shard)
+            if not np.array_equal(all_in[lo:hi], shard):
+                raise VerificationError(_NOT_A_PERMUTATION)
+            lo = hi
     if eps is not None:
         check_load_balance(outputs, eps, total_keys=sum(len(x) for x in inputs))

@@ -29,12 +29,24 @@ resolver routes those refs unread (``sizeof`` counts a ref as its array).
 An ``alltoallv`` payload is ``(counts, arrays)``: the counts are plain
 ints in the pickled skeleton, so the broker prices and checks the
 exchange from them and routes each run as an ``ArrayRef`` sub-slice
-(``ref[lo:hi]``) of the sender's array.  A receiver copies its runs
-straight from the senders' segments: data moves once.  The broker copies out only what it reads — the payloads
-of :data:`~repro.bsp.collectives.VALUE_OPS` and finished or failed ranks'
-messages — and ships arrays it computes (reduction results) in a segment
-of its own.  It unlinks the segments a sweep's results name once every
-receiver has sent its next batch, which proves it copied them out.
+(``ref[lo:hi]``) of the sender's array.  The broker copies out only the
+segments of what it reads — the payloads of
+:data:`~repro.bsp.collectives.VALUE_OPS` and finished or failed ranks'
+messages — and ships arrays it computes (reduction results) in a
+segment of its own.  It unlinks the segments a sweep's results name
+once every receiver has sent its next batch, which proves it mapped
+them; a mapping outlives the name, so the views stay readable.
+
+Copy budget, one copy per hop (see :mod:`repro.runtime.shm`):
+
+* *send* — a worker copies a batch's arrays into its new segment;
+* *route* — the broker copies no segment whose bytes it only routes;
+* *receive* — a worker hands its ranks views of the senders' segments
+  (:func:`~repro.runtime.shm.map_out`, private copy-on-write), so
+  ``Context.alltoallv``'s concatenation is the one copy of a run;
+* *finish* — the broker copies each worker's final batch once, into one
+  buffer (:func:`~repro.runtime.shm.copy_out`); the outputs are views of
+  it and never alias shared memory, whose pages are slow to release.
 
 Determinism: collective resolution happens only in the broker, from a
 complete sweep, in rank order — worker scheduling can reorder nothing
@@ -64,9 +76,10 @@ from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.runtime.base import Backend, register_backend
 from repro.runtime.shm import (
-    SegmentReader,
+    copy_out,
     create_segment,
     fill_segment,
+    map_out,
     pack_message,
     unlink_segment,
 )
@@ -176,10 +189,9 @@ def _reads_payload(call: _Call) -> bool:
 
 
 def _recv_results(conn) -> dict[int, Any]:
-    """Receive one sweep's results, copying every array out of its segment."""
+    """Receive one sweep's results as views of the segments they name."""
     _, packed = conn.recv()
-    with SegmentReader() as reader:
-        return reader.unpack(packed)
+    return map_out(packed)
 
 
 def _rank_loop(
@@ -309,22 +321,26 @@ class ProcessBackend(Backend):
             name, batch = worker_rx[i].recv(conns[i])
             if name is not None:
                 received.append(name)
-            # Copy out only what the broker itself reads; routed payloads
-            # stay refs, which receivers copy from the sender's segment.
-            with SegmentReader() as reader:
-                for r, msg in batch.items():
-                    if not isinstance(msg, RankYield):
-                        batch[r] = reader.unpack(msg)
-                    elif _reads_payload(msg.call):
-                        msg.call.payload = reader.unpack(msg.call.payload)
+            # Copy out only what the broker itself reads, in one copy per
+            # segment; routed payloads stay refs, which receivers map.
+            reads = {
+                r: msg.call.payload if isinstance(msg, RankYield) else msg
+                for r, msg in batch.items()
+                if not isinstance(msg, RankYield) or _reads_payload(msg.call)
+            }
+            for r, value in copy_out(reads).items():
+                if isinstance(batch[r], RankYield):
+                    batch[r].call.payload = value
+                else:
+                    batch[r] = value
             return batch
 
         def send(i: int, results: dict[int, Any]) -> None:
             nonlocal collecting, routed, received
             if collecting:
                 # Every worker sent results last sweep has now delivered
-                # its next batch, so it copied them out: reclaim what they
-                # named.
+                # its next batch, so it mapped them: reclaim the names
+                # (its mappings, and the views on them, stay valid).
                 collecting = False
                 for name in routed:
                     unlink_segment(name)

@@ -12,8 +12,28 @@ control channel from a data channel: pipes carry pickled message
   routes on to a receiver — pass through untouched, so one message can
   name segments of several senders.  Key and payload column buffers
   never pass through pickle.
-* :class:`SegmentReader` rebuilds a tree, copying each ref's bytes out of
-  the segment it names, mapping each segment once.
+* :func:`copy_out` and :func:`map_out` rebuild a tree on the receiving
+  side, mapping each segment it names once.
+
+The copy budget is one copy per hop:
+
+* *send* — a sender copies each array into its segment once
+  (:func:`fill_segment`);
+* *receive in a worker* — :func:`map_out` hands the ranks views of the
+  senders' segments through a private copy-on-write mapping, and the
+  rank's own use is the one copy (``Context.alltoallv`` concatenates its
+  runs).  A rank may write into what it received without reaching the
+  segment, the sender or a rank of another worker; co-located ranks
+  handed one ref (as by ``bcast``) share its view, as all ranks share
+  one object on the in-process backends;
+* *receive in the broker* — :func:`copy_out` copies each segment once
+  into a fresh buffer, whose views are the values the broker reads and
+  the outputs a run returns.
+
+Outputs never alias shared memory.  Releasing shared-memory pages is
+slow (about 5 ms for the 32 MB of outputs of a 16 x 262144-key run on a
+2-core host), and that cost would land on whatever the caller does
+next; freeing an ordinary buffer costs next to nothing.
 
 Segments are created, mapped and unlinked directly through
 ``_posixshmem`` and ``mmap``, never through
@@ -23,9 +43,9 @@ workers share one set-based tracker, and two workers attaching the same
 segment would unregister it twice.  Here no process registers anything:
 the broker unlinks every segment by name, exactly once.
 
-Offsets are 64-byte aligned so reconstructed views are always aligned for
-any dtype, including the structured dtypes the record schemas and the
-§4.3 tagged key space use.
+Offsets are 64-byte aligned, and so is :func:`copy_out`'s buffer, so
+every rebuilt array is aligned for any dtype, including the structured
+dtypes the record schemas and the §4.3 tagged key space use.
 """
 
 from __future__ import annotations
@@ -33,7 +53,8 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import fields, is_dataclass, replace
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import _posixshmem
 import numpy as np
@@ -43,13 +64,18 @@ from repro.bsp.collectives import ArrayRef
 __all__ = [
     "pack_message",
     "fill_segment",
-    "SegmentReader",
+    "copy_out",
+    "map_out",
     "create_segment",
     "map_segment",
     "unlink_segment",
 ]
 
 _ALIGN = 64
+
+#: Leaf types the tree walks return at once: most of a finished rank's
+#: message is its timing segments, tuples of these.
+_ATOMS = frozenset({int, float, str, bool, type(None)})
 
 
 def _aligned(nbytes: int) -> int:
@@ -67,6 +93,8 @@ class _TreePacker:
         self.total = 0
 
     def walk(self, obj: Any) -> Any:
+        if type(obj) in _ATOMS:
+            return obj
         if isinstance(obj, np.ndarray):
             if obj.dtype.hasobject:
                 return obj  # object arrays must pickle: no flat buffer
@@ -124,57 +152,88 @@ def fill_segment(
         dest[...] = arr
 
 
-class SegmentReader:
-    """Rebuild message trees, copying each ArrayRef out of its segment.
+def _rebuild(packed: Any, array_of: Callable[[ArrayRef], Any]) -> Any:
+    """Copy a message tree, replacing each ArrayRef leaf by ``array_of(ref)``.
 
-    A context manager: every segment is mapped on first use and unmapped
-    on exit.  Zero-byte refs name no segment that need exist.
+    A zero-byte ref becomes an empty array without a call.
     """
-
-    __slots__ = ("_maps",)
-
-    def __init__(self) -> None:
-        self._maps: dict[str, mmap.mmap] = {}
-
-    def __enter__(self) -> "SegmentReader":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        for seg in self._maps.values():
-            seg.close()
-        self._maps.clear()
-
-    def _array(self, ref: ArrayRef) -> np.ndarray:
-        if not ref.nbytes:
-            return np.empty(ref.shape, dtype=ref.dtype)
-        seg = self._maps.get(ref.segment)
-        if seg is None:
-            seg = self._maps[ref.segment] = map_segment(ref.segment)
-        view = np.ndarray(
-            ref.shape, dtype=ref.dtype, buffer=seg, offset=ref.offset
-        )
-        return view.copy()
-
-    def unpack(self, packed: Any) -> Any:
-        if isinstance(packed, ArrayRef):
-            return self._array(packed)
-        if isinstance(packed, tuple):
-            return tuple(self.unpack(x) for x in packed)
-        if isinstance(packed, list):
-            return [self.unpack(x) for x in packed]
-        if isinstance(packed, dict):
-            return {k: self.unpack(v) for k, v in packed.items()}
-        if is_dataclass(packed) and not isinstance(packed, type):
-            changes = {
-                f.name: self.unpack(getattr(packed, f.name))
-                for f in fields(packed)
-                if f.init
-            }
-            try:
-                return replace(packed, **changes)
-            except Exception:
-                return packed
+    if type(packed) in _ATOMS:
         return packed
+    if isinstance(packed, ArrayRef):
+        if not packed.nbytes:  # names no segment that need exist
+            return np.empty(packed.shape, dtype=packed.dtype)
+        return array_of(packed)
+    if isinstance(packed, tuple):
+        return tuple(_rebuild(x, array_of) for x in packed)
+    if isinstance(packed, list):
+        return [_rebuild(x, array_of) for x in packed]
+    if isinstance(packed, dict):
+        return {k: _rebuild(v, array_of) for k, v in packed.items()}
+    if is_dataclass(packed) and not isinstance(packed, type):
+        changes = {
+            f.name: _rebuild(getattr(packed, f.name), array_of)
+            for f in fields(packed)
+            if f.init
+        }
+        try:
+            return replace(packed, **changes)
+        except Exception:
+            return packed
+    return packed
+
+
+def _views(load: Callable[[str], Any]) -> Callable[[ArrayRef], np.ndarray]:
+    """An ``array_of`` for :func:`_rebuild`: views into ``load(segment)``.
+
+    Each segment is loaded once per rebuild.
+    """
+    loaded: dict[str, Any] = {}
+
+    def view(ref: ArrayRef) -> np.ndarray:
+        buf = loaded.get(ref.segment)
+        if buf is None:
+            buf = loaded[ref.segment] = load(ref.segment)
+        return np.ndarray(ref.shape, dtype=ref.dtype, buffer=buf, offset=ref.offset)
+
+    return view
+
+
+def copy_out(packed: Any) -> Any:
+    """Rebuild a tree with its arrays copied out of shared memory.
+
+    Each segment the tree names is copied once, whole, into one fresh
+    aligned buffer, and every array is a view of that buffer at its
+    segment offset.  One large allocation faults far cheaper than one per
+    array (numpy advises huge pages only from 4 MB up), and nothing
+    aliases the segment: releasing the arrays later frees ordinary
+    memory, not shared-memory pages.
+    """
+    return _rebuild(packed, _views(_copy_segment))
+
+
+def _copy_segment(name: str) -> np.ndarray:
+    """Segment ``name``'s bytes in a fresh ``_ALIGN``-aligned buffer."""
+    seg = map_segment(name)
+    try:
+        buf = np.empty(len(seg) + _ALIGN, dtype=np.uint8)
+        shift = -buf.ctypes.data % _ALIGN
+        buf = buf[shift : shift + len(seg)]
+        buf[:] = np.frombuffer(seg, dtype=np.uint8)
+    finally:
+        seg.close()
+    return buf
+
+
+def map_out(packed: Any) -> Any:
+    """Rebuild a tree with its arrays as views of the segments they name.
+
+    Each segment is mapped once, privately and copy-on-write: a view is
+    writable, and what is written stays in this process and this call's
+    mapping.  A mapping lives as long as some view of it does, so a
+    segment unlinked meanwhile stays readable.  The caller that keeps
+    the bytes copies them (``Context.alltoallv`` concatenates its runs).
+    """
+    return _rebuild(packed, _views(partial(map_segment, private=True)))
 
 
 # ------------------------------------------------------------------ #
@@ -195,11 +254,14 @@ def create_segment(name: str, nbytes: int) -> mmap.mmap:
         os.close(fd)
 
 
-def map_segment(name: str) -> mmap.mmap:
-    """Map an existing segment read-only."""
+def map_segment(name: str, *, private: bool = False) -> mmap.mmap:
+    """Map an existing segment read-only, or ``private`` copy-on-write."""
     fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
     try:
-        return mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ)
+        size = os.fstat(fd).st_size
+        if private:
+            return mmap.mmap(fd, size, access=mmap.ACCESS_COPY)
+        return mmap.mmap(fd, size, prot=mmap.PROT_READ)
     finally:
         os.close(fd)
 

@@ -236,8 +236,7 @@ class TestArrayRefSlice:
         seg = shm.create_segment(name, total)
         try:
             shm.fill_segment(seg, arrays)
-            with shm.SegmentReader() as reader:
-                got = reader.unpack(packed[2:9])
+            got = shm.copy_out(packed[2:9])
         finally:
             seg.close()
             shm.unlink_segment(name)

@@ -9,7 +9,7 @@ from repro.core.node_sort import (
     combined_eps,
     hss_node_sort_program,
 )
-from repro.errors import BSPError, VerificationError
+from repro.errors import BSPError
 from repro.metrics import verify_sorted_output
 
 LAPTOP = get_machine("laptop")
@@ -80,12 +80,14 @@ class TestDuplicateHeavyNodes:
 
         # On laptop (2 nodes x 8 cores) node 0 gets nothing; strict
         # splitting then reports the missed tolerance, exactly as hss
-        # does on this input, never a numpy error.
+        # does on this input, never a numpy error: exit 1, one line.
         for algorithm in ("hss-node", "hss"):
             argv = [*self.CELL]
             argv[2] = algorithm
-            with pytest.raises(VerificationError, match="max rank error"):
-                main(argv)
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("verification failed: ")
+            assert "max rank error" in err and len(err.splitlines()) == 1
 
     def test_best_effort_leaves_the_empty_node_empty(self):
         from repro.experiments import Scenario

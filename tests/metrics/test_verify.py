@@ -126,3 +126,91 @@ class TestVerifyAll:
         inputs = [np.array([1, 2, 3]), np.array([4])]
         outputs = [np.array([1, 2, 3]), np.array([4])]
         verify_sorted_output(inputs, outputs)  # imbalance 1.5, no check
+
+
+class TestVerifyComparesShardsInPlace:
+    """``verify_sorted_output`` compares each shard with its slice of the
+    sorted inputs; every verdict and message is ``check_permutation``'s."""
+
+    INPUTS = [np.array([3, 1, 4]), np.array([2, 6, 5])]
+    EMPTY = np.array([], dtype=np.int64)
+    PERMUTATION = "output keys are not a permutation of the input"
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, message",
+        [
+            (INPUTS, [np.array([1, 2, 3]), np.array([4, 5])],
+             "key count changed: 6 in, 5 out"),
+            (INPUTS, [np.array([1, 2, 2]), np.array([4, 5, 6])], PERMUTATION),
+            (INPUTS, [EMPTY, np.array([1, 2, 3]), EMPTY, np.array([4, 5, 7])],
+             PERMUTATION),
+            ([np.array([2.0, np.nan, 1.0])],
+             [np.array([1.0]), np.array([2.0, np.nan])], PERMUTATION),
+            ([np.array([2.0, np.nan, 1.0])],
+             [np.array([np.nan, 1.0]), np.array([2.0])], PERMUTATION),
+        ],
+        ids=["count", "duplicate", "empty-shards", "nan-last", "nan-first"],
+    )
+    def test_permutation_verdicts(self, inputs, outputs, message):
+        for check in (verify_sorted_output, check_permutation):
+            with pytest.raises(VerificationError) as err:
+                check(inputs, outputs)
+            assert str(err.value) == message
+
+    def test_swap_across_a_shard_boundary(self):
+        outputs = [np.array([1, 2, 4]), np.array([3, 5, 6])]
+        with pytest.raises(VerificationError) as err:
+            verify_sorted_output(self.INPUTS, outputs)
+        assert str(err.value) == (
+            "shard 1 starts below the previous shard's maximum "
+            f"({np.int64(3)!r} < {np.int64(4)!r})"
+        )
+        check_permutation(self.INPUTS, outputs)  # the same multiset
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            [EMPTY, np.array([1, 2, 3]), EMPTY, np.array([4, 5, 6])],
+            [np.array([1, 2, 3, 4, 5, 6]), EMPTY, EMPTY],
+            [EMPTY, EMPTY],
+        ],
+        ids=["interleaved", "trailing", "no-keys"],
+    )
+    def test_empty_shards_pass(self, outputs):
+        inputs = self.INPUTS if sum(map(len, outputs)) else [self.EMPTY]
+        verify_sorted_output(inputs, outputs)
+        check_permutation(inputs, outputs)
+
+    def test_outputs_are_not_concatenated(self, monkeypatch):
+        inputs = self.INPUTS
+        outputs = [np.array([1, 2, 3]), np.array([4, 5, 6])]
+        real = np.concatenate
+        joined = []
+
+        def counting(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            joined.append(sum(len(a) for a in arrays))
+            return real(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        verify_sorted_output(inputs, outputs)
+        assert joined == [6]  # the inputs, once
+        check_permutation(inputs, outputs)
+        assert joined == [6, 6, 6]  # check_permutation also joins outputs
+
+    def test_structured_keys_keep_the_sort_path(self):
+        dtype = np.dtype([("a", "<u4"), ("b", "<i8")])
+        keys = np.array([(2, 1), (1, 5), (1, -3)], dtype=dtype)
+        check_permutation([keys], [keys[:1], keys[1:][::-1]])
+        with pytest.raises(VerificationError) as err:
+            check_permutation([keys], [keys[[0, 0]], keys[1:2]])
+        assert str(err.value) == self.PERMUTATION
+
+    def test_check_permutation_alone_sorts_unsorted_outputs(self):
+        rng = np.random.default_rng(7)
+        inputs = [rng.integers(0, 50, 40) for _ in range(3)]
+        shuffled = rng.permutation(np.concatenate(inputs))
+        check_permutation(inputs, np.array_split(shuffled, 5))
+        shuffled[0] = 99  # out of the input range: a changed key
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation(inputs, np.array_split(shuffled, 5))

@@ -8,7 +8,7 @@ splitter selection.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import Sorter
@@ -53,20 +53,39 @@ def shard_layouts(draw, min_ranks=2, max_ranks=8, max_keys=300, allow_empty=True
     return shards
 
 
+def balance_is_feasible(shards, eps: float) -> bool:
+    """Whether any output meets the ``(1+eps)N/p`` cap.
+
+    Some rank holds at least ``ceil(N/p)`` keys, so a layout whose cap is
+    below that (N=3 keys on p=2 at eps=0.25: cap 1.875 < 2) has no valid
+    output for any sorter.
+    """
+    n, p = sum(len(s) for s in shards), len(shards)
+    return -(-n // p) <= (1.0 + eps) * n / p
+
+
 class TestHSSContract:
+    EPS = 0.25
+
+    def test_infeasible_layout_is_recognised(self):
+        assert not balance_is_feasible([[1], [2, 3]], self.EPS)
+        assert balance_is_feasible([[1, 4], [2, 3]], self.EPS)
+
     @given(shard_layouts())
     @settings(**COMMON)
     def test_sorted_permutation_balanced(self, shards):
-        cfg = HSSConfig(eps=0.25, seed=7, tag_duplicates=True)
+        assume(balance_is_feasible(shards, self.EPS))
+        cfg = HSSConfig(eps=self.EPS, seed=7, tag_duplicates=True)
         run = Sorter("hss", config=cfg, verify=False).run(shards)
-        verify_sorted_output(shards, run.shards, 0.25)
+        verify_sorted_output(shards, run.shards, self.EPS)
 
     @given(shard_layouts(), st.integers(0, 3))
     @settings(**COMMON)
     def test_seed_only_changes_internals_not_contract(self, shards, seed):
-        cfg = HSSConfig(eps=0.25, seed=seed, tag_duplicates=True)
+        assume(balance_is_feasible(shards, self.EPS))
+        cfg = HSSConfig(eps=self.EPS, seed=seed, tag_duplicates=True)
         run = Sorter("hss", config=cfg, verify=False).run(shards)
-        verify_sorted_output(shards, run.shards, 0.25)
+        verify_sorted_output(shards, run.shards, self.EPS)
 
 
 class TestBaselineContracts:

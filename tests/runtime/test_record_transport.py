@@ -8,8 +8,8 @@ Three contracts of the process backend's data channel land here:
   descriptors in their place.  A pickler that refuses plain ndarrays
   proves it.
 * **data moves once** — the broker routes the refs of a routing
-  collective without mapping the segments they name; each receiver copies
-  straight from the sender's segment.  The broker maps segments only for
+  collective without mapping the segments they name; each receiver maps
+  the sender's segment.  The broker maps segments only for
   the payloads it reads (reductions, finished ranks' values).
 * **crash hygiene** — a worker dying mid-superstep (``os._exit``, no
   cleanup handlers run), even after peers received refs into its
@@ -131,10 +131,10 @@ def test_broker_maps_no_segment_for_a_routing_collective(monkeypatch):
     maps_at_sweep: list[tuple[str, int]] = []
     real_map, real_sweep = shm.map_segment, SuperstepResolver.resolve_sweep
 
-    def counting_map(name):
+    def counting_map(name, **options):
         if os.getpid() == broker:  # forked workers count into their copy
             maps.append(name)
-        return real_map(name)
+        return real_map(name, **options)
 
     def counting_sweep(self, yields, finished):
         maps_at_sweep.append((yields[0].call.op, len(maps)))

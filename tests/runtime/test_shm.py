@@ -8,7 +8,7 @@ import numpy as np
 from repro.bsp.collectives import ArrayRef
 from repro.core.data_movement import Shard
 from repro.runtime.shm import (
-    SegmentReader,
+    copy_out,
     create_segment,
     fill_segment,
     pack_message,
@@ -23,8 +23,8 @@ def _segment_name() -> str:
     return f"rprtest{os.getpid():x}x{next(_NAMES)}"
 
 
-def _round_trip(message):
-    """Pack ``message`` into a fresh segment and copy it back out."""
+def _round_trip(message, read=copy_out):
+    """Pack ``message`` into a fresh segment and read it back with ``read``."""
     name = _segment_name()
     packed, arrays, total = pack_message(message, name)
     try:
@@ -32,10 +32,16 @@ def _round_trip(message):
             seg = create_segment(name, total)
             fill_segment(seg, arrays)
             seg.close()
-        with SegmentReader() as reader:
-            return packed, total, reader.unpack(packed)
+        return packed, total, read(packed)
     finally:
         unlink_segment(name)
+
+
+def _owner(arr: np.ndarray):
+    """The object at the end of ``arr``'s chain of bases."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 class TestPackUnpack:
@@ -48,7 +54,9 @@ class TestPackUnpack:
         assert [ref.nbytes for ref in packed] == [r.nbytes for r in rows]
         for orig, copy in zip(rows, out):
             np.testing.assert_array_equal(orig, copy)
-            assert copy.base is None  # owns its data, not a view
+            # A view of one private buffer, never of the segment.
+            assert isinstance(_owner(copy), np.ndarray)
+        assert len({id(_owner(copy)) for copy in out}) == 1
 
     def test_mixed_leaves_pass_through(self):
         keys = np.arange(10)

@@ -136,6 +136,34 @@ class TestSortCommand:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_strict_verification_failure_exits_1_not_traceback(self, capsys):
+        # Constant keys on 16 ranks: hss's strict check cannot reach its
+        # tolerance without tagging and raises inside the run.
+        code = main(
+            ["sort", "--algorithm", "hss", "--workload", "constant",
+             "-p", "16", "-n", "97"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("verification failed: splitter determination")
+        assert len(err.splitlines()) == 1
+
+    def test_post_run_verification_failure_exits_1(self, monkeypatch, capsys):
+        import repro.metrics
+        from repro.errors import VerificationError
+
+        def failing(inputs, outputs, eps=None):
+            raise VerificationError("output keys are not a permutation")
+
+        monkeypatch.setattr(repro.metrics, "verify_sorted_output", failing)
+        code = main(["sort", "-p", "4", "-n", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "verification failed: output keys are not a permutation\n"
+        )
+        assert "imbalance" not in captured.out
+
     def test_payloads_with_incapable_algorithm_exits_2(self, capsys):
         code = main(
             ["sort", "--algorithm", "bitonic", "-p", "4", "-n", "100",
