@@ -143,8 +143,8 @@ def sort(
         Simulated machine: registry name (``repro machines``),
         :class:`~repro.machines.MachineSpec`, or pre-built model.
     backend:
-        Execution backend name (``"simulated"``/``"process"``) or
-        instance.
+        Execution backend name (``"simulated"``/``"thread"``/
+        ``"process"``) or instance.
     payloads:
         Optional values to permute along with the keys, mirroring the
         shape of ``keys`` (flat array for flat keys, per-rank arrays

@@ -48,8 +48,8 @@ class Sorter:
         Mutually exclusive with keyword knobs.
     backend:
         Execution backend: a registered name (``"simulated"`` — the
-        default — or ``"process"``; see ``repro backends``) or a
-        pre-built :class:`~repro.runtime.Backend` instance.  Sorted
+        default — ``"thread"`` or ``"process"``; see ``repro backends``)
+        or a pre-built :class:`~repro.runtime.Backend` instance.  Sorted
         output, comm stats and modeled times are bit-identical across
         backends; ``SortRun.measured`` records the backend's real
         wall-clock observations.

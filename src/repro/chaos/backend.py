@@ -1,9 +1,9 @@
-"""The chaos execution backend: seeded fault injection over any backend.
+"""Fault injection: a seeded fault plan applied over any backend.
 
-``ChaosBackend`` registers on the runtime axis as ``chaos`` and is
-usually spelled as a variant of the backend it wraps —
-``--backend chaos:process`` wraps :class:`~repro.runtime.ProcessBackend`,
-``chaos:simulated`` (or bare ``chaos``) wraps the simulator.  A
+``ChaosBackend`` wraps one built backend (simulated, thread or process)
+and is not itself registered: a run that names a plan
+(``Scenario(chaos=...)``, ``--chaos PLAN``, a job's ``scenario.chaos``)
+is wrapped by :meth:`~repro.experiments.Scenario.execute`.  A
 :class:`~repro.chaos.plan.FaultPlan` decides, deterministically from
 ``(seed, rank, step)``, where to inject:
 
@@ -22,12 +22,9 @@ A zero-fault plan is a literal passthrough: ``run`` delegates to the
 inner backend with the unwrapped program, so results are bit-identical
 to not using chaos at all.  With a non-zero plan, fault metrics
 (slowdown vs the fault-free twin, retries, injected delay, kills) land
-in ``Measured.chaos`` on the :class:`~repro.bsp.engine.RunResult`.
-
-Import-order note: :mod:`repro.runtime` imports this module at the end
-of its ``__init__`` to register the backend, and this module imports
-``repro.runtime.base`` — the cycle is benign because only module
-objects, never partially-initialized attributes, cross the boundary.
+in ``Measured.chaos`` on the :class:`~repro.bsp.engine.RunResult`; the
+run reports the inner backend's name, so ``SortRun.backend`` and
+``Measured.backend`` name the transport the plan ran on.
 """
 
 from __future__ import annotations
@@ -39,18 +36,11 @@ from repro.bsp.engine import _NOT_A_GENERATOR, BSPError, RunResult, _Call
 from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.chaos.plan import FaultPlan, resolve_fault_plan
-from repro.errors import (
-    CollectiveMismatchError,
-    ConfigError,
-    DeadlockError,
-)
-from repro.runtime.base import Backend, get_backend, register_backend
+from repro.errors import CollectiveMismatchError, DeadlockError
+from repro.runtime.base import Backend
 
 __all__ = ["ChaosBackend"]
 
-#: Marker wrapping every rank's return value so the backend can tell its
-#: own instrumentation apart from whatever the program returns.
-_CHAOS_TAG = "__repro_chaos__"
 
 class _ChaosProgram:
     """Picklable program wrapper that injects one plan's faults.
@@ -58,8 +48,8 @@ class _ChaosProgram:
     A module-level class (not a closure) so the process backend can ship
     it to spawned workers.  ``__call__`` is a generator function: it
     drives the inner program's generator, consulting the plan before
-    each collective, and returns ``(_CHAOS_TAG, value, counters)`` so
-    the backend can separate fault accounting from program output.
+    each collective, and returns ``(value, counters)`` so the backend can
+    separate fault accounting from program output.
 
     The fault *step* index counts the inner program's collectives (not
     resolver sweeps): retransmissions of step ``k`` do not shift the
@@ -88,7 +78,7 @@ class _ChaosProgram:
             try:
                 request = gen.send(reply)
             except StopIteration as stop:
-                return (_CHAOS_TAG, stop.value, counters)
+                return (stop.value, counters)
             if not isinstance(request, _Call):
                 # Let the engine produce its usual diagnostic.
                 yield request
@@ -96,7 +86,7 @@ class _ChaosProgram:
             if plan.kills(ctx.rank, step):
                 counters["killed"] = 1
                 gen.close()
-                return (_CHAOS_TAG, None, counters)
+                return (None, counters)
             delay = plan.delay_s(ctx.rank, step)
             if delay > 0.0:
                 counters["stragglers"] += 1
@@ -112,56 +102,18 @@ class _ChaosProgram:
             step += 1
 
 
-@register_backend
 class ChaosBackend(Backend):
-    """Fault-injecting wrapper around any inner execution backend."""
+    """Fault-injecting wrapper around an inner execution backend.
 
-    name = "chaos"
-    description = (
-        "wraps an inner backend ('chaos:process') with a seeded fault "
-        "plan: stragglers, rank kills, dropped-then-retried collectives"
-    )
+    Takes the inner backend's name and worker count, so a chaos run is
+    reported as a run on its transport.
+    """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        inner: str | Backend = "simulated",
-        plan: FaultPlan | str | None = None,
-    ) -> None:
-        super().__init__(workers)
-        if isinstance(inner, str):
-            if inner.partition(":")[0] == "chaos":
-                raise ConfigError(
-                    "chaos backend cannot wrap itself; pick a non-chaos "
-                    "inner backend"
-                )
-            inner = get_backend(
-                inner, **({} if workers is None else {"workers": workers})
-            )
-        if not isinstance(inner, Backend):
-            raise ConfigError(
-                f"inner backend must be a registered name or a Backend "
-                f"instance, got {type(inner).__name__}"
-            )
-        if isinstance(inner, ChaosBackend):
-            raise ConfigError(
-                "chaos backend cannot wrap itself; pick a non-chaos "
-                "inner backend"
-            )
+    def __init__(self, inner: Backend, plan: FaultPlan | str) -> None:
+        super().__init__(inner.workers)
         self.inner = inner
+        self.name = inner.name
         self.plan = resolve_fault_plan(plan)
-
-    @classmethod
-    def with_variant(
-        cls, variant: str, options: dict[str, Any]
-    ) -> dict[str, Any]:
-        if "inner" in options:
-            raise ConfigError(
-                "pass the inner backend either as 'chaos:<inner>' or as "
-                "inner=..., not both"
-            )
-        options["inner"] = variant
-        return options
 
     # ------------------------------------------------------------------ #
     def run(
@@ -215,7 +167,6 @@ class ChaosBackend(Backend):
 
         result.measured = dataclasses.replace(
             result.measured,
-            backend=f"chaos:{self.inner.name}",
             chaos=self._metrics(plan, counters, result, fault_free),
         )
         return result
@@ -232,7 +183,7 @@ class ChaosBackend(Backend):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _unwrap_returns(result: RunResult) -> dict[str, float]:
-        """Strip the chaos tag off every rank return; aggregate counters."""
+        """Strip the counters off every rank return; aggregate them."""
         totals = {
             "stragglers": 0,
             "delay_s": 0.0,
@@ -240,22 +191,12 @@ class ChaosBackend(Backend):
             "kills": 0,
         }
         unwrapped: list[Any] = []
-        for tagged in result.returns:
-            if (
-                isinstance(tagged, tuple)
-                and len(tagged) == 3
-                and tagged[0] == _CHAOS_TAG
-            ):
-                _, value, counters = tagged
-                totals["stragglers"] += counters["stragglers"]
-                totals["delay_s"] += counters["delay_s"]
-                totals["retries"] = max(
-                    totals["retries"], counters["retries"]
-                )
-                totals["kills"] += counters["killed"]
-                unwrapped.append(value)
-            else:  # pragma: no cover - defensive; wrapper always tags
-                unwrapped.append(tagged)
+        for value, counters in result.returns:
+            totals["stragglers"] += counters["stragglers"]
+            totals["delay_s"] += counters["delay_s"]
+            totals["retries"] = max(totals["retries"], counters["retries"])
+            totals["kills"] += counters["killed"]
+            unwrapped.append(value)
         result.returns[:] = unwrapped
         return totals
 

@@ -29,7 +29,7 @@ Thirteen subcommands:
 ``chaos``
     List every registered fault plan (:mod:`repro.chaos`) with its
     straggler/drop/kill knobs.  Plans apply through ``--chaos PLAN`` on
-    ``sort``/``sweep`` or the ``chaos:<inner>`` backend spelling.
+    ``sort``/``sweep``, on whichever ``--backend`` the run uses.
 
 ``sweep``
     Expand an algorithm x workload x machine x layout grid, run every
@@ -137,7 +137,7 @@ _LISTINGS = (
     ("workloads", "repro.workloads:WORKLOAD_SPECS",
      "list registered workloads, paper sections and record schemas"),
     ("chaos", "repro.chaos:FAULT_PLANS",
-     "list registered fault plans (chaos backend)"),
+     "list registered fault plans (--chaos)"),
 )
 
 #: Sentinel: "this subcommand does not take the option at all" (``None``
@@ -167,8 +167,8 @@ _EXECUTION_OPTIONS: dict[str, dict] = {
         "flags": ("--workers",),
         "type": int,
         "metavar": "N",
-        "help": "worker processes for the process backend "
-                "(default: min(p, cpu count))",
+        "help": "workers for the thread backend (threads) or the "
+                "process backend (processes); default: min(p, cpu count)",
     },
     "payloads": {
         "flags": ("--payloads",),
@@ -182,10 +182,10 @@ _EXECUTION_OPTIONS: dict[str, dict] = {
     "chaos": {
         "flags": ("--chaos",),
         "metavar": "PLAN",
-        "help": "registered fault plan applied through the chaos backend "
-                "(see 'repro chaos'); fault metrics join the modeled "
-                "metrics, and faults the plan injects are reported, not "
-                "fatal",
+        "help": "registered fault plan injected into the run on the "
+                "chosen backend (see 'repro chaos'); fault metrics join "
+                "the modeled metrics, and faults the plan injects are "
+                "reported, not fatal",
     },
     "trace": {
         "flags": ("--trace",),
@@ -891,10 +891,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     overrides = None
     if args.backend is not None and args.candidate is None:
-        from repro.runtime import backend_class
+        from repro.runtime import BACKENDS
 
         try:
-            backend_class(args.backend)
+            BACKENDS.get(args.backend)
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)
             return 2

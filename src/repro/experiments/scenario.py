@@ -63,16 +63,17 @@ class Scenario:
     #: cost model, so record-carrying cells price real record traffic.
     payloads: str = ""
     #: Fault plan for the cell: ``""`` (fault-free, the default) or a
-    #: registered :mod:`repro.chaos` plan name — the run is then wrapped
-    #: in the chaos backend and fault metrics (``chaos_slowdown``,
-    #: ``chaos_retries``, ...) join the cell's modeled metrics.
+    #: registered :mod:`repro.chaos` plan name — the plan is then
+    #: injected into the run on :attr:`backend` and fault metrics
+    #: (``chaos_slowdown``, ``chaos_retries``, ...) join the cell's
+    #: modeled metrics.
     chaos: str = ""
 
     def __post_init__(self) -> None:
         from repro.algorithms import REGISTRY
         from repro.chaos import FAULT_PLANS
         from repro.machines import MACHINES
-        from repro.runtime import backend_class
+        from repro.runtime import BACKENDS
         from repro.workloads import WORKLOAD_SPECS
 
         # Each lookup raises the registry's ConfigError for unknown names.
@@ -83,7 +84,7 @@ class Scenario:
             raise ConfigError(
                 f"unknown layout {self.layout!r}; choose from {list(LAYOUTS)}"
             )
-        backend_class(self.backend)
+        BACKENDS.get(self.backend)
         if self.chaos:
             FAULT_PLANS.get(self.chaos)
         if self.procs < 1:
@@ -190,15 +191,15 @@ class Scenario:
         supplies a pre-built input (from :meth:`build_dataset`, possibly
         with index payloads attached); ``trace_sink`` forwards a
         :class:`~repro.telemetry.TraceSink` collecting span telemetry.
-        ``workers`` sizes the backend (the inner one under chaos), and
-        ``knobs`` adds algorithm config keys beyond ``eps``/``seed``
-        (``repro sort --tag-duplicates``, ``strict=False``) or overrides
-        them; an unknown key raises :class:`~repro.errors.ConfigError`.
+        ``workers`` sizes the backend, and ``knobs`` adds algorithm config
+        keys beyond ``eps``/``seed`` (``repro sort --tag-duplicates``,
+        ``strict=False``) or overrides them; an unknown key raises
+        :class:`~repro.errors.ConfigError`.
         Neither is part of the cell.
         """
         from repro.algorithms import REGISTRY, Sorter
         from repro.machines import machine_summary
-        from repro.runtime import ChaosBackend, get_backend
+        from repro.runtime import get_backend
 
         machine = self.resolved_machine()
         if dataset is None:
@@ -210,12 +211,11 @@ class Scenario:
         config = {k: v for k, v in axes.items() if k in valid}
         config.update(knobs or {})
         options = {} if workers is None else {"workers": workers}
+        backend = get_backend(self.backend, **options)
         if self.chaos:
-            base, _, variant = self.backend.partition(":")
-            inner = (variant or "simulated") if base == "chaos" else self.backend
-            backend = ChaosBackend(inner=inner, plan=self.chaos, **options)
-        else:
-            backend = get_backend(self.backend, **options)
+            from repro.chaos.backend import ChaosBackend
+
+            backend = ChaosBackend(inner=backend, plan=self.chaos)
         run = Sorter(
             self.algorithm,
             machine=machine,

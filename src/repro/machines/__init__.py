@@ -9,12 +9,12 @@ This package mirrors :mod:`repro.algorithms` on the hardware axis:
 - :data:`MACHINES` / :func:`register_machine` — the plugin registry with a
   catalog of seven built-in presets (``laptop``, ``mira-like-bgq``,
   ``generic-cluster``, ``fat-tree-hpc``, ``dragonfly-hpc``,
-  ``cloud-ethernet``, plus the chaos subsystem's ``jittery-cloud``);
+  ``cloud-ethernet``, plus the jittered ``jittery-cloud``);
   third-party machines register the same way.
 - :data:`TOPOLOGIES` / :func:`register_topology` — named interconnect
   plugins (``fully-connected``, ``torus``, ``fat-tree``, ``dragonfly``,
   and the seeded ``jittered-fat-tree`` / ``jittered-dragonfly`` from
-  :mod:`repro.chaos.jitter`).
+  :mod:`repro.machines.jitter`).
 - :func:`resolve_machine` — the uniform coercion (name | spec | model |
   None) every execution surface goes through.
 
@@ -46,14 +46,11 @@ from repro.machines.registry import (
     resolve_machine,
 )
 
-# The built-in presets self-register on import; loading the catalog here
-# means MACHINES is fully populated after ``import repro.machines``.
+# The built-in presets self-register on import; loading the catalog and
+# the jittered topologies here means MACHINES is fully populated after
+# ``import repro.machines``.
 import repro.machines.catalog  # noqa: E402,F401
-
-# The chaos subsystem contributes the jittered topologies and the
-# ``jittery-cloud`` preset (module import only — same benign-cycle rule
-# as repro.runtime's chaos import).
-import repro.chaos.jitter  # noqa: E402,F401
+import repro.machines.jitter  # noqa: E402,F401
 
 __all__ = [
     "MachineSpec",

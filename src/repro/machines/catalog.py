@@ -1,12 +1,12 @@
 """The built-in machine catalog.
 
 Six deterministic presets spanning the regimes the paper's Chapter 6
-analysis cares about (the chaos subsystem registers a seventh, jittered
-``jittery-cloud``, in :mod:`repro.chaos.jitter`).  The absolute
-constants matter less than their *ratios* — alpha/beta
-sets the message-size crossover, beta/gamma the communication-vs-compute
-crossover, and the topology's contention factor is what separates torus
-from fat-tree behaviour at scale (Fig 6.1/6.2, Table 6.1).
+analysis cares about (a seventh, jittered ``jittery-cloud``, registers
+in :mod:`repro.machines.jitter`).  The absolute constants matter less
+than their *ratios* — alpha/beta sets the message-size crossover,
+beta/gamma the communication-vs-compute crossover, and the topology's
+contention factor is what separates torus from fat-tree behaviour at
+scale (Fig 6.1/6.2, Table 6.1).
 
 ``mira-like-bgq``, ``generic-cluster`` and ``laptop`` are the original
 three presets (the committed modeled baselines are priced on their

@@ -24,24 +24,24 @@ waits on the result, and the :class:`Measured` totals derived from them
 (``result.measured``: per-phase walls, per-rank compute and collective
 wait).  What differs is the wall-clock itself.  Telemetry is a view of
 that result: :meth:`Backend.emit_spans` projects it into a trace sink
-after the run, so no backend takes a sink.
-The fourth registered backend is adversarial: ``chaos`` (from
-:mod:`repro.chaos`) wraps any of the above — spelled
-``chaos:<inner>`` — and injects a seeded, deterministic fault plan.
+after the run, so no backend takes a sink.  Fault injection is not a
+backend: a run that names a :mod:`repro.chaos` plan
+(``Scenario(chaos=...)``, ``--chaos PLAN``) wraps whichever of the three
+it runs on.
 
 Select a backend anywhere the system runs programs::
 
     Sorter("hss", backend="process").run(dataset)
     ExperimentRunner().sweep(..., backend="process")
     repro sort --backend process --workers 4
-    repro sort --backend chaos:process --chaos stragglers
+    repro sort --backend process --chaos stragglers
     repro backends                      # list this registry
 
 Examples
 --------
 >>> from repro.runtime import BACKENDS, resolve_backend
 >>> sorted(BACKENDS)
-['chaos', 'process', 'simulated', 'thread']
+['process', 'simulated', 'thread']
 >>> resolve_backend(None).name          # the default
 'simulated'
 """
@@ -50,7 +50,6 @@ from repro.runtime.base import (
     BACKENDS,
     Backend,
     Measured,
-    backend_class,
     get_backend,
     register_backend,
     resolve_backend,
@@ -59,32 +58,13 @@ from repro.runtime.process import ProcessBackend
 from repro.runtime.simulated import SimulatedBackend
 from repro.runtime.thread import ThreadBackend
 
-# Registers the 'chaos' backend.  Imported last (module, not symbol): it
-# wraps the built-ins above and reaches back into repro.runtime.base, so
-# when repro.chaos.backend is what triggered this package's import the
-# module object here is still mid-execution — binding the module works,
-# grabbing the class would not.  ChaosBackend is re-exported lazily via
-# the PEP 562 __getattr__ below.
-import repro.chaos.backend as _chaos_backend  # noqa: E402,F401
-
-
-def __getattr__(name: str):
-    if name == "ChaosBackend":
-        return _chaos_backend.ChaosBackend
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "BACKENDS",
     "Backend",
-    "ChaosBackend",
     "Measured",
     "SimulatedBackend",
     "ProcessBackend",
     "ThreadBackend",
-    "backend_class",
     "get_backend",
     "register_backend",
     "resolve_backend",

@@ -20,17 +20,11 @@ Examples
 --------
 >>> from repro.runtime import BACKENDS, get_backend
 >>> BACKENDS.names()
-['chaos', 'process', 'simulated', 'thread']
+['process', 'simulated', 'thread']
 >>> get_backend("simulated").name
 'simulated'
 >>> get_backend("process", workers=2).workers
 2
-
-A ``:`` suffix selects a backend *variant* — the chaos backend uses it
-to name the inner backend it wraps:
-
->>> get_backend("chaos:process").inner.name
-'process'
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ __all__ = [
     "Backend",
     "BACKENDS",
     "register_backend",
-    "backend_class",
     "get_backend",
     "resolve_backend",
 ]
@@ -62,9 +55,9 @@ class Backend(ABC):
 
     Subclasses set :attr:`name`/:attr:`description` class attributes and
     implement :meth:`run`.  All backends accept a ``workers`` option —
-    the number of OS processes the backend may use (the simulator always
-    uses one and ignores higher requests; the process backend multiplexes
-    ranks over that many workers).  Telemetry is not part of a run: a
+    how many workers the backend multiplexes ranks over: threads on the
+    thread backend, OS processes on the process backend (the simulator
+    always runs inline and ignores it).  Telemetry is not part of a run: a
     finished result is projected into a trace sink by :meth:`emit_spans`.
     """
 
@@ -111,21 +104,6 @@ class Backend(ABC):
         run_to_spans(result, sink, self.name)
 
     @classmethod
-    def with_variant(
-        cls, variant: str, options: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Fold a ``name:variant`` suffix into constructor ``options``.
-
-        :func:`get_backend` calls this when the requested name contains a
-        ``:`` (e.g. ``chaos:process``).  The base implementation rejects
-        the suffix; backends that support variants override it.
-        """
-        raise ConfigError(
-            f"backend {cls.name!r} takes no ':variant' suffix "
-            f"(got {variant!r})"
-        )
-
-    @classmethod
     def summary_lines(cls) -> list[str]:
         """This backend's row in the ``repro backends`` listing."""
         default = "(default)" if cls.name == "simulated" else ""
@@ -162,28 +140,9 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
     return BACKENDS.register(cls.name, cls)
 
 
-def backend_class(name: str) -> type[Backend]:
-    """The registered class behind a backend name.
-
-    A ``base:variant`` spelling (``chaos:process``) resolves on ``base``;
-    the variant itself is checked when the backend is built.  Unknown
-    names raise :class:`~repro.errors.ConfigError`.
-    """
-    return BACKENDS.get(name.partition(":")[0])
-
-
 def get_backend(name: str, **options: Any) -> Backend:
-    """Instantiate a registered backend by name (e.g. ``workers=4``).
-
-    A ``base:variant`` spelling resolves ``base`` in the registry and
-    hands ``variant`` to the class's :meth:`Backend.with_variant` hook —
-    ``chaos:process`` is the chaos backend wrapping the process backend.
-    """
-    cls = backend_class(name)
-    _, sep, variant = name.partition(":")
-    if sep:
-        options = cls.with_variant(variant, dict(options))
-    return cls(**options)
+    """Instantiate a registered backend by name (e.g. ``workers=4``)."""
+    return BACKENDS.get(name)(**options)
 
 
 def resolve_backend(

@@ -104,14 +104,14 @@ class SortService:
     ) -> None:
         from repro.errors import ConfigError
         from repro.machines import get_machine_spec
-        from repro.runtime import backend_class
+        from repro.runtime import BACKENDS
 
         if batch_max < 1:
             raise ConfigError(f"batch_max must be >= 1, got {batch_max}")
         if machine is not None:
             get_machine_spec(machine)
         if backend is not None:
-            backend_class(backend)
+            BACKENDS.get(backend)
         self.default_machine = machine
         self.default_backend = backend
         self.cache = SplitterCache(cache_capacity)

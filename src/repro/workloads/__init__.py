@@ -8,7 +8,7 @@
   matter mapped to Morton space-filling-curve keys.
 * :mod:`repro.workloads.duplicates` — heavy-duplicate inputs for the §4.3
   tagging machinery.
-* :mod:`repro.chaos.workloads` — adversarial and *time-evolving* inputs
+* :mod:`repro.workloads.drift` — adversarial and *time-evolving* inputs
   (drifting mixtures, duplicate-heavy staircases, replayed multi-timestep
   traces) that stress the splitter-cache/fingerprint path under drift.
 
@@ -49,28 +49,11 @@ from repro.workloads.duplicates import (
     hotspot_shards,
     zipf_duplicate_shards,
 )
-
-# The chaos subsystem's adversarial/time-evolving generators register on
-# import.  Module import only (never a from-import): repro.chaos.workloads
-# itself imports this package, and mid-cycle the partially initialized
-# module resolves through sys.modules while its attributes do not — the
-# same benign-cycle rule as repro.runtime's chaos import.
-import repro.chaos.workloads as _chaos_workloads  # noqa: E402
-
-_CHAOS_GENERATORS = (
-    "changa_drift_shards",
-    "drifting_mixture_shards",
-    "staircase_duplicate_shards",
+from repro.workloads.drift import (
+    changa_drift_shards,
+    drifting_mixture_shards,
+    staircase_duplicate_shards,
 )
-
-
-def __getattr__(name):
-    # PEP 562: lazy re-export, resolved only after the cycle closes.
-    if name in _CHAOS_GENERATORS:
-        return getattr(_chaos_workloads, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def make_workload(name, p, n_per, rng=0, **kwargs):

@@ -36,10 +36,16 @@ class TestScenarioField:
             _cell(chaos="storm")
 
     def test_variant_backend_spelling_validates(self):
-        cell = _cell(backend="chaos:process")
-        assert cell.backend == "chaos:process"
-        with pytest.raises(ConfigError, match="unknown backend"):
-            _cell(backend="quantum:process")
+        # A plan is never spelled as a backend: 'chaos:<inner>' is an
+        # unknown backend name like any other, rejected at construction.
+        for backend in ("chaos:process", "chaos:quantum", "chaos",
+                        "quantum:process"):
+            with pytest.raises(ConfigError) as info:
+                _cell(backend=backend, chaos="stragglers")
+            assert str(info.value) == (
+                f"unknown backend '{backend}'; "
+                f"choose from ['process', 'simulated', 'thread']"
+            )
 
     def test_round_trips_through_dict(self):
         cell = _cell(chaos="mayhem")
@@ -56,11 +62,13 @@ class TestScenarioField:
         metrics = _cell().run()["metrics"]
         assert not any(k.startswith("chaos") for k in metrics)
 
-    def test_chaos_composes_with_explicit_chaos_backend(self):
-        # 'chaos:process' + a plan wraps the *process* backend once.
-        cell = _cell(chaos="stragglers", backend="chaos:process")
-        run, outcome = cell.execute()
-        assert run.engine_result.measured.backend == "chaos:process"
+    def test_chaos_wraps_the_named_backend(self):
+        # A plan on a 'process' cell runs on, and reports, 'process'.
+        cell = _cell(chaos="stragglers", backend="process")
+        run, outcome = cell.execute(workers=2)
+        assert run.backend == "process"
+        assert run.engine_result.measured.backend == "process"
+        assert run.engine_result.measured.chaos["plan"] == "stragglers"
         assert outcome["metrics"]["chaos_slowdown"] > 1.0
 
 

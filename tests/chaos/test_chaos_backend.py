@@ -10,8 +10,9 @@ The headline contracts pinned here:
   metrics, sorted output;
 * **kills are detected, not hung**: a killed rank trips the engine's
   deadlock check and the raised error carries the plan's provenance;
-* chaos metrics are **backend-independent** — `chaos:simulated` and
-  `chaos:process` agree on every injected-fault number.
+* chaos metrics are **backend-independent** — the same plan on the
+  simulated, thread and process backends agrees on every injected-fault
+  number, and each run reports the transport it ran on.
 """
 
 import numpy as np
@@ -20,18 +21,14 @@ import pytest
 from repro.algorithms import REGISTRY, Dataset, Sorter
 from repro.experiments import Scenario
 from repro.chaos import FaultPlan, make_fault_plan
+from repro.chaos.backend import ChaosBackend
 from repro.errors import (
     BSPError,
     CollectiveMismatchError,
     ConfigError,
     DeadlockError,
 )
-from repro.runtime import (
-    BACKENDS,
-    ChaosBackend,
-    SimulatedBackend,
-    get_backend,
-)
+from repro.runtime import SimulatedBackend, get_backend
 
 P = 4
 N_PER = 300
@@ -115,8 +112,8 @@ def test_zero_fault_error_paths_identical(program, exc_type):
     messages = []
     for backend in (
         SimulatedBackend(),
-        ChaosBackend(inner="simulated", plan="none"),
-        ChaosBackend(inner="simulated", plan="stragglers"),
+        ChaosBackend(inner=SimulatedBackend(), plan="none"),
+        ChaosBackend(inner=SimulatedBackend(), plan="stragglers"),
     ):
         with pytest.raises(exc_type) as info:
             backend.run(program, _rank_args())
@@ -146,7 +143,7 @@ def test_different_seed_changes_fault_schedule():
         Sorter(
             "hss", eps=0.2, seed=3, verify=False,
             backend=ChaosBackend(
-                inner="simulated",
+                inner=SimulatedBackend(),
                 plan=make_fault_plan("stragglers", seed=seed),
             ),
         ).run(dataset).engine_result.measured.chaos
@@ -205,16 +202,19 @@ def test_kill_detection_identical_across_backends():
 @pytest.mark.parametrize("plan", ["stragglers", "mayhem"])
 def test_chaos_metrics_backend_independent(plan):
     sim = _run("hss", "uniform", chaos=plan)
-    proc = _run("hss", "uniform", "process", chaos=plan, workers=2)
-    sim_info = dict(sim.engine_result.measured.chaos)
-    proc_info = dict(proc.engine_result.measured.chaos)
-    assert sim.engine_result.measured.backend == "chaos:simulated"
-    assert proc.engine_result.measured.backend == "chaos:process"
-    assert sim_info == proc_info
-    assert sim.makespan == proc.makespan
-    assert sim.engine_result.stats == proc.engine_result.stats
-    for a, b in zip(sim.shards, proc.shards):
-        np.testing.assert_array_equal(a, b)
+    for backend in ("thread", "process"):
+        run = _run("hss", "uniform", backend, chaos=plan, workers=2)
+        # The run reports its transport; the plan is on Measured.chaos.
+        assert run.backend == run.engine_result.measured.backend == backend
+        assert (
+            run.engine_result.measured.chaos
+            == sim.engine_result.measured.chaos
+        )
+        assert run.makespan == sim.makespan
+        assert run.engine_result.stats == sim.engine_result.stats
+        for a, b in zip(sim.shards, run.shards):
+            np.testing.assert_array_equal(a, b)
+    assert sim.backend == sim.engine_result.measured.backend == "simulated"
 
 
 def test_drop_retries_price_extra_traffic():
@@ -229,43 +229,27 @@ def test_drop_retries_price_extra_traffic():
 
 
 # --------------------------------------------------------------------- #
-# Construction and the ':variant' spelling.
+# Construction: a plan wraps a built backend; no backend spells a plan.
 # --------------------------------------------------------------------- #
 class TestConstruction:
-    def test_variant_spelling_resolves_inner(self):
-        backend = get_backend("chaos:process", workers=2)
-        assert isinstance(backend, ChaosBackend)
-        assert backend.inner.name == "process"
-        assert get_backend("chaos").inner.name == "simulated"
-
-    def test_registered_on_the_backend_axis(self):
-        assert BACKENDS["chaos"] is ChaosBackend
-
-    def test_cannot_wrap_itself(self):
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            ChaosBackend(inner="chaos")
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            ChaosBackend(inner="chaos:process")
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            ChaosBackend(inner=ChaosBackend())
-
     def test_unknown_inner_rejected(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            ChaosBackend(inner="quantum")
-
-    def test_variant_plus_inner_option_rejected(self):
-        with pytest.raises(ConfigError, match="not both"):
-            get_backend("chaos:process", inner="simulated")
+        with pytest.raises(ConfigError, match="unknown backend 'quantum'"):
+            Scenario(algorithm="hss", workload="uniform", backend="quantum",
+                     chaos="stragglers")
 
     def test_non_chaos_backends_reject_variants(self):
-        with pytest.raises(ConfigError, match="takes no ':variant'"):
+        with pytest.raises(ConfigError, match="unknown backend 'simulated:"):
             get_backend("simulated:fast")
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(ConfigError, match="unknown fault plan"):
-            ChaosBackend(plan="storm")
+            ChaosBackend(SimulatedBackend(), plan="storm")
 
     def test_inline_plan_accepted(self):
         plan = FaultPlan(straggler_prob=1.0, straggler_delay_s=1e-4)
-        backend = ChaosBackend(plan=plan)
+        backend = ChaosBackend(SimulatedBackend(), plan=plan)
         assert backend.plan is plan
+
+    def test_takes_the_inner_backends_name_and_workers(self):
+        backend = ChaosBackend(get_backend("thread", workers=2), "stragglers")
+        assert (backend.name, backend.workers) == ("thread", 2)

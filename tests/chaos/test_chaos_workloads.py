@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chaos.workloads import (
+from repro.workloads.drift import (
     changa_drift_shards,
     drifting_mixture_shards,
     staircase_duplicate_shards,

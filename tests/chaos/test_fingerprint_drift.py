@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from repro.algorithms import Dataset
-from repro.chaos.workloads import drifting_mixture_shards
+from repro.workloads.drift import drifting_mixture_shards
 from repro.service import SortService
 from repro.service.fingerprint import key_sketch, workload_fingerprint
 

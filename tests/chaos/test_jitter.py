@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bsp.network import Dragonfly, FatTree
-from repro.chaos.jitter import JitteredDragonfly, JitteredFatTree
+from repro.machines.jitter import JitteredDragonfly, JitteredFatTree
 from repro.errors import ConfigError
 from repro.machines import (
     get_machine,

@@ -130,7 +130,7 @@ class TestRun:
 class TestExecuteOptions:
     @pytest.mark.parametrize(
         "backend, chaos",
-        [("thread", ""), ("chaos:thread", "stragglers")],
+        [("thread", ""), ("thread", "stragglers")],
     )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_reach_the_thread_backend(self, backend, chaos, workers):

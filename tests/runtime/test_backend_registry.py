@@ -20,15 +20,10 @@ from repro.runtime import (
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert BACKENDS.names() == [
-            "chaos", "process", "simulated", "thread"
-        ]
+        assert BACKENDS.names() == ["process", "simulated", "thread"]
         assert BACKENDS["simulated"] is SimulatedBackend
         assert BACKENDS["process"] is ProcessBackend
         assert BACKENDS["thread"] is ThreadBackend
-        from repro.runtime import ChaosBackend
-
-        assert BACKENDS["chaos"] is ChaosBackend
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown backend"):

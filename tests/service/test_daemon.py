@@ -135,9 +135,13 @@ class TestServiceDefaults:
         with pytest.raises(ConfigError, match="unknown backend 'quantum'"):
             SortService(backend="quantum")
 
-    def test_variant_backend_spelling_accepted(self):
-        service = SortService(machine="cloud-ethernet", backend="chaos:thread")
-        assert service.default_backend == "chaos:thread"
+    def test_variant_backend_spelling_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            SortService(machine="cloud-ethernet", backend="chaos:thread")
+        assert str(info.value) == (
+            "unknown backend 'chaos:thread'; "
+            "choose from ['process', 'simulated', 'thread']"
+        )
 
 
 class TestReplyShape:

@@ -115,8 +115,12 @@ class TestMeasuredFromSegments:
 class TestFailedRun:
     def test_failed_run_emits_nothing(self):
         sink = TraceSink()
+        cell = Scenario(
+            algorithm="hss", workload="uniform", procs=P,
+            keys_per_rank=N_PER, backend="simulated", chaos="kill-rank",
+        )
         with pytest.raises(BSPError):
-            _run(backend=get_backend("chaos", plan="kill-rank"), sink=sink)
+            cell.execute(trace_sink=sink)
         assert sink.events == []
 
     def test_skipped_sweep_cell_leaves_no_orphan_spans(self):

@@ -822,6 +822,16 @@ class TestBackendFlag:
         assert main(["sort", "--backend", "quantum"]) == 2
         assert "unknown backend" in capsys.readouterr().err
 
+    def test_chaos_run_reports_the_chosen_backend(self, capsys):
+        code = main(
+            ["sort", "-p", "4", "-n", "400", "--backend", "thread",
+             "--workers", "2", "--chaos", "stragglers"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "plan 'stragglers'" in out
+        assert "on backend 'thread' (2 workers" in out
+
     def test_invalid_workers_exits_2(self, capsys):
         code = main(["sort", "--backend", "process", "--workers", "0"])
         assert code == 2
@@ -873,6 +883,19 @@ class TestBenchBackendFlag:
         )
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err
+
+    def test_variant_backend_exits_2_before_any_suite_runs(self, capsys):
+        code = main(
+            ["bench", "--tier", "quick", "--suite", "chaos_resilience",
+             "--backend", "chaos:process"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "unknown backend 'chaos:process'; "
+            "choose from ['process', 'simulated', 'thread']\n"
+        )
 
     def test_backend_without_supporting_suite_exits_2(self, capsys):
         code = main(
