@@ -36,7 +36,7 @@ from repro.calibrate import (
     render_report,
     total_abs_error,
 )
-from repro.machines import get_machine_spec
+from repro.machines import get_machine
 
 P = 8                    # ranks (the thread backend maps them to cores)
 KEYS_PER_PROC = 200_000  # bump this to see real-core speedups grow
@@ -97,7 +97,7 @@ def calibrate_host() -> None:
     print()
 
     preset_err = total_abs_error(
-        measurements, features, constants_of(get_machine_spec("laptop"))
+        measurements, features, constants_of(get_machine("laptop"))
     )
     fitted_err = total_abs_error(measurements, features, fit.constants)
     print(

@@ -50,7 +50,7 @@ def main() -> None:
 
     nodes = P // CORES_PER_NODE
     print(f"machine: {P} cores = {nodes} nodes x {CORES_PER_NODE} cores, "
-          f"{machine.topology.describe()}")
+          f"{machine.network.describe()}")
     print(f"input  : {P * KEYS_PER_CORE:,} keys\n")
     header = f"{'':28s} {'node-level':>12s} {'core-level':>12s}"
     print(header)

@@ -4,7 +4,8 @@ Everything the layered API does in three objects (``Dataset`` →
 ``Sorter`` → ``SortRun``) behind a single function for the common case:
 *sort these keys with that algorithm on this machine*.  The registries
 stay the extension surface for power users; the façade is what the README
-quickstart, ``examples/`` and the ``repro serve`` job runner call.
+quickstart and ``examples/`` call (``repro sort`` and the ``repro serve``
+job runner go through :meth:`~repro.experiments.Scenario.execute`).
 
 >>> import numpy as np
 >>> from repro.algorithms.facade import sort
@@ -140,8 +141,8 @@ def sort(
         Registered algorithm name (``repro algorithms`` lists them).
         Defaults to ``"hss"`` — the paper's Histogram Sort with Sampling.
     machine:
-        Simulated machine: registry name (``repro machines``),
-        :class:`~repro.machines.MachineSpec`, or pre-built model.
+        Simulated machine: registry name (``repro machines``) or
+        :class:`~repro.machines.MachineSpec`.
     backend:
         Execution backend name (``"simulated"``/``"thread"``/
         ``"process"``) or instance.

@@ -42,7 +42,7 @@ class SortRun:
     rank_stats: list[Any] = field(default_factory=list)
     #: Resolved machine the run executed on —
     #: ``{name, topology, cores_per_node}`` (see
-    #: :func:`repro.machines.machine_summary`).
+    #: :meth:`repro.machines.MachineSpec.describe`).
     machine: dict[str, Any] = field(default_factory=dict)
     #: Execution backend the run used (``"simulated"``, ``"process"``, ...;
     #: see :mod:`repro.runtime`).  Modeled fields are bit-identical across

@@ -3,7 +3,7 @@
 ``Sorter`` resolves an algorithm name through the plugin registry, builds
 (or accepts) its typed config, validates the request against the
 algorithm's declared capabilities *before* any simulation runs, executes
-the SPMD program on a :class:`~repro.bsp.engine.BSPEngine`, and extracts
+the SPMD program on the chosen :class:`~repro.runtime.Backend`, and extracts
 shards / payloads / stats uniformly from every rank's return.
 
     >>> from repro.algorithms import Dataset, Sorter
@@ -22,9 +22,8 @@ import numpy as np
 from repro.algorithms.dataset import Dataset
 from repro.algorithms.registry import REGISTRY
 from repro.algorithms.result import SortRun
-from repro.bsp.machine import MachineModel
 from repro.errors import CapabilityError, ConfigError
-from repro.machines import MachineSpec, machine_summary, resolve_machine
+from repro.machines import MachineSpec, resolve_machine
 from repro.runtime import Backend, resolve_backend
 
 __all__ = ["Sorter"]
@@ -40,9 +39,8 @@ class Sorter:
         :data:`repro.algorithms.REGISTRY`).
     machine:
         Simulated machine: a registered name (``"mira-like-bgq"``, see
-        ``repro machines``), a :class:`~repro.machines.MachineSpec`, or a
-        pre-built :class:`~repro.bsp.machine.MachineModel`.  Defaults to
-        the ``"laptop"`` preset.
+        ``repro machines``) or a :class:`~repro.machines.MachineSpec`.
+        Defaults to the ``"laptop"`` preset.
     config:
         A pre-built instance of the algorithm's typed config class.
         Mutually exclusive with keyword knobs.
@@ -67,7 +65,7 @@ class Sorter:
         self,
         algorithm: str,
         *,
-        machine: str | MachineSpec | MachineModel | None = None,
+        machine: str | MachineSpec | None = None,
         config: Any | None = None,
         backend: str | Backend | None = None,
         verify: bool = True,
@@ -188,7 +186,7 @@ class Sorter:
             engine_result=result,
             algorithm=self.spec.name,
             rank_stats=rank_stats,
-            machine=machine_summary(self.machine),
+            machine=self.machine.describe(),
             backend=self.backend.name,
             schema=dataset.record_schema if dataset.has_payloads else None,
         )

@@ -117,11 +117,11 @@ def _machine_block(params: Mapping[str, Any]) -> dict[str, Any]:
     """
     if "machine" not in params:
         return {}
-    from repro.machines import machine_summary
+    from repro.machines import resolve_machine
 
-    return machine_summary(
+    return resolve_machine(
         params["machine"], params.get("machine_overrides")
-    )
+    ).describe()
 
 
 def _run_suite_task(

@@ -1627,11 +1627,11 @@ def _run_calibration_quality(params: Mapping[str, Any]) -> list[CaseResult]:
         synthetic_measurements,
         total_abs_error,
     )
-    from repro.machines import get_machine_spec
+    from repro.machines import get_machine
 
     cells = design_cells(seed=params["doe_seed"], profile=params["profile"])
     features = extract_features(cells)
-    truth_spec = get_machine_spec(params["truth_machine"])
+    truth_spec = get_machine(params["truth_machine"])
     truth = constants_of(truth_spec)
     cases = []
     for label, noise in (("exact", 0.0), ("noisy", params["noise"])):

@@ -19,6 +19,12 @@ simulator**.
 * :mod:`repro.bsp.node` models multicore nodes for the shared-memory
   message-combining optimization of §6.1.1.
 
+The machine every run is priced on is a :class:`repro.machines.MachineSpec`
+— the one machine type, registered by name in :mod:`repro.machines` —
+which this layer only reads (α/β/γ scalars, ``cores_per_node`` and the
+``network`` topology instance); :class:`BSPEngine` defaults to the
+``laptop`` preset.
+
 Algorithms written against :class:`~repro.bsp.engine.Context` look like
 mpi4py code with ``yield from`` at communication points::
 
@@ -31,7 +37,6 @@ mpi4py code with ``yield from`` at communication points::
 """
 
 from repro.bsp.engine import BSPEngine, Context, NodeContext, RunResult
-from repro.bsp.machine import MachineModel
 from repro.bsp.network import (
     Topology,
     FullyConnected,
@@ -48,7 +53,6 @@ __all__ = [
     "Context",
     "NodeContext",
     "RunResult",
-    "MachineModel",
     "Topology",
     "FullyConnected",
     "Torus",

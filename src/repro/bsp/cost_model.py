@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = ["CollectiveCost", "CommStats", "CostModel"]
 
@@ -72,13 +75,13 @@ class CostModel:
 
     def __init__(
         self,
-        machine: MachineModel,
+        machine: MachineSpec,
         nprocs: int,
         node_layout: NodeLayout | None = None,
     ) -> None:
         self.machine = machine
         #: Pricing view with every "0 means inherit" fallback applied
-        #: (:meth:`MachineModel.resolved` — the one place those rules live).
+        #: (:meth:`MachineSpec.resolved` — the one place those rules live).
         self._m = machine.resolved()
         self.nprocs = nprocs
         self.node_layout = node_layout
@@ -202,7 +205,7 @@ class CostModel:
             return CollectiveCost(comm, compute, int(S) * (e - 1), e - 1, e, "tree")
 
         if op == "alltoallv":
-            c = 1.0 if scope == "node" else m.topology.alltoall_contention(e)
+            c = 1.0 if scope == "node" else m.network.alltoall_contention(e)
             pairwise = a * max(1, e - 1) + S * b * c
             bruck = a * math.ceil(_log2p(e)) + (S / 2.0) * b * _log2p(e) * c
             comm, algo = min((pairwise, "pairwise"), (bruck, "bruck"))

@@ -47,16 +47,18 @@ import pickle
 import traceback
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Generator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
 from repro.bsp import collectives as coll
 from repro.bsp.cost_model import CommStats, CostModel
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.bsp.trace import SuperstepRecord, Trace
 from repro.errors import BSPError, CollectiveMismatchError, DeadlockError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = [
     "Context",
@@ -164,7 +166,7 @@ class Context:
 
     # ------------------------------------------------------------- misc
     @property
-    def machine(self) -> MachineModel:
+    def machine(self) -> MachineSpec:
         """The simulated machine description."""
         return self._engine.machine
 
@@ -945,7 +947,7 @@ class BSPEngine:
     def __init__(
         self,
         nprocs: int,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
     ) -> None:
         if nprocs < 1:

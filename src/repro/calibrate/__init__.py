@@ -28,10 +28,10 @@ Examples
 --------
 >>> from repro.calibrate import design_cells, extract_features
 >>> from repro.calibrate import synthetic_measurements, fit_constants
->>> from repro.machines import get_machine_spec
+>>> from repro.machines import get_machine
 >>> cells = design_cells(seed=7, profile="tiny")
 >>> features = extract_features(cells[:2])
->>> truth = get_machine_spec("laptop")
+>>> truth = get_machine("laptop")
 >>> fit = fit_constants(features, synthetic_measurements(features, truth))
 >>> round(fit.constants["gamma_compare"] / truth.gamma_compare, 6)
 1.0

@@ -72,10 +72,8 @@ class CellMeasurement:
     samples: int
 
 
-def _basis_machine(**constants: float):
+def _basis_machine(**constants: float) -> MachineSpec:
     """A machine pricing *only* the probed constants (all others zero)."""
-    from repro.bsp.machine import MachineModel
-
     fields = dict(
         alpha=0.0,
         beta=0.0,
@@ -87,7 +85,7 @@ def _basis_machine(**constants: float):
         cores_per_node=1,
     )
     fields.update(constants)
-    return MachineModel(name="calibration-basis", **fields)
+    return MachineSpec(name="calibration-basis", **fields)
 
 
 def _run_cell(cell: DoECell, machine, backend):

@@ -38,9 +38,9 @@ def render_report(
 ) -> str:
     """Measured-vs-modeled table plus the fitted-vs-baseline verdict."""
     if baseline is None:
-        from repro.machines import get_machine_spec
+        from repro.machines import get_machine
 
-        baseline = constants_of(get_machine_spec(baseline_name))
+        baseline = constants_of(get_machine(baseline_name))
     fitted_twins = {
         m.cell.name: m for m in modeled_measurements(features, fit.constants)
     }

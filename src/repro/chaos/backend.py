@@ -30,14 +30,16 @@ run reports the inner backend's name, so ``SortRun.backend`` and
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.bsp.engine import _NOT_A_GENERATOR, BSPError, RunResult, _Call
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.chaos.plan import FaultPlan, resolve_fault_plan
 from repro.errors import CollectiveMismatchError, DeadlockError
 from repro.runtime.base import Backend
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = ["ChaosBackend"]
 
@@ -121,7 +123,7 @@ class ChaosBackend(Backend):
         program,
         rank_args: Sequence[tuple],
         *,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
         **shared_kwargs: Any,
     ) -> RunResult:

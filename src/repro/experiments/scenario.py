@@ -128,7 +128,7 @@ class Scenario:
         return base
 
     def resolved_machine(self):
-        """The executable machine model this cell prices against."""
+        """The machine this cell prices against (layout applied)."""
         from repro.machines import get_machine
 
         overrides = {"cores_per_node": 1} if self.layout == "flat" else None
@@ -198,7 +198,6 @@ class Scenario:
         Neither is part of the cell.
         """
         from repro.algorithms import REGISTRY, Sorter
-        from repro.machines import machine_summary
         from repro.runtime import get_backend
 
         machine = self.resolved_machine()
@@ -246,7 +245,7 @@ class Scenario:
             metrics["total_sample"] = run.splitter_stats.total_sample
         return run, {
             "scenario": self.to_dict(),
-            "machine": machine_summary(machine),
+            "machine": machine.describe(),
             "metrics": metrics,
         }
 

@@ -2,8 +2,9 @@
 
 This package mirrors :mod:`repro.algorithms` on the hardware axis:
 
-- :class:`MachineSpec` — declarative, JSON-round-trippable description of
-  one simulated machine: validated scalar parameters, the interconnect
+- :class:`MachineSpec` — the one machine type: a declarative,
+  JSON-round-trippable description of one simulated machine that the
+  cost model prices directly — validated α/β/γ scalars, the interconnect
   referenced *by registered topology name*, a provenance note and the
   paper section it backs.
 - :data:`MACHINES` / :func:`register_machine` — the plugin registry with a
@@ -15,16 +16,16 @@ This package mirrors :mod:`repro.algorithms` on the hardware axis:
   plugins (``fully-connected``, ``torus``, ``fat-tree``, ``dragonfly``,
   and the seeded ``jittered-fat-tree`` / ``jittered-dragonfly`` from
   :mod:`repro.machines.jitter`).
-- :func:`resolve_machine` — the uniform coercion (name | spec | model |
-  None) every execution surface goes through.
+- :func:`resolve_machine` — the uniform coercion (name | spec | None)
+  every execution surface goes through.
 
 Quick tour
 ----------
->>> from repro.machines import get_machine, get_machine_spec, MachineSpec
+>>> from repro.machines import get_machine, MachineSpec
 >>> mira = get_machine("mira-like-bgq")
->>> mira.cores_per_node, mira.topology.name
-(16, 'torus')
->>> spec = get_machine_spec("cloud-ethernet")
+>>> mira.cores_per_node, mira.topology, mira.network.dims
+(16, 'torus', 5)
+>>> spec = get_machine("cloud-ethernet")
 >>> MachineSpec.from_json(spec.to_json()) == spec
 True
 """
@@ -40,8 +41,6 @@ from repro.machines.topologies import (
 from repro.machines.registry import (
     MACHINES,
     get_machine,
-    get_machine_spec,
-    machine_summary,
     register_machine,
     resolve_machine,
 )
@@ -59,9 +58,7 @@ __all__ = [
     "register_machine",
     "register_topology",
     "get_machine",
-    "get_machine_spec",
     "make_topology",
-    "machine_summary",
     "resolve_machine",
     "topology_to_dict",
     "topology_from_dict",

@@ -19,7 +19,7 @@ Examples
 >>> from repro.machines import MACHINES, get_machine
 >>> len(MACHINES.names()) >= 6
 True
->>> get_machine("mira-like-bgq").topology.dims
+>>> get_machine("mira-like-bgq").network.dims
 5
 >>> get_machine("mira-like-bgq", overrides={"cores_per_node": 1}).cores_per_node
 1
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from repro.bsp.machine import MachineModel
 from repro.errors import ConfigError
 from repro.machines.spec import MachineSpec
 from repro.utils.registry import Registry
@@ -37,10 +36,8 @@ from repro.utils.registry import Registry
 __all__ = [
     "MACHINES",
     "register_machine",
-    "get_machine_spec",
     "get_machine",
     "resolve_machine",
-    "machine_summary",
 ]
 
 
@@ -71,16 +68,6 @@ def register_machine(
             f"one), got {type(built).__name__}"
         )
     MACHINES.register(built.name, built, replace=replace)
-    return spec
-
-
-def get_machine_spec(
-    name: str, overrides: Mapping[str, Any] | None = None
-) -> MachineSpec:
-    """Look up a registered machine, applying overrides."""
-    spec = MACHINES.get(name)
-    if overrides:
-        spec = spec.override(**overrides)
     return spec
 
 
@@ -118,62 +105,33 @@ MACHINES: Registry[MachineSpec] = Registry("machine", loader=_load_machine_path)
 
 def get_machine(
     name: str, overrides: Mapping[str, Any] | None = None
-) -> MachineModel:
-    """Build the executable model of a registered machine by name."""
-    return get_machine_spec(name, overrides).model()
+) -> MachineSpec:
+    """Look up a registered machine by name, applying overrides."""
+    spec = MACHINES.get(name)
+    if overrides:
+        spec = spec.override(**overrides)
+    return spec
 
 
 def resolve_machine(
-    machine: str | MachineSpec | MachineModel | None,
+    machine: str | MachineSpec | None,
     overrides: Mapping[str, Any] | None = None,
     *,
     default: str = "laptop",
-) -> MachineModel:
-    """Coerce any machine reference to an executable :class:`MachineModel`.
+) -> MachineSpec:
+    """Coerce a machine reference to its :class:`MachineSpec`.
 
     The uniform front door used by ``Sorter``, the CLI, ``perf.model`` and
-    the benchmark suites: a registered name, a
-    :class:`MachineSpec`, an already-built model, or ``None`` for the
-    default machine.  ``overrides`` apply to names and specs; passing them
-    with a pre-built model is an error (a model has no validated override
-    surface).
+    the benchmark suites: a registered name, a :class:`MachineSpec`, or
+    ``None`` for the default machine.  ``overrides`` apply to either.
     """
     if machine is None:
         machine = default
     if isinstance(machine, str):
         return get_machine(machine, overrides)
     if isinstance(machine, MachineSpec):
-        if overrides:
-            machine = machine.override(**overrides)
-        return machine.model()
-    if isinstance(machine, MachineModel):
-        if overrides:
-            raise ConfigError(
-                "overrides apply to machine names/specs; call .with_() on a "
-                "pre-built MachineModel instead"
-            )
-        return machine
+        return machine.override(**overrides) if overrides else machine
     raise ConfigError(
         f"cannot resolve a machine from {type(machine).__name__}; pass a "
-        f"registered name, a MachineSpec, or a MachineModel"
+        f"registered name or a MachineSpec"
     )
-
-
-def machine_summary(
-    machine: str | MachineSpec | MachineModel | None,
-    overrides: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Compact ``{name, topology, cores_per_node}`` provenance block.
-
-    Accepts the same references as :func:`resolve_machine`; documents
-    (bench / experiment JSON) embed this next to their measured payload so
-    baselines are self-describing.
-    """
-    if isinstance(machine, MachineSpec) and not overrides:
-        return machine.describe()
-    model = resolve_machine(machine, overrides)
-    return {
-        "name": model.name,
-        "topology": model.topology.name,
-        "cores_per_node": model.cores_per_node,
-    }

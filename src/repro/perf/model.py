@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.bsp.cost_model import CostModel
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.core.hss import SplitterStats
-from repro.machines import MachineSpec, machine_summary, resolve_machine
+from repro.machines import MachineSpec, resolve_machine
 
 __all__ = [
     "PhaseTimes",
@@ -61,7 +60,7 @@ class PhaseTimes:
 
 def histogram_round_cost(
     cost_model: CostModel,
-    machine: MachineModel,
+    machine: MachineSpec,
     *,
     sample_keys: int,
     open_intervals: int,
@@ -121,13 +120,13 @@ def histogram_round_cost(
     # Local histogram: one binary search per probe over the local input.
     compute += machine.key_compare_seconds(sample_keys * lg_local)
     # Per-round runtime synchronization (quiescence between refinement
-    # rounds); see MachineModel.round_sync_per_level.
+    # rounds); see MachineSpec.round_sync_per_level.
     sync = machine.round_sync_per_level * math.log2(max(2, cost_model.nprocs))
     return comm + compute + sync
 
 
 def model_splitting_time(
-    machine: str | MachineSpec | MachineModel,
+    machine: str | MachineSpec,
     *,
     nprocs: int,
     nbuckets: int,
@@ -143,7 +142,7 @@ def model_splitting_time(
     taken from a measured :class:`SplitterStats` (HSS; ``style="hss"``) or
     probe counts (classic histogram sort; ``style="bisect"``, where
     ``sample_keys`` plays the probe-count role).  ``machine`` may be a
-    registered machine name, a spec, or a pre-built model.
+    registered machine name or a spec.
     """
     machine = resolve_machine(machine)
     cost_model = CostModel(machine, nprocs, node_layout)
@@ -168,7 +167,7 @@ def model_splitting_time(
 
 
 def model_weak_scaling(
-    machine: str | MachineSpec | MachineModel,
+    machine: str | MachineSpec,
     *,
     nprocs: int,
     keys_per_core: float,
@@ -182,9 +181,8 @@ def model_weak_scaling(
     Parameters
     ----------
     machine:
-        Machine reference — a registered name (``"mira-like-bgq"``), a
-        :class:`~repro.machines.MachineSpec`, or a pre-built
-        :class:`~repro.bsp.machine.MachineModel`.
+        Machine reference — a registered name (``"mira-like-bgq"``) or a
+        :class:`~repro.machines.MachineSpec`.
     nprocs:
         Total cores ``p``.
     keys_per_core:
@@ -254,5 +252,5 @@ def model_weak_scaling(
         histogramming=histogramming,
         data_exchange=data_exchange,
         within_node=within,
-        machine=machine_summary(machine),
+        machine=machine.describe(),
     )

@@ -30,15 +30,17 @@ Examples
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 # Measured lives beside the shared rank loop that fills it; this package
 # re-exports it as repro.runtime.Measured.
 from repro.bsp.engine import Measured, Program, RunResult
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.errors import ConfigError
 from repro.utils.registry import Registry
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = [
     "Measured",
@@ -77,7 +79,7 @@ class Backend(ABC):
         program: Program,
         rank_args: Sequence[tuple],
         *,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
         **shared_kwargs: Any,
     ) -> RunResult:

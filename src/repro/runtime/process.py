@@ -60,7 +60,7 @@ import itertools
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.bsp.collectives import VALUE_OPS, ArrayRef
 from repro.bsp.engine import (
@@ -72,7 +72,6 @@ from repro.bsp.engine import (
     _Call,
     _rank_steps,
 )
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.runtime.base import Backend, register_backend
 from repro.runtime.shm import (
@@ -83,6 +82,9 @@ from repro.runtime.shm import (
     pack_message,
     unlink_segment,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = ["ProcessBackend"]
 
@@ -288,7 +290,7 @@ class ProcessBackend(Backend):
         program: Program,
         rank_args: Sequence[tuple],
         *,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
         **shared_kwargs: Any,
     ) -> RunResult:

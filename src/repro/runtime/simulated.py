@@ -12,12 +12,14 @@ committed baseline go through it.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.bsp.engine import BSPEngine, Program, RunResult
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.runtime.base import Backend, register_backend
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = ["SimulatedBackend"]
 
@@ -36,7 +38,7 @@ class SimulatedBackend(Backend):
         program: Program,
         rank_args: Sequence[tuple],
         *,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
         **shared_kwargs: Any,
     ) -> RunResult:

@@ -28,13 +28,15 @@ import os
 import queue
 import threading
 import time
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.bsp.engine import BSPEngine, Program, RunResult, _broker_loop
-from repro.bsp.machine import MachineModel
 from repro.bsp.node import NodeLayout
 from repro.runtime.base import Backend, register_backend
 from repro.runtime.process import _assign_ranks, _rank_loop
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machines import MachineSpec
 
 __all__ = ["ThreadBackend"]
 
@@ -63,7 +65,7 @@ class ThreadBackend(Backend):
         program: Program,
         rank_args: Sequence[tuple],
         *,
-        machine: MachineModel | None = None,
+        machine: MachineSpec | None = None,
         node_layout: NodeLayout | None = None,
         **shared_kwargs: Any,
     ) -> RunResult:

@@ -103,13 +103,13 @@ class SortService:
         trace_sink: Any = None,
     ) -> None:
         from repro.errors import ConfigError
-        from repro.machines import get_machine_spec
+        from repro.machines import get_machine
         from repro.runtime import BACKENDS
 
         if batch_max < 1:
             raise ConfigError(f"batch_max must be >= 1, got {batch_max}")
         if machine is not None:
-            get_machine_spec(machine)
+            get_machine(machine)
         if backend is not None:
             BACKENDS.get(backend)
         self.default_machine = machine

@@ -62,7 +62,6 @@ class TestDocument:
         self, overrides
     ):
         from repro.bench.suites import _suite_cell
-        from repro.machines import machine_summary
 
         params = {**SUITES["shootout"].params_for("quick", None),
                   "machine_overrides": overrides}
@@ -71,7 +70,7 @@ class TestDocument:
             "shootout", "quick",
             overrides={**TINY_SHOOTOUT, "machine_overrides": overrides},
         ).machine
-        assert machine_summary(cell.resolved_machine()) == recorded
+        assert cell.resolved_machine().describe() == recorded
 
     def test_override_without_a_scenario_layout_is_rejected(self):
         with pytest.raises(ConfigError, match="no Scenario layout"):

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.bsp.cost_model import CostModel
-from repro.bsp.machine import MachineModel
-from repro.machines import get_machine
-from repro.bsp.network import FullyConnected, Torus
 from repro.bsp.node import NodeLayout
+from repro.errors import ConfigError
+from repro.machines import MachineSpec, get_machine
 
 MIRA_LIKE = get_machine("mira-like-bgq")
 GENERIC_CLUSTER = get_machine("generic-cluster")
@@ -70,8 +69,11 @@ class TestPricingBasics:
 
 class TestAllToAll:
     def test_contention_on_torus(self):
-        torus = MachineModel(topology=Torus(dims=3, base_endpoints=8))
-        flat = MachineModel(topology=FullyConnected())
+        torus = MachineSpec(
+            name="generic", topology="torus",
+            topology_params={"dims": 3, "base_endpoints": 8},
+        )
+        flat = MachineSpec(name="generic", topology="fully-connected")
         big = 10**8
         c_torus = CostModel(torus, 4096).price(
             "alltoallv", max_bytes=big, total_bytes=big * 4096
@@ -162,15 +164,15 @@ class TestMachinePresets:
             assert machine.nodes_for(100) >= 1
 
     def test_with_override(self):
-        faster = MIRA_LIKE.with_(alpha=1e-9)
+        faster = MIRA_LIKE.override(alpha=1e-9)
         assert faster.alpha == 1e-9
         assert faster.beta == MIRA_LIKE.beta
 
     def test_invalid_machine_rejected(self):
-        with pytest.raises(ValueError):
-            MachineModel(alpha=-1.0)
-        with pytest.raises(ValueError):
-            MachineModel(cores_per_node=0)
+        with pytest.raises(ConfigError, match="alpha"):
+            MachineSpec(name="generic", alpha=-1.0)
+        with pytest.raises(ConfigError, match="cores_per_node"):
+            MachineSpec(name="generic", cores_per_node=0)
 
     def test_conversions(self):
         assert LAPTOP.compare_seconds(10) == pytest.approx(10 * LAPTOP.gamma_compare)
@@ -181,11 +183,11 @@ class TestMachinePresets:
 
 
 class TestResolvedFallbacks:
-    """The "0 means inherit" rules live in one place: MachineModel.resolved."""
+    """The "0 means inherit" rules live in one place: MachineSpec.resolved."""
 
     def test_zeros_resolve_to_source_fields(self):
-        m = MachineModel(
-            gamma_compare=3e-9, gamma_key_compare=0.0,
+        m = MachineSpec(
+            name="generic", gamma_compare=3e-9, gamma_key_compare=0.0,
             alpha=5e-6, node_alpha=0.0,
         )
         r = m.resolved()
@@ -193,11 +195,13 @@ class TestResolvedFallbacks:
         assert r.node_alpha == m.alpha
 
     def test_explicit_values_pass_through(self):
-        m = MachineModel(gamma_key_compare=7e-10, node_alpha=3e-7)
+        m = MachineSpec(
+            name="generic", gamma_key_compare=7e-10, node_alpha=3e-7
+        )
         assert m.resolved() is m  # nothing to resolve: same object
 
     def test_resolved_is_idempotent_and_cached(self):
-        m = MachineModel(gamma_key_compare=0.0)
+        m = MachineSpec(name="generic", gamma_key_compare=0.0)
         r = m.resolved()
         assert r.resolved() is r
         assert m.resolved() is r
@@ -210,11 +214,11 @@ class TestResolvedFallbacks:
         node_alpha=0 as literally free latency while key comparisons
         inherited gamma_compare.
         """
-        zeroed = MachineModel(
-            alpha=4e-6, gamma_compare=2e-9,
+        zeroed = MachineSpec(
+            name="generic", alpha=4e-6, gamma_compare=2e-9,
             gamma_key_compare=0.0, node_alpha=0.0,
         )
-        explicit = zeroed.with_(gamma_key_compare=2e-9, node_alpha=4e-6)
+        explicit = zeroed.override(gamma_key_compare=2e-9, node_alpha=4e-6)
         layout = NodeLayout(64, 16)
         ops = [
             ("bcast", dict(max_bytes=4096, total_bytes=4096)),
@@ -236,6 +240,6 @@ class TestResolvedFallbacks:
         )
 
     def test_cost_model_keeps_the_unresolved_machine_visible(self):
-        m = MachineModel(gamma_key_compare=0.0)
+        m = MachineSpec(name="generic", gamma_key_compare=0.0)
         cm = CostModel(m, 8)
         assert cm.machine is m

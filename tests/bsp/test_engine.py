@@ -301,7 +301,7 @@ class TestCostAccounting:
 
 class TestNodeCommunicators:
     def engine(self, p=8, cores=4):
-        return BSPEngine(p, machine=LAPTOP.with_(cores_per_node=cores))
+        return BSPEngine(p, machine=LAPTOP.override(cores_per_node=cores))
 
     def test_node_allreduce(self):
         def program(ctx):
@@ -369,7 +369,7 @@ class TestNodeCommunicators:
             node = ctx.node_comm()
             yield from node.barrier()
 
-        eng = BSPEngine(4, machine=LAPTOP.with_(cores_per_node=1))
+        eng = BSPEngine(4, machine=LAPTOP.override(cores_per_node=1))
         with pytest.raises(BSPError, match="NodeLayout"):
             run(eng, program)
 

@@ -144,7 +144,7 @@ class TestEngineTraceAccounting:
         # Same program, same scalars, different named topology: the torus
         # machine must not price identically to its flat-crossbar twin.
         from repro.bsp import BSPEngine
-        from repro.machines import get_machine_spec
+        from repro.machines import get_machine
         import numpy as np
 
         def exchange_heavy(ctx, chunk):
@@ -154,11 +154,11 @@ class TestEngineTraceAccounting:
             return None
 
         def run_on(topology, params):
-            spec = get_machine_spec("mira-like-bgq").override(
+            spec = get_machine("mira-like-bgq").override(
                 topology=topology, topology_params=params,
                 cores_per_node=1,
             )
-            engine = BSPEngine(64, machine=spec.model())
+            engine = BSPEngine(64, machine=spec)
             chunk = np.arange(256, dtype=np.int64)
             return engine.run(
                 exchange_heavy, rank_args=[(chunk,)] * 64

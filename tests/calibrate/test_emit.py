@@ -1,6 +1,7 @@
 """Emitted specs: provenance, registration semantics, cross-process path."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -18,12 +19,15 @@ from repro.errors import ConfigError
 from repro.machines import (
     MACHINES,
     MachineSpec,
-    get_machine_spec,
+    get_machine,
     register_machine,
     resolve_machine,
 )
 
 pytestmark = pytest.mark.usefixtures("_clean_registry")
+
+#: The checkout these tests belong to (subprocesses must run its code).
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -37,7 +41,7 @@ def _clean_registry():
 def fit():
     cells = design_cells(seed=3, profile="tiny")
     features = extract_features(cells)
-    synth = synthetic_measurements(features, get_machine_spec("laptop"))
+    synth = synthetic_measurements(features, get_machine("laptop"))
     return fit_constants(features, synth)
 
 
@@ -80,7 +84,7 @@ class TestBuildSpec:
 
     def test_preset_serialization_has_no_provenance_key(self):
         """Hand-written presets keep their pre-calibration JSON form."""
-        assert "provenance" not in get_machine_spec("laptop").to_dict()
+        assert "provenance" not in get_machine("laptop").to_dict()
 
 
 class TestEmitSpec:
@@ -92,7 +96,7 @@ class TestEmitSpec:
         emit_spec(build_spec(fit))
         updated = build_spec(fit, doe_seed=42)
         emit_spec(updated)
-        assert get_machine_spec("local-calibrated").provenance["doe_seed"] == 42
+        assert get_machine("local-calibrated").provenance["doe_seed"] == 42
 
     def test_register_without_replace_still_guards_duplicates(self, fit):
         emit_spec(build_spec(fit))
@@ -128,11 +132,11 @@ class TestMachinePathHandoff:
             capture_output=True,
             text=True,
             env={
-                "PYTHONPATH": "src",
+                "PYTHONPATH": str(ROOT / "src"),
                 "REPRO_MACHINE_PATH": str(out),
                 "PATH": "/usr/bin:/bin",
             },
-            cwd="/root/repo",
+            cwd=ROOT,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [
@@ -153,6 +157,6 @@ class TestMachinePathHandoff:
         )
         MACHINES._entries.pop("path-probe-machine")
         monkeypatch.setenv("REPRO_MACHINE_PATH", str(out))
-        assert get_machine_spec("path-probe-machine").name == (
+        assert get_machine("path-probe-machine").name == (
             "path-probe-machine"
         )

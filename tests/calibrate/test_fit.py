@@ -16,7 +16,7 @@ from repro.calibrate import (
 )
 from repro.calibrate.doe import DoECell
 from repro.errors import CalibrationError, ConfigError
-from repro.machines import get_machine_spec
+from repro.machines import get_machine
 
 CONSTANTS = ("alpha", "beta", "gamma_compare", "gamma_byte")
 
@@ -33,7 +33,7 @@ class TestSyntheticRecovery:
     ):
         """The ISSUE acceptance bound is 1%; exact synthetic data is a
         consistent linear system, so assert far tighter."""
-        spec = get_machine_spec(truth)
+        spec = get_machine(truth)
         fit = fit_constants(
             tiny_features, synthetic_measurements(tiny_features, spec)
         )
@@ -46,7 +46,7 @@ class TestSyntheticRecovery:
         assert fit.cells == len(tiny_features)
 
     def test_recovery_is_deterministic(self, tiny_features):
-        spec = get_machine_spec("laptop")
+        spec = get_machine("laptop")
         runs = [
             fit_constants(
                 tiny_features, synthetic_measurements(tiny_features, spec)
@@ -56,7 +56,7 @@ class TestSyntheticRecovery:
         assert runs[0] == runs[1]
 
     def test_noisy_recovery_stays_close(self, tiny_features):
-        spec = get_machine_spec("laptop")
+        spec = get_machine("laptop")
         fit = fit_constants(
             tiny_features,
             synthetic_measurements(
@@ -70,19 +70,19 @@ class TestSyntheticRecovery:
 
     def test_fitted_constants_minimize_total_abs_error(self, tiny_features):
         """On its own DoE the fit beats any preset's constants."""
-        spec = get_machine_spec("laptop")
+        spec = get_machine("laptop")
         synth = synthetic_measurements(tiny_features, spec)
         fit = fit_constants(tiny_features, synth)
         fitted_err = total_abs_error(synth, tiny_features, fit.constants)
         for preset in ("cloud-ethernet", "mira-like-bgq"):
             preset_err = total_abs_error(
-                synth, tiny_features, constants_of(get_machine_spec(preset))
+                synth, tiny_features, constants_of(get_machine(preset))
             )
             assert fitted_err < preset_err
 
     def test_nonnegativity(self, tiny_features):
         """Negative targets cannot drive constants below zero."""
-        spec = get_machine_spec("laptop")
+        spec = get_machine("laptop")
         synth = synthetic_measurements(tiny_features, spec)
         hostile = [
             CellMeasurement(
@@ -128,7 +128,7 @@ class TestIllConditioned:
     def test_zero_column_names_the_constant(self):
         """No cell moves any local bytes -> gamma_byte is unidentifiable."""
         feats = _features([(100.0, 0.0, 3, 50), (500.0, 0.0, 4, 90)])
-        synth = synthetic_measurements(feats, get_machine_spec("laptop"))
+        synth = synthetic_measurements(feats, get_machine("laptop"))
         with pytest.raises(CalibrationError, match="gamma_byte") as info:
             fit_constants(feats, synth)
         assert info.value.constants == ("gamma_byte",)
@@ -140,7 +140,7 @@ class TestIllConditioned:
             [(100.0, 200.0, 3, 50), (500.0, 1000.0, 7, 90),
              (900.0, 1800.0, 9, 130)]
         )
-        synth = synthetic_measurements(feats, get_machine_spec("laptop"))
+        synth = synthetic_measurements(feats, get_machine("laptop"))
         with pytest.raises(
             CalibrationError, match="gamma_compare, gamma_byte"
         ) as info:
@@ -153,7 +153,7 @@ class TestIllConditioned:
             [(100.0, 30.0, 2, 200), (500.0, 700.0, 4, 400),
              (900.0, 100.0, 8, 800)]
         )
-        synth = synthetic_measurements(feats, get_machine_spec("laptop"))
+        synth = synthetic_measurements(feats, get_machine("laptop"))
         with pytest.raises(CalibrationError, match="alpha, beta"):
             fit_constants(feats, synth)
 
@@ -164,7 +164,7 @@ class TestIllConditioned:
 class TestInputValidation:
     def test_mismatched_cells_rejected(self, tiny_features):
         synth = synthetic_measurements(
-            tiny_features, get_machine_spec("laptop")
+            tiny_features, get_machine("laptop")
         )
         with pytest.raises(ConfigError, match="different cells"):
             fit_constants(tiny_features, synth[:-1])
@@ -176,7 +176,7 @@ class TestInputValidation:
 
 class TestModeledMeasurements:
     def test_linear_form_matches_synthetic_generator(self, tiny_features):
-        spec = get_machine_spec("laptop")
+        spec = get_machine("laptop")
         synth = synthetic_measurements(tiny_features, spec)
         modeled = modeled_measurements(tiny_features, constants_of(spec))
         for a, b in zip(synth, modeled):

@@ -7,7 +7,6 @@ from repro.machines.jitter import JitteredDragonfly, JitteredFatTree
 from repro.errors import ConfigError
 from repro.machines import (
     get_machine,
-    get_machine_spec,
     make_topology,
     topology_from_dict,
     topology_to_dict,
@@ -98,15 +97,15 @@ class TestValidation:
 
 class TestJitteryCloudPreset:
     def test_registered_with_jittered_topology(self):
-        spec = get_machine_spec("jittery-cloud")
+        spec = get_machine("jittery-cloud")
         assert spec.topology == "jittered-fat-tree"
         assert spec.topology_params["jitter"] == 0.3
 
     def test_same_constants_as_cloud_ethernet(self):
         # Any makespan delta against cloud-ethernet is purely network
         # weather: the compute and endpoint constants are shared.
-        jittery = get_machine_spec("jittery-cloud")
-        cloud = get_machine_spec("cloud-ethernet")
+        jittery = get_machine("jittery-cloud")
+        cloud = get_machine("cloud-ethernet")
         assert jittery.alpha == cloud.alpha
         assert jittery.beta == cloud.beta
         assert jittery.gamma_compare == cloud.gamma_compare

@@ -17,7 +17,7 @@ LAPTOP = get_machine("laptop")
 
 def run_node_sort(inputs, cores_per_node=4, eps=0.05, within=0.05, seed=1):
     p = len(inputs)
-    engine = BSPEngine(p, machine=LAPTOP.with_(cores_per_node=cores_per_node))
+    engine = BSPEngine(p, machine=LAPTOP.override(cores_per_node=cores_per_node))
     cfg = HSSConfig(
         eps=eps, within_node_eps=within, node_level=True, seed=seed
     )
@@ -48,7 +48,7 @@ class TestNodeSortCorrectness:
 
         engine = BSPEngine(
             p,
-            machine=LAPTOP.with_(cores_per_node=1),
+            machine=LAPTOP.override(cores_per_node=1),
             node_layout=NodeLayout(p, 1),
         )
         cfg = HSSConfig(eps=0.05, node_level=True, seed=1)
@@ -60,7 +60,7 @@ class TestNodeSortCorrectness:
 
     def test_requires_layout(self, rng):
         inputs = [rng.integers(0, 100, 50) for _ in range(2)]
-        engine = BSPEngine(2, machine=LAPTOP.with_(cores_per_node=1))
+        engine = BSPEngine(2, machine=LAPTOP.override(cores_per_node=1))
         with pytest.raises(BSPError, match="NodeLayout"):
             engine.run(
                 hss_node_sort_program,
@@ -127,7 +127,7 @@ class TestNodeSortBenefits:
         from repro.core.hss import hss_sort_program
 
         inputs = [rng.integers(0, 10**9, 1000) for _ in range(16)]
-        machine = LAPTOP.with_(cores_per_node=4)
+        machine = LAPTOP.override(cores_per_node=4)
         res_node, _ = run_node_sort(inputs, cores_per_node=4)
         engine = BSPEngine(16, machine=machine)
         res_flat = engine.run(

@@ -5,14 +5,11 @@ import re
 
 import pytest
 
-from repro.bsp.machine import MachineModel
 from repro.errors import ConfigError
 from repro.machines import (
     MACHINES,
     MachineSpec,
     get_machine,
-    get_machine_spec,
-    machine_summary,
     register_machine,
     resolve_machine,
 )
@@ -34,13 +31,14 @@ class TestCatalog:
 
     def test_every_preset_models(self):
         for name in MACHINES.names():
-            model = get_machine(name)
-            assert isinstance(model, MachineModel)
-            assert model.name == name
+            machine = get_machine(name)
+            assert isinstance(machine, MachineSpec)
+            assert machine.name == name
+            assert machine.network.name == machine.topology
 
     def test_every_preset_has_provenance_note(self):
         for name in MACHINES.names():
-            assert get_machine_spec(name).note, f"{name} lacks a note"
+            assert get_machine(name).note, f"{name} lacks a note"
 
     def test_legacy_constants_preserved(self):
         # The catalog keeps the exact values of the retired module
@@ -50,13 +48,13 @@ class TestCatalog:
         assert mira.beta == 1.0 / 2.0e8
         assert mira.gamma_compare == 4.0e-8
         assert mira.cores_per_node == 16
-        assert mira.topology.dims == 5
+        assert mira.network.dims == 5
         assert mira.round_sync_per_level == 1.0e-3
         laptop = get_machine("laptop")
         assert laptop.alpha == 2.0e-7
         assert laptop.cores_per_node == 8
         cluster = get_machine("generic-cluster")
-        assert cluster.topology.bisection == 0.5
+        assert cluster.network.bisection == 0.5
         assert cluster.cores_per_node == 64
 
 
@@ -115,26 +113,24 @@ class TestResolveMachine:
 
     def test_name_spec_model_all_resolve_identically(self):
         by_name = resolve_machine("dragonfly-hpc")
-        by_spec = resolve_machine(get_machine_spec("dragonfly-hpc"))
-        by_model = resolve_machine(by_name)
-        assert by_name == by_spec == by_model
+        by_spec = resolve_machine(MACHINES.get("dragonfly-hpc"))
+        assert by_name == by_spec
+        # A registered name resolves to the registered spec itself.
+        assert by_name is MACHINES.get("dragonfly-hpc")
 
     def test_spec_overrides(self):
-        model = resolve_machine(
-            get_machine_spec("laptop"), {"cores_per_node": 2}
+        machine = resolve_machine(
+            get_machine("laptop"), {"cores_per_node": 2}
         )
-        assert model.cores_per_node == 2
-
-    def test_model_with_overrides_rejected(self):
-        with pytest.raises(ConfigError, match="with_"):
-            resolve_machine(get_machine("laptop"), {"cores_per_node": 2})
+        assert machine.cores_per_node == 2
 
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError, match="cannot resolve"):
             resolve_machine(42)
 
     def test_summary(self):
-        assert machine_summary("mira-like-bgq", {"cores_per_node": 1}) == {
+        machine = resolve_machine("mira-like-bgq", {"cores_per_node": 1})
+        assert machine.describe() == {
             "name": "mira-like-bgq",
             "topology": "torus",
             "cores_per_node": 1,

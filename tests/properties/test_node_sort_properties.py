@@ -43,7 +43,7 @@ class TestNodeSortContract:
         p, cores, shards = world
         engine = BSPEngine(
             p,
-            machine=LAPTOP.with_(cores_per_node=cores),
+            machine=LAPTOP.override(cores_per_node=cores),
             node_layout=NodeLayout(p, cores),
         )
         cfg = HSSConfig(eps=0.2, within_node_eps=0.2, node_level=True, seed=3)
@@ -59,7 +59,7 @@ class TestNodeSortContract:
         p, cores, shards = world
         engine = BSPEngine(
             p,
-            machine=LAPTOP.with_(cores_per_node=cores),
+            machine=LAPTOP.override(cores_per_node=cores),
             node_layout=NodeLayout(p, cores),
         )
         cfg = HSSConfig(eps=0.2, within_node_eps=0.2, node_level=True, seed=5)

@@ -9,11 +9,15 @@ rather than kept as independent tallies.
 import io
 import json
 import logging
+import pathlib
 import subprocess
 import sys
 
 from repro.service import SortService
 from repro.telemetry import SERVICE_PID, TraceSink
+
+#: The checkout these tests belong to (subprocesses must run its code).
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 SCENARIO = {
     "algorithm": "hss",
@@ -140,8 +144,8 @@ class TestStructuredLogging:
             input=_job("sub-1") + "\n",
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=ROOT,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,16 @@
 """Package-level sanity: imports, exports, version, registry coherence."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SUBPACKAGES = [
     "repro.bsp",
@@ -18,14 +24,32 @@ SUBPACKAGES = [
     "repro.utils",
     "repro.bench",
     "repro.cli",
+    "repro.machines",
+    "repro.runtime",
+    "repro.chaos",
+    "repro.experiments",
+    "repro.service",
+    "repro.telemetry",
+    "repro.calibrate",
+    "repro.records",
+    "repro.algorithms",
 ]
 
 
 class TestImports:
     @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_subpackage_imports(self, name):
-        module = importlib.import_module(name)
-        assert module is not None
+        # A fresh interpreter per package: inside this process an import
+        # cycle hides behind whichever package happened to load first.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {name}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_all_exports_resolve(self, name):

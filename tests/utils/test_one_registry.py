@@ -14,7 +14,7 @@ from repro.errors import ConfigError
 from repro.machines import (
     MACHINES,
     TOPOLOGIES,
-    get_machine_spec,
+    get_machine,
     make_topology,
     register_machine,
     register_topology,
@@ -101,7 +101,7 @@ def _suite(equal):
 #: (kind, registry, register(equal: bool), public resolver of a name).
 KINDS = [
     ("algorithm", REGISTRY, _algorithm, Sorter),
-    ("machine", MACHINES, _machine, get_machine_spec),
+    ("machine", MACHINES, _machine, get_machine),
     ("topology", TOPOLOGIES, _topology, make_topology),
     ("workload", WORKLOAD_SPECS, _workload,
      lambda name: make_workload(name, 2, 10)),
