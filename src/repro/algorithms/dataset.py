@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -39,8 +40,15 @@ from repro.records.schema import GENERATED_KINDS
 __all__ = ["Dataset"]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes (``a`` itself is untouched)."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 def _validated_shards(keys: Sequence[np.ndarray]) -> list[np.ndarray]:
-    shards = [np.asarray(k) for k in keys]
+    shards = [_read_only(np.asarray(k)) for k in keys]
     if not shards:
         raise ConfigError("need at least one rank's keys")
     dtypes = {s.dtype for s in shards}
@@ -126,6 +134,12 @@ class Dataset:
     :meth:`from_workload`) rather than the raw dataclass constructor —
     they perform the dtype/shape validation.
 
+    A dataset is immutable: its shards and payloads are read-only views,
+    so a write through ``ds.shards[r]`` (or by a rank program into its
+    input) raises instead of corrupting the data.  To change the data,
+    build a new dataset.  The views share memory with the arrays handed
+    to :meth:`from_arrays`; do not write into those afterwards.
+
     Examples
     --------
     >>> import numpy as np
@@ -139,6 +153,10 @@ class Dataset:
     >>> tagged = ds.with_index_payloads()
     >>> tagged.has_payloads and len(tagged.payloads[0]) == 100
     True
+    >>> ds.shards[0][0] = 1
+    Traceback (most recent call last):
+    ...
+    ValueError: assignment destination is read-only
     """
 
     #: One key array per simulated rank (``p = len(shards)``).
@@ -169,7 +187,7 @@ class Dataset:
         if payloads is not None:
             if len(payloads) != len(shards):
                 raise ConfigError("payloads must match keys rank-for-rank")
-            checked_payloads = [np.asarray(v) for v in payloads]
+            checked_payloads = [_read_only(np.asarray(v)) for v in payloads]
             for r, (k, v) in enumerate(zip(shards, checked_payloads)):
                 if len(v) != len(k):
                     raise ConfigError(
@@ -312,6 +330,31 @@ class Dataset:
         return RecordSchema.from_payload_dtype(
             self.payloads[0].dtype, key_dtype=self.key_dtype
         )
+
+    @cached_property
+    def sorted_keys(self) -> np.ndarray | None:
+        """All keys in one sorted, read-only array; ``None`` if there are none.
+
+        Computed on first use and kept: every later verified sort of this
+        dataset compares its outputs against it in one linear pass.
+
+        >>> ds = Dataset.from_arrays([np.array([3, 1]), np.array([2, 0])])
+        >>> ds.sorted_keys
+        array([0, 1, 2, 3])
+        >>> ds.sorted_keys is ds.sorted_keys
+        True
+        >>> ds.sorted_keys.flags.writeable
+        False
+        >>> print(Dataset.from_arrays([np.array([], dtype=np.int64)]).sorted_keys)
+        None
+        """
+        if self.total_keys == 0:
+            return None
+        # The concatenation is a fresh array: sort it in place.
+        keys = np.concatenate(self.shards)
+        keys.sort()
+        keys.flags.writeable = False
+        return keys
 
     def record_nbytes(self) -> int | None:
         """Exact bytes per row (key + payload columns), or None if unschematized."""

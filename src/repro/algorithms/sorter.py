@@ -175,7 +175,10 @@ class Sorter:
             from repro.metrics.verify import verify_sorted_output
 
             verify_sorted_output(
-                dataset.shards, shards, self.spec.verify_eps(self.config)
+                dataset.shards,
+                shards,
+                self.spec.verify_eps(self.config),
+                sorted_inputs=lambda: dataset.sorted_keys,
             )
         if trace_sink is not None:
             self.backend.emit_spans(result, trace_sink)

@@ -73,7 +73,11 @@ def _central_splitters(
 
     ``select='regular'`` picks (1-based) sample ranks ``s·i − p/2``
     (Theorem 4.1.2); ``select='even'`` picks evenly spaced elements
-    ``⌈ps·i/p⌉`` (the random-sampling convention).
+    ``⌈ps·i/p⌉`` (the random-sampling convention).  A regular sample in
+    which every rank sent fewer than ``s`` keys is every key: its exact
+    quantiles (0-based ranks ``⌊m·i/p⌋``) are the splitters, as the
+    ``−p/2`` shift, sized for sample keys that stand for ``N/(ps)`` keys
+    each, would skew the buckets by ``p/2`` keys.
     """
     p = ctx.nprocs
     gathered = yield from ctx.gather(local_sample, root=0)
@@ -81,14 +85,17 @@ def _central_splitters(
         sample = np.sort(np.concatenate([g for g in gathered if len(g)]))
         m = len(sample)
         ctx.charge_sort(m, key_bytes=sample.dtype.itemsize)
-        # Use the *achieved* per-processor sample count (the requested ``s``
-        # may have been capped by small local inputs), else the selection
-        # indices run past the gathered sample.
-        s_eff = max(1, m // p)
-        idx_1based = np.arange(1, p, dtype=np.int64) * s_eff
-        if select == "regular":
-            idx_1based = idx_1based - p // 2
-        idx = np.clip(idx_1based - 1, 0, m - 1)
+        if select == "regular" and all(len(g) < s for g in gathered):
+            idx = np.arange(1, p, dtype=np.int64) * m // p
+        else:
+            # Use the *achieved* per-processor sample count (the requested
+            # ``s`` may have been capped by small local inputs), else the
+            # selection indices run past the gathered sample.
+            s_eff = max(1, m // p)
+            idx_1based = np.arange(1, p, dtype=np.int64) * s_eff
+            if select == "regular":
+                idx_1based = idx_1based - p // 2
+            idx = np.clip(idx_1based - 1, 0, m - 1)
         splitters = sample[idx]
         total = m
     else:

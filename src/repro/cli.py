@@ -624,7 +624,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     from repro.metrics import verify_sorted_output
 
     try:
-        verify_sorted_output(dataset.shards, run.shards)
+        verify_sorted_output(
+            dataset.shards, run.shards, sorted_inputs=lambda: dataset.sorted_keys
+        )
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

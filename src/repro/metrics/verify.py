@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,20 +40,21 @@ def check_globally_sorted(shards: Sequence[np.ndarray]) -> None:
 _NOT_A_PERMUTATION = "output keys are not a permutation of the input"
 
 
-def _sorted_inputs(
+def _check_counts(
     inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray]
-) -> np.ndarray | None:
-    """All input keys in one sorted array; ``None`` when there are none.
-
-    Raises first if the outputs hold a different number of keys.
-    """
+) -> None:
+    """Raise unless the outputs hold as many keys as the inputs."""
     total_in = sum(len(x) for x in inputs)
     total_out = sum(len(x) for x in outputs)
     if total_in != total_out:
         raise VerificationError(
             f"key count changed: {total_in} in, {total_out} out"
         )
-    if total_in == 0:
+
+
+def _sorted_inputs(inputs: Sequence[np.ndarray]) -> np.ndarray | None:
+    """All input keys in one sorted array; ``None`` when there are none."""
+    if not any(len(x) for x in inputs):
         return None
     # The concatenation is a fresh array: sort it in place, not a copy.
     all_in = np.concatenate([np.asarray(x) for x in inputs if len(x)])
@@ -70,7 +71,8 @@ def check_permutation(
     out of order.  The verdict is the same either way: any NaN fails, as
     ``array_equal`` never matches NaN.
     """
-    all_in = _sorted_inputs(inputs, outputs)
+    _check_counts(inputs, outputs)
+    all_in = _sorted_inputs(inputs)
     if all_in is None:
         return
     all_out = np.concatenate([np.asarray(x) for x in outputs if len(x)])
@@ -104,26 +106,71 @@ def check_load_balance(
             )
 
 
+def _matches_sorted(
+    sorted_inputs: np.ndarray | None, outputs: Sequence[np.ndarray]
+) -> bool:
+    """Whether the outputs, in rank order, are exactly ``sorted_inputs``.
+
+    The key counts must already match; ``None`` stands for no keys.
+    Structured keys never match: :func:`check_globally_sorted` has no
+    ``<`` for them, and only it may give their verdict.
+    """
+    lo = 0
+    for shard in outputs:
+        hi = lo + len(shard)
+        if hi > lo and (
+            np.asarray(shard).dtype.names is not None
+            or not np.array_equal(sorted_inputs[lo:hi], shard)
+        ):
+            return False
+        lo = hi
+    return True
+
+
 def verify_sorted_output(
     inputs: Sequence[np.ndarray],
     outputs: Sequence[np.ndarray],
     eps: float | None = None,
+    *,
+    sorted_inputs: np.ndarray | Callable[[], np.ndarray | None] | None = None,
 ) -> None:
     """All three §2.1 checks in one call (eps=None skips load balance).
 
-    Once :func:`check_globally_sorted` passes, the outputs in rank order
-    are the sorted inputs, so each shard is compared with its slice of
-    them where it lies: no concatenation, no second scan for order.  The
-    verdicts are :func:`check_permutation`'s.
+    ``sorted_inputs`` is all input keys in one sorted array (``None`` when
+    there are none), or a zero-argument callable returning it, called at
+    most once and only when the key counts match.  Pass
+    ``lambda: dataset.sorted_keys`` so that a
+    :class:`~repro.algorithms.Dataset` sorted again and again sorts its
+    keys once (:attr:`~repro.algorithms.Dataset.sorted_keys`).  Omitted,
+    the inputs are concatenated and sorted here.
+
+    When the key counts match and every output shard equals its slice of
+    the sorted inputs, the outputs in rank order *are* the sorted inputs:
+    globally sorted and a permutation, shown in one linear pass with no
+    concatenation.  Any mismatch runs :func:`check_globally_sorted`, the
+    key-count check and the slice comparison in that order, so every
+    verdict and message is that of :func:`check_globally_sorted` followed
+    by :func:`check_permutation`.  :func:`check_load_balance` comes last.
+
+    >>> import numpy as np
+    >>> inputs = [np.array([3, 1]), np.array([4, 2])]
+    >>> verify_sorted_output(inputs, [np.array([1, 2]), np.array([3, 4])])
+    >>> verify_sorted_output(inputs, [np.array([1, 2]), np.array([3, 5])])
+    Traceback (most recent call last):
+    ...
+    repro.errors.VerificationError: output keys are not a permutation of the input
     """
-    check_globally_sorted(outputs)
-    all_in = _sorted_inputs(inputs, outputs)
-    if all_in is not None:
-        lo = 0
-        for shard in outputs:
-            hi = lo + len(shard)
-            if not np.array_equal(all_in[lo:hi], shard):
-                raise VerificationError(_NOT_A_PERMUTATION)
-            lo = hi
+    total_in = sum(len(x) for x in inputs)
+    matched = False
+    if total_in == sum(len(x) for x in outputs):
+        if sorted_inputs is None:
+            sorted_inputs = _sorted_inputs(inputs)
+        elif callable(sorted_inputs):
+            sorted_inputs = sorted_inputs()
+        matched = _matches_sorted(sorted_inputs, outputs)
+    if not matched:
+        check_globally_sorted(outputs)
+        _check_counts(inputs, outputs)
+        raise VerificationError(_NOT_A_PERMUTATION)
     if eps is not None:
-        check_load_balance(outputs, eps, total_keys=sum(len(x) for x in inputs))
+        check_load_balance(outputs, eps, total_keys=total_in)

@@ -28,6 +28,7 @@ from repro.errors import WorkloadError
 from repro.records import RecordSchema
 from repro.utils.bits import morton_encode_3d
 from repro.utils.rng import rng_or_default
+from repro.workloads.distributions import _deal
 from repro.workloads.registry import register_workload
 
 #: The record layout a ChaNGa particle exchange actually moves: the Morton
@@ -63,18 +64,32 @@ def plummer_positions(
     """
     if n < 0:
         raise WorkloadError(f"n must be >= 0, got {n}")
-    u = rng.random(n)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    r = scale / np.sqrt(u ** (-2.0 / 3.0) - 1.0)
+    # In place throughout, columns written straight into the result: the
+    # values and the draw order (u, cos θ, φ) are those of the plain
+    # expressions in the docstring.
+    r = rng.random(n)
+    np.clip(r, 1e-12, 1 - 1e-12, out=r)
+    np.power(r, -2.0 / 3.0, out=r)
+    r -= 1.0
+    np.sqrt(r, out=r)
+    np.divide(scale, r, out=r)
     # Isotropic directions.
+    xyz = np.empty((n, 3))
     cos_t = rng.uniform(-1.0, 1.0, n)
-    sin_t = np.sqrt(1.0 - cos_t**2)
+    np.multiply(r, cos_t, out=xyz[:, 2])
+    np.square(cos_t, out=cos_t)
+    np.subtract(1.0, cos_t, out=cos_t)
+    np.sqrt(cos_t, out=cos_t)
+    r *= cos_t  # r sin θ
+    del cos_t
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    xyz = np.stack(
-        (r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * cos_t), axis=1
-    )
+    np.cos(phi, out=xyz[:, 0])
+    np.sin(phi, out=xyz[:, 1])
+    del phi
+    xyz[:, 0] *= r
+    xyz[:, 1] *= r
     xyz += np.asarray(center, dtype=np.float64)
-    return np.clip(xyz, 0.0, 1.0)
+    return np.clip(xyz, 0.0, 1.0, out=xyz)
 
 
 def soneira_peebles_positions(
@@ -124,8 +139,9 @@ def soneira_peebles_positions(
         radius = child_r
 
     leaf = rng.integers(0, len(centers), n)
-    pts = centers[leaf] + rng.normal(0.0, radius / 2.0, size=(n, 3))
-    return np.clip(pts, 0.0, 1.0)
+    pts = centers[leaf]
+    pts += rng.normal(0.0, radius / 2.0, size=(n, 3))
+    return np.clip(pts, 0.0, 1.0, out=pts)
 
 
 def _filament_positions(
@@ -139,22 +155,34 @@ def _filament_positions(
     t = rng.random((n, 1))
     pts = a + t * (b - a)
     pts += rng.normal(0.0, thickness, size=(n, 3))
-    return np.clip(pts, 0.0, 1.0)
+    return np.clip(pts, 0.0, 1.0, out=pts)
 
 
-def morton_keys_from_positions(xyz: np.ndarray) -> np.ndarray:
-    """63-bit Morton keys for an ``(n, 3)`` position array in the unit box."""
-    xyz = np.asarray(xyz, dtype=np.float64)
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise WorkloadError(f"positions must be (n, 3), got {xyz.shape}")
-    return morton_encode_3d(xyz[:, 0], xyz[:, 1], xyz[:, 2])
+#: Rows Morton-encoded at a time: bounds the encoder's temporaries.
+_MORTON_CHUNK = 1 << 16
 
 
-def _deal_keys(
-    keys: np.ndarray, p: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    rng.shuffle(keys)
-    return [chunk.copy() for chunk in np.array_split(keys, p)]
+def morton_keys_from_positions(*blocks: np.ndarray) -> np.ndarray:
+    """63-bit Morton keys for ``(m, 3)`` position arrays in the unit box.
+
+    Several blocks are encoded as if stacked row-wise, without the stack.
+    Rows go through the encoder in chunks, so its temporaries stay small
+    whatever the input size.
+    """
+    blocks = tuple(np.asarray(b, dtype=np.float64) for b in blocks)
+    for xyz in blocks:
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise WorkloadError(f"positions must be (n, 3), got {xyz.shape}")
+    keys = np.empty(sum(len(b) for b in blocks), dtype=np.uint64)
+    at = 0
+    for xyz in blocks:
+        for lo in range(0, len(xyz), _MORTON_CHUNK):
+            part = xyz[lo:lo + _MORTON_CHUNK]
+            keys[at:at + len(part)] = morton_encode_3d(
+                part[:, 0], part[:, 1], part[:, 2]
+            )
+            at += len(part)
+    return keys
 
 
 @register_workload(
@@ -182,8 +210,9 @@ def dwarf_like_shards(
     n_halo = int(halo_fraction * n)
     halo = plummer_positions(n_halo, rng, scale=halo_scale)
     background = rng.random((n - n_halo, 3))
-    keys = morton_keys_from_positions(np.vstack((halo, background)))
-    return _deal_keys(keys, p, rng)
+    keys = morton_keys_from_positions(halo, background)
+    del halo, background
+    return _deal(keys, p, rng)
 
 
 @register_workload(
@@ -252,8 +281,9 @@ def lambb_like_shards(
     if n_bg:
         chunks.append(rng.random((n_bg, 3)))
 
-    keys = morton_keys_from_positions(np.vstack(chunks))
-    return _deal_keys(keys, p, rng)
+    keys = morton_keys_from_positions(*chunks)
+    del chunks
+    return _deal(keys, p, rng)
 
 
 @register_workload(
@@ -282,8 +312,9 @@ def fractal_dwarf_shards(
     n_cluster = int(cluster_fraction * n)
     pts = soneira_peebles_positions(n_cluster, rng, levels=levels, eta=4, ratio=0.4)
     background = rng.random((n - n_cluster, 3))
-    keys = morton_keys_from_positions(np.vstack((pts, background)))
-    return _deal_keys(keys, p, rng)
+    keys = morton_keys_from_positions(pts, background)
+    del pts, background
+    return _deal(keys, p, rng)
 
 
 @register_workload(
@@ -333,5 +364,6 @@ def fractal_lambb_shards(
     placed = sum(len(c) for c in chunks)
     if n - placed > 0:
         chunks.append(rng.random((n - placed, 3)))
-    keys = morton_keys_from_positions(np.vstack(chunks)[:n])
-    return _deal_keys(keys, p, rng)
+    keys = morton_keys_from_positions(*chunks)[:n]
+    del chunks
+    return _deal(keys, p, rng)

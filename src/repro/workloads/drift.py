@@ -174,7 +174,6 @@ def changa_drift_shards(
     n_halo = int(halo_fraction * n)
     halo = plummer_positions(n_halo, rng, center=center, scale=scale)
     background = rng.random((n - n_halo, 3))
-    keys = morton_keys_from_positions(np.vstack((halo, background)))
-    shuffled = keys.copy()
-    rng.shuffle(shuffled)
-    return [chunk.copy() for chunk in np.array_split(shuffled, p)]
+    keys = morton_keys_from_positions(halo, background)
+    del halo, background
+    return _deal(keys, p, rng)

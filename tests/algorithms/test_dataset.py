@@ -169,3 +169,47 @@ class TestPayloadHelpers:
         assert all(len(a) == 1 for a in plain.rank_args())
         tagged = plain.with_index_payloads()
         assert all(len(a) == 2 for a in tagged.rank_args())
+
+
+class TestImmutable:
+    """A dataset's arrays are read-only views; its sorted keys are a memo."""
+
+    def test_shard_and_payload_writes_raise(self, small_shards):
+        ds = Dataset.from_arrays(small_shards).with_index_payloads()
+        for array in (ds.shards[0], ds.payloads[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            ds.shards[1].sort()
+
+    def test_caller_arrays_stay_writable(self, small_shards):
+        Dataset.from_arrays(small_shards)
+        small_shards[0][0] = 7  # only the dataset's views are read-only
+
+    def test_sorted_keys_is_a_read_only_memo(self, small_shards):
+        ds = Dataset.from_arrays(small_shards)
+        keys = ds.sorted_keys
+        assert np.array_equal(keys, np.sort(np.concatenate(small_shards)))
+        assert ds.sorted_keys is keys
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 1
+
+    def test_sorted_keys_none_without_keys(self):
+        empty = np.array([], dtype=np.int64)
+        assert Dataset.from_arrays([empty, empty]).sorted_keys is None
+
+    def test_verified_runs_check_against_the_memo(self, small_shards):
+        from repro.algorithms import Sorter
+        from repro.errors import VerificationError
+
+        ds = Dataset.from_arrays(small_shards)
+        sorter = Sorter("hss")
+        sorter.run(ds)
+        assert "sorted_keys" in vars(ds)  # the first verified run made it
+        # A later run verifies against the memo, not a fresh sort: a memo
+        # planted off by one key fails it.
+        planted = ds.sorted_keys.copy()
+        planted[-1] += 1
+        vars(ds)["sorted_keys"] = planted
+        with pytest.raises(VerificationError, match="permutation"):
+            sorter.run(ds)

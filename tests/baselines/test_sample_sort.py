@@ -1,6 +1,7 @@
 """Tests for sample sort baselines (regular + block random sampling)."""
 
 import numpy as np
+import pytest
 
 from repro.bsp import BSPEngine
 from repro.baselines.sample_sort import (
@@ -56,6 +57,16 @@ class TestRegularSampling:
         )
         assert stats.oversample == 16
         verify_sorted_output(small_shards, outs)
+
+    @pytest.mark.parametrize("p, n_per", [(16, 97), (16, 20), (4, 30)])
+    def test_whole_shard_samples_split_at_exact_quantiles(self, p, n_per):
+        """With ``s = ceil(p/eps) > n_per`` every rank sends its whole
+        shard, and the splitters are the exact quantiles: no -p/2 skew."""
+        from repro.algorithms import Dataset, Sorter
+
+        ds = Dataset.from_workload("uniform", p=p, n_per=n_per, seed=0)
+        run = Sorter("sample-regular", eps=0.05).run(ds)  # verifies balance
+        assert max(map(len, run.shards)) - min(map(len, run.shards)) <= 1
 
     def test_deterministic(self, small_shards):
         _, outs_a, _ = run_program(sample_sort_regular_program, small_shards, eps=0.1)

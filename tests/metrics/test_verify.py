@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms import Dataset
 from repro.errors import LoadBalanceError, VerificationError
 from repro.metrics.verify import (
     check_globally_sorted,
@@ -214,3 +217,118 @@ class TestVerifyComparesShardsInPlace:
         shuffled[0] = 99  # out of the input range: a changed key
         with pytest.raises(VerificationError, match="permutation"):
             check_permutation(inputs, np.array_split(shuffled, 5))
+
+
+# --------------------------------------------------------------------- #
+# verify_sorted_output against the composed public checks
+
+
+def _composed(inputs, outputs, eps):
+    """What ``check_globally_sorted`` + ``check_permutation`` +
+    ``check_load_balance`` raise in turn, as ``(type, message)``."""
+    try:
+        check_globally_sorted(outputs)
+        check_permutation(inputs, outputs)
+        if eps is not None:
+            total = sum(len(x) for x in inputs)
+            check_load_balance(outputs, eps, total_keys=total)
+    except VerificationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _verdict(inputs, outputs, eps, **memo):
+    try:
+        verify_sorted_output(inputs, outputs, eps, **memo)
+    except VerificationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+CORRUPTIONS = (
+    "none", "swap", "drop", "duplicate", "nan", "unsorted", "extra", "changed",
+)
+
+
+@st.composite
+def verify_cases(draw):
+    """Inputs plus outputs: sorted shards, then at most one corruption."""
+    p = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=p, max_size=p))
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    dtype = np.float64 if corruption == "nan" or draw(st.booleans()) else np.int64
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    high = draw(st.sampled_from([3, 1000]))  # few or many duplicates
+    inputs = [rng.integers(0, high, n).astype(dtype) for n in sizes]
+    flat = np.sort(np.concatenate(inputs))
+    n = len(flat)
+    if n and corruption in ("swap", "duplicate", "nan", "changed"):
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        if corruption == "swap":
+            flat[[i, j]] = flat[[j, i]]
+        elif corruption == "duplicate":
+            flat[i] = flat[j]
+        elif corruption == "nan":
+            flat[i] = np.nan
+        else:
+            flat[i] += 1
+    elif n and corruption == "drop":
+        flat = np.delete(flat, int(rng.integers(0, n)))
+    elif corruption == "extra":
+        flat = np.sort(np.append(flat, flat[-1] if n else 0))
+    cuts = np.sort(rng.integers(0, len(flat) + 1, draw(st.integers(0, 5))))
+    outputs = np.split(flat, cuts)
+    if corruption == "unsorted":
+        k = int(np.argmax([len(o) for o in outputs]))
+        outputs[k] = outputs[k][::-1].copy()
+    eps = draw(st.sampled_from([None, 0.1, 1.0]))
+    return inputs, outputs, eps
+
+
+@given(verify_cases())
+@settings(max_examples=300, deadline=None)
+def test_verdicts_equal_the_composed_checks(case):
+    inputs, outputs, eps = case
+    expected = _composed(inputs, outputs, eps)
+    memo = Dataset.from_arrays(inputs).sorted_keys
+    assert _verdict(inputs, outputs, eps) == expected
+    assert _verdict(inputs, outputs, eps, sorted_inputs=memo) == expected
+    assert _verdict(
+        inputs, outputs, eps, sorted_inputs=lambda: memo
+    ) == expected
+
+
+def test_memo_accessor_called_once_and_only_on_matching_counts():
+    inputs = [np.array([3, 1]), np.array([2])]
+    calls = []
+
+    def memo():
+        calls.append(1)
+        return np.array([1, 2, 3])
+
+    verify_sorted_output(inputs, [np.array([1, 2]), np.array([3])],
+                         sorted_inputs=memo)
+    assert calls == [1]
+    with pytest.raises(VerificationError, match="key count changed"):
+        verify_sorted_output(inputs, [np.array([1, 2])], sorted_inputs=memo)
+    assert calls == [1]
+
+
+def test_matching_memo_skips_the_order_scan(monkeypatch):
+    """Outputs equal to the memo's slices are sorted: no separate scan."""
+    import repro.metrics.verify as verify
+
+    scans = []
+    monkeypatch.setattr(
+        verify, "check_globally_sorted", lambda shards: scans.append(1)
+    )
+    inputs = [np.array([3, 1]), np.array([2, 0])]
+    memo = np.array([0, 1, 2, 3])
+    outputs = [np.array([0, 1]), np.array([2, 3])]
+    verify.verify_sorted_output(inputs, outputs, sorted_inputs=memo)
+    assert scans == []
+    with pytest.raises(VerificationError, match="permutation"):
+        verify.verify_sorted_output(
+            inputs, [np.array([0, 1]), np.array([2, 4])], sorted_inputs=memo
+        )
+    assert scans == [1]

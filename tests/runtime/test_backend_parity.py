@@ -457,3 +457,19 @@ def test_real_backend_returns_runresult_with_measured(backend_cls, name):
     assert isinstance(result, RunResult)
     assert result.returns == [int(np.arange(10).sum())] * P
     assert result.measured.backend == name
+
+
+def test_program_writing_into_its_input_raises():
+    def _scribbles(ctx, keys):
+        yield from ctx.barrier()
+        keys[0] = -1
+
+    dataset = Dataset.from_arrays([keys for (keys,) in _rank_args()])
+    for backend in (
+        SimulatedBackend(),
+        ProcessBackend(workers=2),
+        ThreadBackend(workers=2),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            backend.run(_scribbles, dataset.rank_args())
+    assert all(np.array_equal(s, np.arange(10)) for s in dataset.shards)

@@ -152,7 +152,7 @@ class TestSortCommand:
         import repro.metrics
         from repro.errors import VerificationError
 
-        def failing(inputs, outputs, eps=None):
+        def failing(inputs, outputs, eps=None, *, sorted_inputs=None):
             raise VerificationError("output keys are not a permutation")
 
         monkeypatch.setattr(repro.metrics, "verify_sorted_output", failing)

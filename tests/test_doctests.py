@@ -16,6 +16,7 @@ import repro.machines
 import repro.machines.registry
 import repro.machines.spec
 import repro.machines.topologies
+import repro.metrics.verify
 import repro.records.schema
 import repro.runtime
 import repro.runtime.base
@@ -37,6 +38,7 @@ MODULES = [
     repro.machines.registry,
     repro.machines.spec,
     repro.machines.topologies,
+    repro.metrics.verify,
     repro.records.schema,
     repro.runtime,
     repro.runtime.base,
